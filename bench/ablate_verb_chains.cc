@@ -44,13 +44,11 @@ struct VerbPhaseResult {
 /// page size keeps leaves shallow so splits — where chaining saves the
 /// most — happen every few inserts, as in the paper's insert-heavy tail.
 VerbPhaseResult RunVerbPhase(bool chained, uint64_t keys, uint64_t inserts,
-                             uint32_t page_size, uint32_t cache_pages,
-                             uint32_t head_interval) {
+                             uint32_t page_size, uint32_t cache_pages) {
   ExperimentConfig config;
   config.design = DesignKind::kFine;
   config.num_keys = keys;
   config.page_size = page_size;
-  config.head_node_interval = head_interval;
   config.verb_chaining = chained;
   config.client_cache_pages = cache_pages;
   config.client_cache_ttl = 0;  // NodeCache treats 0 as no expiry
@@ -112,8 +110,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(args.GetInt("page", 128));
   const uint32_t cache_pages =
       static_cast<uint32_t>(args.GetInt("cache", 1 << 16));
-  const uint32_t head_interval =
-      static_cast<uint32_t>(args.GetInt("head", 16));
   const uint32_t clients =
       static_cast<uint32_t>(args.GetInt("clients", 120));
 
@@ -129,14 +125,12 @@ int main(int argc, char** argv) {
   PrintRow({"mode", "signaled_per_op", "unsignaled_per_op",
             "doorbells_per_op"});
   const VerbPhaseResult unchained =
-      RunVerbPhase(false, keys, inserts, page_size, cache_pages,
-                   head_interval);
+      RunVerbPhase(false, keys, inserts, page_size, cache_pages);
   PrintRow({"unchained", Num(unchained.signaled_per_op),
             Num(unchained.unsignaled_per_op),
             Num(unchained.doorbells_per_op)});
   const VerbPhaseResult chained =
-      RunVerbPhase(true, keys, inserts, page_size, cache_pages,
-                   head_interval);
+      RunVerbPhase(true, keys, inserts, page_size, cache_pages);
   PrintRow({"chained", Num(chained.signaled_per_op),
             Num(chained.unsignaled_per_op), Num(chained.doorbells_per_op)});
   const double signaled_reduction =

@@ -65,7 +65,7 @@ Experiment MakeExperiment(const ExperimentConfig& config) {
 
   uint64_t region_bytes = config.region_bytes;
   if (region_bytes == 0) {
-    // Leaves + inner nodes + headroom for splits/heads; skew places up to
+    // Leaves + inner nodes + headroom for splits; skew places up to
     // ~85% of the pages on server 0, so size for that.
     const uint64_t total_pages =
         config.num_keys / 40 + 1024;  // ~52 entries/leaf at 1KB, inflated
@@ -78,7 +78,6 @@ Experiment MakeExperiment(const ExperimentConfig& config) {
 
   index::IndexConfig index_config;
   index_config.page_size = config.page_size;
-  index_config.head_node_interval = config.head_node_interval;
   index_config.partition = config.partition;
   index_config.client_cache_pages = config.client_cache_pages;
   index_config.client_cache_ttl = config.client_cache_ttl;

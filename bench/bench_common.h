@@ -50,7 +50,6 @@ struct ExperimentConfig {
   bool skewed_data = false;
   index::PartitionKind partition = index::PartitionKind::kRange;
   uint32_t page_size = 1024;
-  uint32_t head_node_interval = 16;
   bool colocate = false;
   uint64_t region_bytes = 0;  ///< 0 = sized automatically from num_keys
   uint32_t workers_per_server = 0;  ///< 0 = FabricConfig default

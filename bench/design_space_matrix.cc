@@ -79,8 +79,12 @@ int main(int argc, char** argv) {
       run.duration =
           namtree::bench::DurationFor(cell.mix, keys, run.num_clients);
       run.warmup = run.duration / 10;
-      const double ops_per_sec = exp.Run(run).ops_per_sec;
+      const namtree::ycsb::RunResult result = exp.Run(run);
+      const double ops_per_sec = result.ops_per_sec;
       report.Set(std::string(d.json_key) + "." + cell.json_key, ops_per_sec);
+      report.Set(std::string("scan_prefetch_fallbacks.") + d.json_key + "." +
+                     cell.json_key,
+                 result.scan_prefetch_fallbacks());
       row.push_back(Num(ops_per_sec));
     }
     PrintRow(row);

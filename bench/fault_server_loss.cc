@@ -56,7 +56,6 @@ Cell RunCell(uint64_t keys, uint32_t clients, uint32_t replication,
   nam::Cluster cluster(fc, 64ull << 20);
   index::IndexConfig ic;
   ic.page_size = 256;
-  ic.head_node_interval = 4;
   index::FineGrainedIndex index(cluster, ic);
   const auto data = ycsb::GenerateDataset(keys);
   if (!index.BulkLoad(data).ok()) std::abort();

@@ -70,7 +70,7 @@ int main() {
 
   // Design 3 (hybrid): range-partitioned inner levels accessed by RPC,
   // globally scattered leaf level accessed one-sided.
-  index::IndexConfig index_config;  // 1KB pages, head nodes every 16 leaves
+  index::IndexConfig index_config;  // 1KB pages (the paper's default)
   index::HybridIndex index(cluster, index_config);
 
   // Bulk-load 100K sequential keys: key = 2*i, value = i.

@@ -55,7 +55,7 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
    (`high_key()`) and the right sibling (`right_sibling()`) is a
    hand-rolled B-link chase decision. The inclusive/exclusive fence
    contract is subtle (inner nodes cover their high key, leaves do not,
-   head/drained nodes chase through) and was historically re-derived —
+   drained leaves chase through) and was historically re-derived —
    inconsistently — at every descent site. The predicate now lives in
    one place: `PageView::NeedsChase(key)` (src/btree/page.h), and whole
    descend/chase loops belong in the shared traversal engine

@@ -93,13 +93,6 @@ Result<Value> LocalBLinkTree::Lookup(Key key) const {
     // Chase the leaf chain (B-link rule + duplicate runs over the fence).
     for (;;) {
       PageView view = View(node);
-      if (view.is_head()) {  // pass-through (only FG trees have them)
-        const uint64_t next = view.right_sibling();
-        if (!CheckVersion(view, version) || next == 0) break;  // restart
-        node = next;
-        version = AwaitNodeUnlocked(View(node));
-        continue;
-      }
       const int32_t idx = view.LeafFindLive(key);
       const Value value = idx >= 0 ? view.leaf_entries()[idx].value : 0;
       const Key high = view.high_key();
@@ -134,16 +127,6 @@ Status LocalBLinkTree::Insert(Key key, Value value) {
         bool restart = false;
         while (true) {
           PageView nv = View(n);
-          if (nv.is_head()) {
-            const uint64_t nn = nv.right_sibling();
-            if (!CheckVersion(nv, v) || nn == 0) {
-              restart = true;
-              break;
-            }
-            n = nn;
-            v = AwaitNodeUnlocked(View(n));
-            continue;
-          }
           const Key h = nv.high_key();
           const uint64_t nn = nv.right_sibling();
           if (!CheckVersion(nv, v)) {
@@ -323,16 +306,6 @@ uint64_t LocalBLinkTree::LookupAll(Key key, std::vector<Value>* out) const {
     bool restart = false;
     for (;;) {
       PageView view = View(node);
-      if (view.is_head()) {
-        const uint64_t next = view.right_sibling();
-        if (!CheckVersion(view, version) || next == 0) {
-          restart = true;
-          break;
-        }
-        node = next;
-        version = AwaitNodeUnlocked(View(node));
-        continue;
-      }
       page_hits.clear();
       view.LeafCollect(key, &page_hits);
       const Key high = view.high_key();
@@ -397,16 +370,13 @@ uint64_t LocalBLinkTree::Scan(Key lo, Key hi, std::vector<KV>* out) const {
   for (;;) {
     PageView view = View(node);
     page_hits.clear();
-    bool done = false;
-    if (!view.is_head()) {
-      const uint32_t n = view.count();
-      const KV* entries = view.leaf_entries();
-      for (uint32_t i = view.LeafLowerBound(lo); i < n; ++i) {
-        if (entries[i].key >= hi) break;
-        if (!view.LeafIsTombstoned(i)) page_hits.push_back(entries[i]);
-      }
-      done = view.high_key() >= hi;
+    const uint32_t n = view.count();
+    const KV* entries = view.leaf_entries();
+    for (uint32_t i = view.LeafLowerBound(lo); i < n; ++i) {
+      if (entries[i].key >= hi) break;
+      if (!view.LeafIsTombstoned(i)) page_hits.push_back(entries[i]);
     }
+    const bool done = view.high_key() >= hi;
     const uint64_t next = view.right_sibling();
     if (!CheckVersion(view, version)) {
       // Torn read: retry this page.
@@ -438,13 +408,6 @@ void LocalBLinkTree::Cursor::FetchFrom(Key lo) {
     uint64_t node = tree_->DescendToLeaf(lo, &version);
     for (;;) {
       PageView view = tree_->View(node);
-      if (view.is_head()) {
-        const uint64_t next = view.right_sibling();
-        if (!CheckVersion(view, version) || next == 0) break;  // restart
-        node = next;
-        version = AwaitNodeUnlocked(tree_->View(node));
-        continue;
-      }
       buffer_.clear();
       const uint32_t n = view.count();
       const KV* entries = view.leaf_entries();
@@ -566,10 +529,6 @@ uint64_t LocalBLinkTree::GarbageCollect() {
   uint64_t reclaimed = 0;
   while (node != 0) {
     PageView view = View(node);
-    if (view.is_head()) {
-      node = view.right_sibling();
-      continue;
-    }
     (void)WriteLock(view);
     reclaimed += view.LeafCompact();
     const uint64_t next = view.right_sibling();
@@ -601,7 +560,7 @@ LocalBLinkTree::TreeStats LocalBLinkTree::GetStats() const {
       }
       chain = cv.right_sibling();
     }
-    if (view.is_leaf() || view.is_head()) break;
+    if (view.is_leaf()) break;
     node = view.inner_children()[0];
   }
   return stats;

@@ -24,15 +24,6 @@ void PageView::InitInner(uint8_t level, Key high_key,
   h.level = level;
 }
 
-void PageView::InitHead(uint64_t right_sibling_raw) {
-  std::memset(data_, 0, page_size_);
-  PageHeader& h = header();
-  h.high_key = 0;  // head nodes are pass-through; fences are unused
-  h.right_sibling = right_sibling_raw;
-  h.level = 0;
-  h.flags = kHeadNodeFlag;
-}
-
 uint32_t PageView::LeafLowerBound(Key key) const {
   const KV* entries = leaf_entries();
   uint32_t lo = 0;

@@ -25,9 +25,6 @@ struct PageHeader {
 static_assert(sizeof(PageHeader) == 32, "header layout is part of the format");
 
 enum PageFlags : uint8_t {
-  /// A head node (paper §4.3): lives in the leaf sibling chain and stores
-  /// remote pointers to the following real leaves, enabling prefetch.
-  kHeadNodeFlag = 1,
   /// A leaf drained by epoch rebalancing: its entries moved into the right
   /// sibling and its high fence was set to 0 so every search chases right.
   /// Stays in the chain (and reachable from stale parents) until a later
@@ -44,7 +41,6 @@ constexpr uint64_t kVersionOffset = 0;
 /// Layouts (after the 32-byte header):
 ///   leaf : tombstone bitmap (kTombstoneBytes) | KV entries, sorted by key
 ///   inner: keys[capacity] | children[capacity + 1] raw pointers
-///   head : raw remote pointers to the next `count` leaves
 ///
 /// Inner-node semantics: child[i] covers keys in [keys[i-1], keys[i]);
 /// child[count] covers [keys[count-1], high_key). Duplicate keys are
@@ -65,8 +61,7 @@ class PageView {
     return *reinterpret_cast<PageHeader*>(data_);
   }
 
-  bool is_leaf() const { return header().level == 0 && !is_head(); }
-  bool is_head() const { return (header().flags & kHeadNodeFlag) != 0; }
+  bool is_leaf() const { return header().level == 0; }
   bool is_drained() const { return (header().flags & kDrainedFlag) != 0; }
   uint8_t level() const { return header().level; }
   uint16_t count() const { return header().count; }
@@ -88,9 +83,8 @@ class PageView {
   //          first inspect this leaf's content (the left half of a split
   //          may retain duplicates equal to its fence), then chase when
   //          key >= high_key.
-  //   head : high_key == 0 and never covers a key; searches pass through
-  //          along the sibling chain. Drained leaves likewise have
-  //          high_key == 0 so every key chases right.
+  //   drained leaves have high_key == 0 and never cover a key; searches
+  //          pass through along the sibling chain.
   //
   // A right-edge page (rightmost in its chain) has right_sibling == 0 and
   // covers everything upward; NeedsChase is false there regardless of the
@@ -101,7 +95,7 @@ class PageView {
   bool Covers(Key key) const { return !NeedsChase(key); }
 
   /// True when the B-link search for `key` must follow right_sibling()
-  /// before using this page (inner: key > high_key; leaf/head/drained:
+  /// before using this page (inner: key > high_key; leaf/drained:
   /// key >= high_key, evaluated after the page content was inspected).
   bool NeedsChase(Key key) const {
     if (right_sibling() == 0) return false;
@@ -113,7 +107,6 @@ class PageView {
 
   void InitLeaf(Key high_key, uint64_t right_sibling_raw);
   void InitInner(uint8_t level, Key high_key, uint64_t right_sibling_raw);
-  void InitHead(uint64_t right_sibling_raw);
 
   // ---- Capacities ----------------------------------------------------------
 
@@ -124,13 +117,9 @@ class PageView {
     // count keys + (count+1) children: 16*cap + 8 <= page_size - header.
     return (page_size - kHeaderBytes - 8) / 16;
   }
-  static uint32_t HeadCapacity(uint32_t page_size) {
-    return (page_size - kHeaderBytes) / 8;
-  }
 
   uint32_t leaf_capacity() const { return LeafCapacity(page_size_); }
   uint32_t inner_capacity() const { return InnerKeyCapacity(page_size_); }
-  uint32_t head_capacity() const { return HeadCapacity(page_size_); }
 
   // ---- Leaf operations -----------------------------------------------------
 
@@ -206,12 +195,6 @@ class PageView {
   /// Splits this (full) inner node, promoting the middle key: the promoted
   /// separator is returned and appears in neither half.
   Key SplitInnerInto(PageView right, uint64_t right_raw) const;
-
-  // ---- Head-node operations ---------------------------------------------------
-
-  uint64_t* head_ptrs() const {
-    return reinterpret_cast<uint64_t*>(data_ + kHeaderBytes);
-  }
 
  private:
   uint8_t* data_;

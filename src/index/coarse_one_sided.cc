@@ -160,8 +160,11 @@ sim::Task<uint64_t> CoarseOneSidedIndex::Scan(nam::ClientContext& ctx, Key lo,
   const bool hash = partitioner_.kind() == PartitionKind::kHash;
   for (uint32_t server : partitioner_.ServersFor(lo, hi)) {
     std::vector<KV>* sink = out == nullptr ? nullptr : (hash ? &merged : out);
+    // As in FG: the descent's level-1 image is the prefetch directory.
+    TraversalEngine::DescentPrefetch descent;
+    descent.parent_buf = ctx.page_b();
     const rdma::RemotePtr leaf =
-        co_await engine_.DescendToLeaf(ops, server, lo);
+        co_await engine_.DescendToLeaf(ops, server, lo, &descent);
     if (leaf.is_null()) {  // dead client: report the partial count
       if (status != nullptr) *status = Status::Unavailable("client crashed");
       break;
@@ -170,8 +173,10 @@ sim::Task<uint64_t> CoarseOneSidedIndex::Scan(nam::ClientContext& ctx, Key lo,
     // keep going for the best-effort count but report the first failure
     // (kTimedOut vs kUnavailable matters to the YCSB FailureBreakdown).
     Status chain_status;
-    found += co_await LeafLevel::ScanChain(ops, leaf, lo, hi, sink,
-                                           &chain_status);
+    LeafLevel::ParentDirectory directory(ctx.page_b(), config_.page_size);
+    found += co_await LeafLevel::ScanChain(
+        ops, leaf, lo, hi, sink, &chain_status,
+        descent.parent_valid ? &directory : nullptr);
     if (!chain_status.ok() && status != nullptr && status->ok()) {
       *status = chain_status;
     }
@@ -249,8 +254,6 @@ sim::Task<uint64_t> CoarseOneSidedIndex::GarbageCollect(
       (void)co_await LeafLevel::RebalanceChain(
           ops, first_leaves_[s], config_.gc_merge_fill_percent);
     }
-    (void)co_await LeafLevel::RebuildHeadNodes(ops, first_leaves_[s],
-                                               config_.head_node_interval);
   }
   co_return reclaimed;
 }

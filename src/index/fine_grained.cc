@@ -122,12 +122,20 @@ sim::Task<uint64_t> FineGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
                                            Status* status) {
   metrics::OpSpan span(ctx.trace(), "scan");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, lo);
+  // The level-1 image the descent routed through is the scan's prefetch
+  // directory (page_b is free on this read-only path).
+  TraversalEngine::DescentPrefetch descent;
+  descent.parent_buf = ctx.page_b();
+  const rdma::RemotePtr leaf =
+      co_await engine_.DescendToLeaf(ops, tree_, lo, &descent);
   if (leaf.is_null()) {
     if (status != nullptr) *status = Status::Unavailable("client crashed");
     co_return 0;
   }
-  co_return co_await LeafLevel::ScanChain(ops, leaf, lo, hi, out, status);
+  LeafLevel::ParentDirectory directory(ctx.page_b(), config_.page_size);
+  co_return co_await LeafLevel::ScanChain(
+      ops, leaf, lo, hi, out, status,
+      descent.parent_valid ? &directory : nullptr);
 }
 
 sim::Task<Status> FineGrainedIndex::Insert(nam::ClientContext& ctx, Key key,
@@ -181,7 +189,7 @@ sim::Task<Status> FineGrainedIndex::Delete(nam::ClientContext& ctx, Key key) {
 sim::Task<uint64_t> FineGrainedIndex::GarbageCollect(nam::ClientContext& ctx) {
   // The global epoch GC runs from a compute server using the same
   // one-sided lock protocol as writers (§4.2): leaf compaction first, then
-  // head-node maintenance.
+  // rebalancing.
   RemoteOps ops(ctx);
   uint64_t reclaimed = co_await LeafLevel::CompactChain(ops, first_leaf_);
   if (config_.gc_merge_fill_percent > 0) {
@@ -189,8 +197,6 @@ sim::Task<uint64_t> FineGrainedIndex::GarbageCollect(nam::ClientContext& ctx) {
     (void)co_await LeafLevel::RebalanceChain(ops, first_leaf_,
                                              config_.gc_merge_fill_percent);
   }
-  (void)co_await LeafLevel::RebuildHeadNodes(ops, first_leaf_,
-                                             config_.head_node_interval);
   co_return reclaimed;
 }
 
@@ -198,12 +204,6 @@ sim::Task<Status> FineGrainedIndex::BootstrapFromCatalog(
     nam::ClientContext& ctx) {
   RemoteOps ops(ctx);
   co_return co_await engine_.BootstrapFromCatalog(ops, tree_);
-}
-
-sim::Task<Status> FineGrainedIndex::RebuildHeads(nam::ClientContext& ctx) {
-  RemoteOps ops(ctx);
-  co_return co_await LeafLevel::RebuildHeadNodes(ops, first_leaf_,
-                                                 config_.head_node_interval);
 }
 
 }  // namespace namtree::index

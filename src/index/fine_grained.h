@@ -20,8 +20,9 @@ namespace namtree::index {
 /// Compute servers traverse and modify the tree themselves using only
 /// one-sided verbs: READ for traversal, CAS to acquire node locks, WRITE +
 /// FETCH_AND_ADD to install modifications and release, FETCH_AND_ADD on the
-/// region cursor for RDMA_ALLOC. Head nodes on the leaf level prefetch
-/// ranges (§4.3); epoch GC and head rebuilds run from a compute server.
+/// region cursor for RDMA_ALLOC. Range scans prefetch leaves through the
+/// leaf-parent inner node (§4.3, see LeafLevel::ScanChain); epoch GC runs
+/// from a compute server.
 ///
 /// The descent/lock/retry protocol itself lives in TraversalEngine
 /// (docs/traversal.md); this design is the policy triple {global tree,
@@ -60,10 +61,6 @@ class FineGrainedIndex : public DistributedIndex {
   rdma::RemotePtr root() const { return engine_.root(tree_); }
   uint8_t root_level() const { return engine_.root_level(tree_); }
   rdma::RemotePtr first_leaf() const { return first_leaf_; }
-
-  /// Rebuilds head nodes (run by the epoch maintenance thread alongside
-  /// GarbageCollect; exposed separately for tests/benches).
-  sim::Task<Status> RebuildHeads(nam::ClientContext& ctx);
 
   /// Re-reads the root pointer from the catalog slot on server 0 with an
   /// RDMA READ — how a freshly connected compute server bootstraps (§4.2:

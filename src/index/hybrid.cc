@@ -104,7 +104,9 @@ sim::Task<> HybridIndex::Handle(nam::MemoryServer& server,
 
   switch (rpc.request.op) {
     case kFindLeaf: {
-      resp.arg0 = co_await tree.FindLeafChild(rpc.request.arg0);
+      // arg1 = 0 (lookups) is the point form: an empty payload.
+      resp.arg0 = co_await tree.FindLeafChild(rpc.request.arg0,
+                                              rpc.request.arg1, &resp.payload);
       resp.status = static_cast<uint16_t>(StatusCode::kOk);
       break;
     }
@@ -121,6 +123,57 @@ sim::Task<> HybridIndex::Handle(nam::MemoryServer& server,
 
   cluster_.fabric().Respond(server.server_id(), rpc, std::move(resp));
 }
+
+/// Asks the owner of the scan's cursor for the leaves covering the rest of
+/// the range: the first in `arg0`, the rest in the payload.
+class HybridIndex::RouteDirectory : public LeafLevel::ScanDirectory {
+ public:
+  explicit RouteDirectory(HybridIndex& index) : index_(index) {}
+
+  sim::Task<Status> NextRun(RemoteOps ops, Key cursor, Key hi,
+                            rdma::RemotePtr next, std::vector<uint64_t>* run,
+                            rdma::RemotePtr* /*extra*/) override {
+    // Leaves the last answer already listed cost no RPC.
+    if (TakeFrom(next, run)) co_return Status::OK();
+    rdma::RpcRequest req;
+    req.service = index_.rpc_service_;
+    req.op = kFindLeaf;
+    req.arg0 = cursor;
+    req.arg1 = hi;
+    rdma::RpcResponse resp = co_await ops.ctx().Call(
+        index_.partitioner_.ServerFor(cursor), std::move(req));
+    const auto code = static_cast<StatusCode>(resp.status);
+    if (code != StatusCode::kOk) {
+      co_return Status::FromCode(code, "find-leaf rpc");
+    }
+    routes_.assign(1, resp.arg0);
+    routes_.insert(routes_.end(), resp.payload.begin(), resp.payload.end());
+    // A continuation at the previous leaf's high fence routes to that
+    // already consumed leaf first (inclusive inner fence), so the run
+    // starts at `next`. When the answer does not list `next` at all, the
+    // scan reads it alone and asks again from further right.
+    if (next.is_null()) {
+      *run = routes_;
+    } else {
+      TakeFrom(next, run);
+    }
+    co_return Status::OK();
+  }
+
+ private:
+  /// Copies the listed routes from `next` on into `run`; false when `next`
+  /// is not listed.
+  bool TakeFrom(rdma::RemotePtr next, std::vector<uint64_t>* run) const {
+    if (next.is_null()) return false;
+    const auto at = std::find(routes_.begin(), routes_.end(), next.raw());
+    if (at == routes_.end()) return false;
+    run->assign(at, routes_.end());
+    return true;
+  }
+
+  HybridIndex& index_;
+  std::vector<uint64_t> routes_;
+};
 
 sim::Task<DescentResult> HybridIndex::ResolveLeaf(nam::ClientContext& ctx,
                                                   Key key) {
@@ -201,15 +254,13 @@ sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
 sim::Task<uint64_t> HybridIndex::Scan(nam::ClientContext& ctx, Key lo, Key hi,
                                       std::vector<KV>* out, Status* status) {
   metrics::OpSpan span(ctx.trace(), "scan");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, lo);
-  if (!fl.ok()) {
-    if (status != nullptr) *status = fl.status;
-    co_return 0;
-  }
   RemoteOps ops(ctx);
   // The leaf chain is global, so one traversal covers the whole range even
-  // across partition boundaries (§5.2).
-  co_return co_await LeafLevel::ScanChain(ops, fl.leaf, lo, hi, out, status);
+  // across partition boundaries (§5.2); the range form of the find-leaf
+  // RPC names its leaves, starting with the one covering `lo`.
+  RouteDirectory directory(*this);
+  co_return co_await LeafLevel::ScanChain(ops, rdma::RemotePtr::Null(), lo,
+                                          hi, out, status, &directory);
 }
 
 sim::Task<Status> HybridIndex::Insert(nam::ClientContext& ctx, Key key,
@@ -282,8 +333,6 @@ sim::Task<uint64_t> HybridIndex::GarbageCollect(nam::ClientContext& ctx) {
     (void)co_await LeafLevel::RebalanceChain(ops, first_leaf_,
                                              config_.gc_merge_fill_percent);
   }
-  (void)co_await LeafLevel::RebuildHeadNodes(ops, first_leaf_,
-                                             config_.head_node_interval);
   co_return reclaimed;
 }
 

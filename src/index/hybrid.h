@@ -22,6 +22,8 @@ namespace namtree::index {
 /// level is one global fine-grained chain scattered round-robin over all
 /// servers and accessed one-sided (aggregated bandwidth, skew-immune).
 /// Lookups: one RPC that returns a leaf remote pointer, then RDMA READs.
+/// Range scans: the same RPC in range form returns the leaves covering the
+/// range, then one doorbell-batched READ fetches them all.
 /// Inserts: RPC for the pointer, one-sided leaf insert; on a split an extra
 /// RPC installs the separator into the owning server's upper levels.
 ///
@@ -79,6 +81,9 @@ class HybridIndex : public DistributedIndex,
   CacheStats GetCacheStats() const { return engine_.GetCacheStats(); }
 
  private:
+  /// Range scans' prefetch directory: the range form of the find-leaf RPC.
+  class RouteDirectory;
+
   sim::Task<> Handle(nam::MemoryServer& server, rdma::IncomingRpc rpc);
 
   /// TraversalEngine::LeafResolver: the find-leaf RPC to the owner of

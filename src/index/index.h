@@ -25,11 +25,6 @@ struct IndexConfig {
   /// Index node (page) size in bytes; the paper's default is 1024 (Table 1).
   uint32_t page_size = 1024;
 
-  /// Install a head node after every `head_node_interval` real leaves
-  /// (paper §4.3); 0 disables head nodes. Only meaningful for designs with
-  /// a fine-grained leaf level (FG, hybrid).
-  uint32_t head_node_interval = 16;
-
   /// Partitioning scheme for the coarse-grained / hybrid upper levels.
   PartitionKind partition = PartitionKind::kRange;
 
@@ -147,9 +142,9 @@ class DistributedIndex {
                                    btree::Key key) = 0;
 
   /// One epoch-GC pass: leaf compaction, and for designs with a one-sided
-  /// leaf level also rebalancing (merge underfull pages) and head-node
-  /// rebuilds. Runs as the design prescribes: on the memory servers for
-  /// CG, from a compute client for FG leaves. Returns reclaimed entries.
+  /// leaf level also rebalancing (merge underfull pages). Runs as the
+  /// design prescribes: on the memory servers for CG, from a compute
+  /// client for FG leaves. Returns reclaimed entries.
   virtual sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) = 0;
 
   /// True when RunBatch coalesces same-server point ops into multi-op RPC

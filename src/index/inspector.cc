@@ -63,8 +63,8 @@ void CheckUnlocked(PageView page, const std::string& what,
 
 std::string IndexInspector::Report::ToString() const {
   std::ostringstream os;
-  os << "pages: " << inner_pages << " inner, " << leaf_pages << " leaf, "
-     << head_pages << " head; entries: " << live_entries << " live, "
+  os << "pages: " << inner_pages << " inner, " << leaf_pages
+     << " leaf; entries: " << live_entries << " live, "
      << tombstones << " tombstoned; height " << height << "; "
      << violations.size() << " violation(s)";
   for (const std::string& v : violations) os << "\n  - " << v;
@@ -91,14 +91,6 @@ void IndexInspector::InspectLeafChain(rdma::Fabric& fabric,
         "leaf chain page " + rdma::RemotePtr(raw).ToString();
     CheckUnlocked(page, what, report);
 
-    if (page.is_head()) {
-      report->head_pages++;
-      if (page.count() > page.head_capacity()) {
-        report->violations.push_back(what + ": head count over capacity");
-      }
-      raw = page.right_sibling();
-      continue;
-    }
     if (page.level() != 0) {
       report->violations.push_back(what + ": non-leaf page in leaf chain");
       return;

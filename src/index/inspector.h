@@ -36,7 +36,6 @@ class IndexInspector {
   struct Report {
     uint64_t leaf_pages = 0;
     uint64_t inner_pages = 0;
-    uint64_t head_pages = 0;
     uint64_t live_entries = 0;
     uint64_t tombstones = 0;
     uint64_t height = 0;  ///< levels of the (tallest) tree
@@ -69,8 +68,8 @@ class IndexInspector {
                                  Report* report,
                                  std::vector<uint64_t>* bottom_children);
 
-  /// Validates the leaf sibling chain from `first_raw` (skipping head
-  /// nodes) and collects leaf pointers + entry statistics.
+  /// Validates the leaf sibling chain from `first_raw` and collects leaf
+  /// pointers + entry statistics.
   static void InspectLeafChain(rdma::Fabric& fabric, uint64_t first_raw,
                                uint32_t page_size, Report* report,
                                std::vector<uint64_t>* chain_leaves);

@@ -30,11 +30,10 @@ Status LeafLevel::Build(rdma::Fabric& fabric,
   const uint32_t servers = fabric.num_memory_servers();
   const uint32_t fill = std::max<uint32_t>(
       1, PageView::LeafCapacity(page_size) * config.leaf_fill_percent / 100);
-  const uint32_t interval = config.head_node_interval;
 
   out->leaf_refs.clear();
 
-  // Pass 1: allocate and fill the real leaves, round-robin over servers.
+  // Pass 1: allocate and fill the leaves, round-robin over servers.
   std::vector<rdma::RemotePtr> leaves;
   size_t i = 0;
   uint32_t rr = 0;
@@ -62,45 +61,12 @@ Status LeafLevel::Build(rdma::Fabric& fabric,
     i += take;
   } while (i < sorted.size());
 
-  // Pass 2: link siblings + fences, inserting a head node after every
-  // `interval`-th real leaf.
-  for (size_t l = 0; l < leaves.size(); ++l) {
+  // Pass 2: link siblings and set fences (the rightmost leaf keeps the
+  // +inf fence and a null sibling).
+  for (size_t l = 0; l + 1 < leaves.size(); ++l) {
     PageView leaf(RegionPage(fabric, leaves[l]), page_size);
-    const bool last = (l + 1 == leaves.size());
-    const Key next_low = last ? kInfinityKey : out->leaf_refs[l + 1].low;
-    leaf.header().high_key = next_low;
-    if (last) {
-      leaf.header().right_sibling = 0;
-      break;
-    }
-    const bool head_here = interval > 0 && ((l + 1) % interval == 0);
-    if (!head_here) {
-      leaf.header().right_sibling = leaves[l + 1].raw();
-      continue;
-    }
-    // Heads participate in the round-robin scatter like any other node
-    // (or stay on the partition's server in fixed mode).
-    rdma::RemotePtr head_ptr =
-        fabric
-            .region(fixed_server >= 0 ? static_cast<uint32_t>(fixed_server)
-                                      : rr % servers)
-            ->AllocateLocal(page_size);
-    rr++;
-    if (head_ptr.is_null()) {
-      // Degrade gracefully: skip the head.
-      leaf.header().right_sibling = leaves[l + 1].raw();
-      continue;
-    }
-    PageView head(RegionPage(fabric, head_ptr), page_size);
-    head.InitHead(leaves[l + 1].raw());
-    const uint32_t n = static_cast<uint32_t>(std::min<size_t>(
-        {static_cast<size_t>(interval), leaves.size() - (l + 1),
-         static_cast<size_t>(head.head_capacity())}));
-    for (uint32_t k = 0; k < n; ++k) {
-      head.head_ptrs()[k] = leaves[l + 1 + k].raw();
-    }
-    head.header().count = static_cast<uint16_t>(n);
-    leaf.header().right_sibling = head_ptr.raw();
+    leaf.header().high_key = out->leaf_refs[l + 1].low;
+    leaf.header().right_sibling = leaves[l + 1].raw();
   }
 
   out->first = leaves.front();
@@ -127,11 +93,6 @@ sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
       image = buf;
     }
     PageView view(const_cast<uint8_t*>(image), ops.page_size());
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return LookupResult{false, 0, Status::OK()};
-      continue;
-    }
     const int32_t idx = view.LeafFindLive(key);
     if (idx >= 0) {
       co_return LookupResult{true, view.leaf_entries()[idx].value,
@@ -169,17 +130,6 @@ sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
       have_image = true;
     }
     PageView view(buf, ops.page_size());
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) {  // chain ends in a trailing head: clean misses
-        for (; i < keys.size(); ++i) {
-          results[i] = LookupResult{false, 0, Status::OK()};
-        }
-        co_return Status::OK();
-      }
-      have_image = false;
-      continue;
-    }
     const Key key = keys[i];
     const int32_t idx = view.LeafFindLive(key);
     if (idx >= 0) {
@@ -217,11 +167,64 @@ uint64_t CollectFromImage(PageView view, Key lo, Key hi,
   return found;
 }
 
+/// Position of child pointer `raw` in inner image `node`, or -1.
+int32_t FindChild(PageView node, uint64_t raw) {
+  const uint64_t* children = node.inner_children();
+  for (uint32_t i = 0; i <= node.count(); ++i) {
+    if (children[i] == raw) return static_cast<int32_t>(i);
+  }
+  return -1;
+}
+
 }  // namespace
+
+LeafLevel::ParentDirectory::ParentDirectory(const uint8_t* parent,
+                                            uint32_t page_size)
+    : page_size_(page_size),
+      parent_(parent, parent + page_size),
+      sibling_(page_size) {}
+
+sim::Task<Status> LeafLevel::ParentDirectory::NextRun(
+    RemoteOps /*ops*/, Key /*cursor*/, Key hi, rdma::RemotePtr next,
+    std::vector<uint64_t>* run, rdma::RemotePtr* extra) {
+  PageView parent(parent_.data(), page_size_);
+  int32_t at = FindChild(parent, next.raw());
+  if (at < 0 && has_sibling_) {
+    // The last run consumed this node's last child: carry on in the right
+    // sibling that rode that run's batch.
+    parent_.swap(sibling_);
+    has_sibling_ = false;
+    parent = PageView(parent_.data(), page_size_);
+    at = FindChild(parent, next.raw());
+  }
+  if (at < 0) co_return Status::OK();  // not listed: the scan reads `next`
+  const uint32_t count = parent.count();
+  const Key* keys = parent.inner_keys();
+  const uint64_t* children = parent.inner_children();
+  auto i = static_cast<uint32_t>(at);
+  run->push_back(children[i]);
+  // Child i + 1's range starts at keys[i].
+  while (i < count && keys[i] < hi) {
+    ++i;
+    run->push_back(children[i]);
+  }
+  // Keys above the inclusive inner fence live under the right sibling; the
+  // first of them, the fence itself, is its first child's low key.
+  if (i == count && parent.NeedsChase(hi)) {
+    *extra = rdma::RemotePtr(parent.right_sibling());
+  }
+  co_return Status::OK();
+}
+
+void LeafLevel::ParentDirectory::Absorb(const uint8_t* image) {
+  std::memcpy(sibling_.data(), image, page_size_);
+  has_sibling_ = true;
+}
 
 sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                          Key lo, Key hi,
-                                         std::vector<KV>* out, Status* status) {
+                                         std::vector<KV>* out, Status* status,
+                                         ScanDirectory* directory) {
   // Every clean exit leaves this OK; the degraded-mode exits overwrite it
   // with the failing read's status so the caller can tell kUnavailable
   // (dead server/client) from kTimedOut (flaky-net budget exhausted).
@@ -230,105 +233,110 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   uint64_t found = 0;
-  rdma::RemotePtr ptr = start;
+  rdma::RemotePtr next = start;
   // Monotonic low bound: entries below the highest fence seen so far were
   // either already collected or belonged to a page we saw *after* an epoch
   // merge drained it — in both cases the absorber to the right holds them
   // and this cursor makes collection exactly-once (see RebalanceChain).
   Key cursor = lo;
 
-  // Scratch space for prefetched leaves (sized on first head encounter).
-  std::vector<uint8_t> prefetch_buf;
+  // Consumes the image of the leaf the chain names next; true once the
+  // range ends within it.
+  const auto consume = [&](PageView leaf) {
+    found += CollectFromImage(leaf, cursor, hi, out);
+    if (!leaf.is_drained()) {
+      cursor = std::max(cursor, std::min(leaf.high_key(), hi));
+    }
+    next = rdma::RemotePtr(leaf.right_sibling());
+    return leaf.Covers(hi - 1);
+  };
+  // A batch member is usable as read unless its target server died
+  // mid-batch (the slot then holds stale bytes) or the page was locked
+  // mid-write.
+  const auto usable = [&ops](rdma::RemotePtr target, const uint8_t* image) {
+    uint64_t word;
+    std::memcpy(&word, image + btree::kVersionOffset, 8);
+    return ops.fabric().ServerAlive(target.server_id()) && !IsLocked(word);
+  };
 
-  // namtree-lint: bounded-loop(chain-chase: every step moves right along ascending fences and stops at the first fence >= hi or the rightmost page; read failures exit)
+  std::vector<uint64_t> run;
+  std::vector<uint8_t> batch;
+  // namtree-lint: bounded-loop(chain-walk: every pass consumes at least the leaf the chain names next, moving right along ascending fences, and stops at the first fence >= hi or the rightmost page; read failures exit)
   for (;;) {
-    // Degraded mode returns the partial count collected so far.
-    const PageReadResult step = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!step.ok()) {
-      if (status != nullptr) *status = step.status;
-      co_return found;
-    }
-    PageView view(buf, page_size);
-
-    if (!view.is_head()) {
-      found += CollectFromImage(view, cursor, hi, out);
-      if (!view.is_drained()) {
-        cursor = std::max(cursor, std::min(view.high_key(), hi));
+    run.clear();
+    rdma::RemotePtr extra;
+    if (directory != nullptr) {
+      const Status listed =
+          co_await directory->NextRun(ops, cursor, hi, next, &run, &extra);
+      if (!listed.ok()) {
+        if (status != nullptr) *status = listed;
+        co_return found;
       }
-      if (view.right_sibling() == 0) co_return found;
-      if (view.high_key() >= hi) co_return found;
-      ptr = rdma::RemotePtr(view.right_sibling());
+      if (next.is_null()) {
+        if (run.empty()) co_return found;
+        next = rdma::RemotePtr(run.front());
+      }
+    }
+    const size_t members = run.size() + (extra.is_null() ? 0 : 1);
+    if (run.empty() || run.front() != next.raw() || members < 2) {
+      // Nothing to batch: one signaled READ, the plain chain walk.
+      const PageReadResult step = co_await ops.ReadPageUnlocked(next, buf);
+      if (!step.ok()) {
+        if (status != nullptr) *status = step.status;
+        co_return found;  // degraded mode: the partial count so far
+      }
+      if (consume(PageView(buf, page_size))) co_return found;
       continue;
     }
 
-    // Head node: prefetch the following leaves with one selectively
-    // signaled batch (§4.3), then consume the images.
-    const uint32_t n = view.count();
-    if (n == 0) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return found;
-      continue;
-    }
-    std::vector<uint64_t> targets(view.head_ptrs(), view.head_ptrs() + n);
-    prefetch_buf.resize(static_cast<size_t>(n) * page_size);
+    // One selectively signaled doorbell batch for the whole run (§4.3).
+    batch.resize(members * page_size);
     std::vector<rdma::Fabric::ReadRequest> reqs;
-    reqs.reserve(n);
-    for (uint32_t k = 0; k < n; ++k) {
-      reqs.push_back({rdma::RemotePtr(targets[k]),
-                      prefetch_buf.data() + static_cast<size_t>(k) * page_size,
+    reqs.reserve(members);
+    for (size_t k = 0; k < run.size(); ++k) {
+      reqs.push_back({rdma::RemotePtr(run[k]), batch.data() + k * page_size,
                       page_size});
     }
-    const Status batch = co_await ops.ReadPagesBatch(std::move(reqs));
-    if (!batch.ok()) {
-      if (status != nullptr) *status = batch;
+    uint8_t* extra_image = batch.data() + run.size() * page_size;
+    if (!extra.is_null()) reqs.push_back({extra, extra_image, page_size});
+    const Status read = co_await ops.ReadPagesBatch(std::move(reqs));
+    if (!read.ok()) {
+      if (status != nullptr) *status = read;
       co_return found;  // batch dropped; images unspecified
     }
 
-    bool resumed_chain = false;
-    for (uint32_t k = 0; k < n; ++k) {
-      uint8_t* image = prefetch_buf.data() + static_cast<size_t>(k) * page_size;
-      PageView leaf(image, page_size);
-      if (!ops.fabric().ServerAlive(rdma::RemotePtr(targets[k]).server_id()) ||
-          IsLocked(leaf.version_word())) {
-        // The prefetched image was mid-write, or its batch member was
-        // dropped by a dead target server and the buffer slot holds stale
-        // bytes from an earlier batch: fall back to a fresh spin-read,
-        // which fails over to a live replica under replication.
+    if (!extra.is_null()) {
+      bool ok = usable(extra, extra_image);
+      if (!ok) {
+        ops.ctx().scan_prefetch_fallbacks.Inc();
+        ok = (co_await ops.ReadPageUnlocked(extra, extra_image)).ok();
+      }
+      // A lost directory page only costs single reads later on.
+      if (ok) directory->Absorb(extra_image);
+    }
+    for (size_t k = 0; k < run.size(); ++k) {
+      if (run[k] != next.raw()) {
+        // The chain left the directory: a split it does not list yet put a
+        // new leaf here, or an epoch merge drained the previous leaf into
+        // a fresh absorber. Drop the rest of the run; the next pass walks
+        // the chain from `next` until the directory lists it again.
+        ops.ctx().scan_prefetch_fallbacks.Inc();
+        break;
+      }
+      uint8_t* image = batch.data() + k * page_size;
+      if (!usable(next, image)) {
+        // Re-read with the spinning single READ, which fails over to a
+        // live replica under replication.
+        ops.ctx().scan_prefetch_fallbacks.Inc();
         const PageReadResult reread =
-            co_await ops.ReadPageUnlocked(rdma::RemotePtr(targets[k]), image);
+            co_await ops.ReadPageUnlocked(next, image);
         if (!reread.ok()) {
           if (status != nullptr) *status = reread.status;
           co_return found;
         }
-        leaf = PageView(image, page_size);
       }
-      if (leaf.is_head()) {  // stale pointer now naming a head: re-walk
-        ptr = rdma::RemotePtr(targets[k]);
-        resumed_chain = true;
-        break;
-      }
-      found += CollectFromImage(leaf, cursor, hi, out);
-      if (!leaf.is_drained()) {
-        cursor = std::max(cursor, std::min(leaf.high_key(), hi));
-      }
-      if (leaf.right_sibling() == 0) co_return found;
-      if (leaf.high_key() >= hi) co_return found;
-      const uint64_t expected_next =
-          (k + 1 < n) ? targets[k + 1] : leaf.right_sibling();
-      if (leaf.right_sibling() != expected_next) {
-        // Outdated head (a split added a leaf): abandon the remaining
-        // prefetched images and follow the chain directly — one extra
-        // remote read, exactly the §4.3 fallback.
-        ptr = rdma::RemotePtr(leaf.right_sibling());
-        resumed_chain = true;
-        break;
-      }
-      if (k + 1 == n) {
-        ptr = rdma::RemotePtr(leaf.right_sibling());
-        resumed_chain = true;
-      }
+      if (consume(PageView(image, page_size))) co_return found;
     }
-    if (!resumed_chain || ptr.is_null()) co_return found;
   }
 }
 
@@ -346,11 +354,6 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
     if (!read.ok()) co_return read.status;
     const uint64_t version = read.version;
     PageView view(buf, page_size);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return Status::Corruption("chain ends in a head");
-      continue;
-    }
     if (view.NeedsChase(key)) {
       ptr = rdma::RemotePtr(view.right_sibling());
       continue;
@@ -432,11 +435,6 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return Status::NotFound();
-      continue;
-    }
     if (view.LeafFindLive(key) < 0) {
       if (view.NeedsChase(key)) {
         ptr = rdma::RemotePtr(view.right_sibling());
@@ -479,11 +477,6 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
   for (;;) {
     if (!(co_await ops.ReadPageUnlocked(ptr, buf)).ok()) co_return found;
     PageView view(buf, page_size);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return found;
-      continue;
-    }
     found += view.LeafCollect(key, out);
     if (view.NeedsChase(key)) {
       ptr = rdma::RemotePtr(view.right_sibling());
@@ -502,11 +495,6 @@ sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return Status::NotFound();
-      continue;
-    }
     if (view.LeafFindLive(key) < 0) {
       if (view.NeedsChase(key)) {
         ptr = rdma::RemotePtr(view.right_sibling());
@@ -546,10 +534,6 @@ sim::Task<uint64_t> LeafLevel::CompactChain(RemoteOps ops,
   while (!ptr.is_null()) {
     if (!(co_await ops.ReadPageUnlocked(ptr, buf)).ok()) co_return reclaimed;
     PageView view(buf, page_size);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      continue;
-    }
     bool dirty = false;
     for (uint32_t i = 0; i < view.count(); ++i) {
       if (view.LeafIsTombstoned(i)) {
@@ -589,12 +573,6 @@ sim::Task<uint64_t> LeafLevel::RebalanceChain(RemoteOps ops,
       co_return changed;
     }
     PageView page(left_buf, page_size);
-
-    if (page.is_head()) {
-      prev = rdma::RemotePtr();  // a head intervenes: no relink across it
-      ptr = rdma::RemotePtr(page.right_sibling());
-      continue;
-    }
 
     if (page.is_drained()) {
       // Unlink a drained page when its direct predecessor is a live leaf
@@ -763,86 +741,6 @@ sim::Task<bool> LeafLevel::TryMerge(RemoteOps ops, rdma::RemotePtr prev,
   co_return true;
 }
 
-sim::Task<Status> LeafLevel::RebuildHeadNodes(RemoteOps ops,
-                                              rdma::RemotePtr first,
-                                              uint32_t interval) {
-  if (interval == 0) co_return Status::OK();
-  const uint32_t page_size = ops.page_size();
-  uint8_t* buf = ops.ctx().page_a();
-
-  // Pass 1: collect the current real-leaf chain.
-  std::vector<uint64_t> leaves;
-  rdma::RemotePtr ptr = first;
-  while (!ptr.is_null()) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    PageView view(buf, page_size);
-    if (!view.is_head() && !view.is_drained()) leaves.push_back(ptr.raw());
-    ptr = rdma::RemotePtr(view.right_sibling());
-  }
-
-  // Pass 2: rewire the whole chain against the pass-1 snapshot — install a
-  // fresh head after every interval-th leaf and bypass every old head
-  // elsewhere. A leaf whose sibling matches neither the snapshot's next
-  // leaf nor a head has split meanwhile; it is left alone and the next
-  // epoch pass fixes its grouping.
-  std::vector<uint8_t> probe_buf(page_size);
-  for (size_t i = 0; i + 1 < leaves.size(); ++i) {
-    const rdma::RemotePtr leaf_ptr(leaves[i]);
-    const bool boundary = ((i + 1) % interval == 0);
-
-    uint64_t desired = leaves[i + 1];
-    if (boundary) {
-      const size_t g = i + 1;
-      const uint32_t n = static_cast<uint32_t>(std::min<size_t>(
-          {static_cast<size_t>(interval), leaves.size() - g,
-           static_cast<size_t>(PageView::HeadCapacity(page_size))}));
-      const AllocResult head_alloc =
-          co_await ops.AllocPage(rdma::RemotePtr(leaves[g]).server_id());
-      if (!head_alloc.ok()) {
-        if (head_alloc.status.IsOutOfMemory()) {
-          co_return Status::OutOfMemory("head rebuild");
-        }
-        co_return head_alloc.status;
-      }
-      const rdma::RemotePtr head_ptr = head_alloc.ptr;
-      uint8_t* hbuf = ops.ctx().page_b();
-      PageView head(hbuf, page_size);
-      head.InitHead(leaves[g]);
-      for (uint32_t k = 0; k < n; ++k) head.head_ptrs()[k] = leaves[g + k];
-      head.header().count = static_cast<uint16_t>(n);
-      // Fresh-page publication (primary + live backups under replication).
-      const Status published = co_await ops.WriteFreshPage(head_ptr, hbuf);
-      if (!published.ok()) co_return published;
-      desired = head_ptr.raw();
-    }
-
-    const PageReadResult lock = co_await ops.LockPage(leaf_ptr, buf);
-    if (!lock.ok()) co_return lock.status;
-    PageView pv(buf, page_size);
-    const uint64_t sibling = pv.right_sibling();
-    bool relink = sibling == desired ? false : sibling == leaves[i + 1];
-    if (!relink && sibling != desired && sibling != 0) {
-      const Status probe =
-          co_await ops.ReadPage(rdma::RemotePtr(sibling), probe_buf.data());
-      if (!probe.ok()) {
-        (void)co_await ops.UnlockPage(leaf_ptr);
-        co_return probe;
-      }
-      relink = PageView(probe_buf.data(), page_size).is_head();
-    }
-    if (relink) {
-      pv.header().right_sibling = desired;
-      const Status wu = co_await ops.WriteUnlockPage(leaf_ptr, buf);
-      if (!wu.ok()) co_return wu;
-    } else {
-      const Status ul = co_await ops.UnlockPage(leaf_ptr);
-      if (!ul.ok()) co_return ul;
-    }
-  }
-  co_return Status::OK();
-}
-
 sim::Task<uint64_t> LeafLevel::CountChain(RemoteOps ops,
                                           rdma::RemotePtr first,
                                           uint64_t* live_entries,
@@ -858,13 +756,11 @@ sim::Task<uint64_t> LeafLevel::CountChain(RemoteOps ops,
     if (!read.ok()) break;  // degraded: report the pages counted so far
     PageView view(buf, page_size);
     pages++;
-    if (!view.is_head()) {
-      for (uint32_t i = 0; i < view.count(); ++i) {
-        if (view.LeafIsTombstoned(i)) {
-          dead++;
-        } else {
-          live++;
-        }
+    for (uint32_t i = 0; i < view.count(); ++i) {
+      if (view.LeafIsTombstoned(i)) {
+        dead++;
+      } else {
+        live++;
       }
     }
     ptr = rdma::RemotePtr(view.right_sibling());

@@ -20,13 +20,64 @@ namespace namtree::index {
 /// The fine-grained leaf level shared by Design 2 (FG) and Design 3
 /// (hybrid): a globally linked B-link chain of leaf pages scattered
 /// round-robin over all memory servers, accessed purely with one-sided
-/// verbs, with optional head nodes every n leaves for range-scan prefetch
-/// (paper §4.3).
+/// verbs. Range scans prefetch leaves in doorbell batches named by the
+/// leaf-parent level (paper §4.3; see ScanDirectory).
 ///
 /// All functions are stateless: chain state lives entirely in the memory
 /// servers' regions.
 class LeafLevel {
  public:
+  /// A range scan's prefetch directory: the leaf-parent level, which lists
+  /// consecutive leaves in chain order. ScanChain asks it for a run of
+  /// leaf pointers, reads the whole run as one doorbell batch, and
+  /// consumes the images in chain order, so a directory that is out of
+  /// date (a split it does not list yet, a drained leaf) costs extra reads
+  /// but never correctness.
+  class ScanDirectory {
+   public:
+    virtual ~ScanDirectory() = default;
+
+    /// Fills `run` with the leaf pointers, in chain order, that the scan
+    /// should read next. `next` is the chain's next unread leaf (null
+    /// before the first one: the directory then names the start), and
+    /// [`cursor`, `hi`) is what is left of the range. A run that does not
+    /// start at `next` (or an empty one) makes the scan read `next` alone.
+    /// `extra`, when set, names one more page for the same batch; its
+    /// consistent image is handed back through Absorb. A non-OK status
+    /// ends the scan with that status.
+    virtual sim::Task<Status> NextRun(RemoteOps ops, btree::Key cursor,
+                                      btree::Key hi, rdma::RemotePtr next,
+                                      std::vector<uint64_t>* run,
+                                      rdma::RemotePtr* extra) = 0;
+
+    /// Receives the image of the last run's `extra` page.
+    virtual void Absorb(const uint8_t* /*image*/) {}
+  };
+
+  /// The one-sided designs' directory: the level-1 inner node the descent
+  /// routed through. A run is that node's children from `next` up to the
+  /// last one whose range starts below `hi`. When the range runs past the
+  /// node's high fence, its right sibling rides the batch as `extra` and
+  /// becomes the directory for the following run.
+  class ParentDirectory : public ScanDirectory {
+   public:
+    /// `parent` is a consistent level-1 image of `page_size` bytes; it is
+    /// copied.
+    ParentDirectory(const uint8_t* parent, uint32_t page_size);
+
+    sim::Task<Status> NextRun(RemoteOps ops, btree::Key cursor,
+                              btree::Key hi, rdma::RemotePtr next,
+                              std::vector<uint64_t>* run,
+                              rdma::RemotePtr* extra) override;
+    void Absorb(const uint8_t* image) override;
+
+   private:
+    uint32_t page_size_;
+    std::vector<uint8_t> parent_;
+    std::vector<uint8_t> sibling_;
+    bool has_sibling_ = false;
+  };
+
   /// Outcome of `InsertAt` when the target leaf had to be split.
   struct SplitInfo {
     bool split = false;
@@ -35,22 +86,21 @@ class LeafLevel {
   };
 
   struct BuildResult {
-    /// (low key, pointer) of every real leaf, for building upper levels.
+    /// (low key, pointer) of every leaf, for building upper levels.
     std::vector<ServerTree::ChildRef> leaf_refs;
-    /// First page of the chain (the leftmost real leaf).
+    /// First page of the chain (the leftmost leaf).
     rdma::RemotePtr first;
   };
 
   /// Builds the chain over `sorted` at setup time (direct region writes):
   /// leaves round-robin across servers (or all on `fixed_server` when >= 0,
-  /// for coarse-grained one-sided partitions), head nodes per
-  /// `config.head_node_interval`.
+  /// for coarse-grained one-sided partitions).
   static Status Build(rdma::Fabric& fabric, std::span<const btree::KV> sorted,
                       const IndexConfig& config, BuildResult* out,
                       int32_t fixed_server = -1);
 
-  /// Point search starting at the leaf that covers `key` (chases siblings,
-  /// skips head nodes). Listing 2's leaf phase. `preread`, when non-null,
+  /// Point search starting at the leaf that covers `key` (chases
+  /// siblings). Listing 2's leaf phase. `preread`, when non-null,
   /// is a consistent (unlocked) image of the page at `start` the caller
   /// already holds — a speculative-descent prefetch — consumed in place of
   /// the first remote read; chases past it read remotely as usual.
@@ -71,17 +121,22 @@ class LeafLevel {
                                             std::span<const btree::Key> keys,
                                             LookupResult* results);
 
-  /// Range scan over [lo, hi) starting at the leaf covering `lo`. Uses
-  /// head-node prefetch via selectively-signaled batched reads; outdated
-  /// head nodes fall back to single reads (§4.3). Appends to `out` if
-  /// non-null; returns the hit count. `status`, when non-null, receives OK
-  /// on a complete pass or the failing read's status (kUnavailable for a
-  /// dead client/server, kTimedOut for an exhausted flaky-net retry
-  /// budget) when the count is partial.
+  /// Range scan over [lo, hi) starting at the leaf `start` covering `lo`
+  /// (null: `directory` names the start). With a `directory`, every run it
+  /// lists is read as one selectively-signaled doorbell batch (§4.3); each
+  /// member is consumed only if it is the leaf the chain names next, so a
+  /// split the directory does not know yet or a drained leaf falls back to
+  /// single reads (counted in client.scan_prefetch_fallbacks). Without a
+  /// directory the scan walks the chain one READ per leaf. Appends to
+  /// `out` if non-null; returns the hit count. `status`, when non-null,
+  /// receives OK on a complete pass or the failing read's status
+  /// (kUnavailable for a dead client/server, kTimedOut for an exhausted
+  /// flaky-net retry budget) when the count is partial.
   static sim::Task<uint64_t> ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key lo, btree::Key hi,
                                        std::vector<btree::KV>* out,
-                                       Status* status = nullptr);
+                                       Status* status = nullptr,
+                                       ScanDirectory* directory = nullptr);
 
   /// One-sided insert into the chain at the leaf covering `key` (Listing 2
   /// leaf phase): remote CAS lock, local modify, WRITE + FAA unlock. On a
@@ -126,13 +181,7 @@ class LeafLevel {
                                             rdma::RemotePtr first,
                                             uint32_t max_fill_percent);
 
-  /// Epoch head-node maintenance: re-walks the chain and installs fresh
-  /// head nodes every `interval` leaves (old heads become garbage).
-  static sim::Task<Status> RebuildHeadNodes(RemoteOps ops,
-                                            rdma::RemotePtr first,
-                                            uint32_t interval);
-
-  /// Collects the pointers of all real leaves by walking the chain
+  /// Collects the pointers of all leaves by walking the chain
   /// (diagnostics / maintenance).
   static sim::Task<uint64_t> CountChain(RemoteOps ops, rdma::RemotePtr first,
                                         uint64_t* live_entries,

@@ -163,7 +163,7 @@ class RemoteOps {
   sim::Task<Status> UnlockPage(rdma::RemotePtr ptr);
 
   /// Publishes a freshly initialised, unlocked page image (grow-root
-  /// images, GC absorber pages, rebuilt head nodes) to the primary and —
+  /// images, GC absorber pages) to the primary and —
   /// under replication — all live backups, unfenced (the page is
   /// unreachable until a later publication links it).
   sim::Task<Status> WriteFreshPage(rdma::RemotePtr ptr, const uint8_t* buf);
@@ -199,7 +199,7 @@ class RemoteOps {
   sim::Task<Status> WriteRaw(rdma::RemotePtr at, const void* src,
                              uint32_t len);
 
-  /// One counted doorbell-batched READ-only chain (head-node prefetch,
+  /// One counted doorbell-batched READ-only chain (range-scan prefetch,
   /// speculative path prefetch): all requests ride one doorbell — one
   /// round trip regardless of the batch size. Buffers of requests whose
   /// target server died mid-batch are unspecified; the caller re-checks

@@ -316,15 +316,17 @@ sim::Task<uint64_t> ServerTree::Compact() {
   co_return reclaimed;
 }
 
-sim::Task<uint64_t> ServerTree::FindLeafChild(Key key) {
+sim::Task<uint64_t> ServerTree::FindLeafChild(Key key, Key hi,
+                                              std::vector<uint64_t>* rest) {
   assert(remote_leaves_);
+  const SimTime node_cpu = server_.fabric().config().cpu_inner_node_ns;
   for (;;) {
     uint64_t v = 0;
     uint64_t node = co_await DescendToBottom(key, &v);
     bool restart = false;
     while (!restart) {
       PageView view = View(node);
-      co_await Cpu(server_.fabric().config().cpu_inner_node_ns);
+      co_await Cpu(node_cpu);
       if (Word(view) != v) {
         restart = true;
         break;
@@ -335,7 +337,36 @@ sim::Task<uint64_t> ServerTree::FindLeafChild(Key key) {
         v = co_await AwaitUnlocked(node);
         continue;
       }
-      co_return view.InnerChildFor(key);
+      const uint64_t first = view.InnerChildFor(key);
+      if (rest == nullptr || hi <= key) co_return first;
+      // Range form: the children after `first` whose ranges start below
+      // `hi`, in chain order, up to one node's worth. Past the node's end
+      // the walk follows its right sibling, so a continuation at a node's
+      // high fence (which routes to that node's last child) still lists
+      // the leaves after it.
+      const size_t cap = PageView::InnerKeyCapacity(page_size_);
+      uint32_t i = static_cast<uint32_t>(
+          std::find(view.inner_children(),
+                    view.inner_children() + view.count() + 1, first) -
+          view.inner_children());
+      while (rest->size() < cap) {
+        if (i < view.count()) {
+          if (view.inner_keys()[i] >= hi) break;
+          rest->push_back(view.inner_children()[++i]);
+          continue;
+        }
+        if (!view.NeedsChase(hi)) break;
+        // A torn sibling read ends the list early; the client continues
+        // with another call.
+        node = view.right_sibling();
+        v = co_await AwaitUnlocked(node);
+        view = View(node);
+        co_await Cpu(node_cpu);
+        if (Word(view) != v) break;
+        rest->push_back(view.inner_children()[0]);
+        i = 0;
+      }
+      co_return first;
     }
   }
 }

@@ -83,7 +83,12 @@ class ServerTree {
   sim::Task<uint64_t> Compact();
 
   /// Hybrid: raw RemotePtr of the leaf child whose range contains `key`.
-  sim::Task<uint64_t> FindLeafChild(btree::Key key);
+  /// Range form (`rest` non-null and `hi` > `key`): also appends to `rest`
+  /// the children that follow it in chain order and may hold keys below
+  /// `hi` — at most InnerKeyCapacity, walking into right-sibling nodes,
+  /// each visited node charged like the first.
+  sim::Task<uint64_t> FindLeafChild(btree::Key key, btree::Key hi = 0,
+                                    std::vector<uint64_t>* rest = nullptr);
 
   /// Hybrid: installs a separator produced by a one-sided leaf split.
   sim::Task<Status> InstallChildSeparator(btree::Key sep, uint64_t child_raw);

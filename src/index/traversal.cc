@@ -211,7 +211,10 @@ rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
 
 sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     RemoteOps& ops, uint32_t tree, Key key, DescentPrefetch* prefetch) {
-  if (prefetch != nullptr) prefetch->leaf_image_valid = false;
+  if (prefetch != nullptr) {
+    prefetch->leaf_image_valid = false;
+    prefetch->parent_valid = false;
+  }
   rdma::RemotePtr ptr = trees_[tree].root;
   if (trees_[tree].root_level == 0) co_return ptr;  // single-leaf tree
   uint8_t* buf = ops.ctx().page_a();
@@ -285,6 +288,10 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     const rdma::RemotePtr child(view.InnerChildFor(key));
     if (view.level() == 1) {
       leaf = child;
+      if (prefetch != nullptr && prefetch->parent_buf != nullptr) {
+        std::memcpy(prefetch->parent_buf, image, ops.page_size());
+        prefetch->parent_valid = true;
+      }
       break;
     }
     ptr = child;

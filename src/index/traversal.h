@@ -98,9 +98,18 @@ class TraversalEngine {
   /// the image is consistent (unlocked, live server) — the caller may hand
   /// it to LeafLevel::SearchChain as its first-iteration preread and skip
   /// one more round trip.
+  ///
+  /// Independently of speculation, `parent_buf` (caller-owned,
+  /// page-sized), when set, receives a copy of the consistent level-1 image
+  /// the descent chose the leaf from — a range scan's prefetch directory
+  /// (LeafLevel::ParentDirectory). `parent_valid` says the copy was made;
+  /// it is false when the descent ended without a level-1 hop (single-leaf
+  /// tree, stale root metadata landing on a leaf).
   struct DescentPrefetch {
     uint8_t* leaf_buf = nullptr;
     bool leaf_image_valid = false;
+    uint8_t* parent_buf = nullptr;
+    bool parent_valid = false;
   };
 
   /// Aggregate per-client cache statistics.
@@ -147,7 +156,8 @@ class TraversalEngine {
   /// Null means this client died mid-descent. With
   /// Options::speculative_descent the descent is prefixed by the
   /// predict→batch→validate pass (see Options); `prefetch`, when non-null,
-  /// additionally requests the predicted leaf's image in the same batch.
+  /// additionally requests the predicted leaf's image in the same batch
+  /// and/or the level-1 image (see DescentPrefetch).
   sim::Task<rdma::RemotePtr> DescendToLeaf(RemoteOps& ops, uint32_t tree,
                                            btree::Key key,
                                            DescentPrefetch* prefetch = nullptr);

@@ -95,6 +95,10 @@ class ClientContext {
                              labels, "speculative descents fully validated");
     registry.RegisterCounter(mispredicts, "client.mispredicts", labels,
                              "speculative descents that fell back");
+    registry.RegisterCounter(scan_prefetch_fallbacks,
+                             "client.scan_prefetch_fallbacks", labels,
+                             "scan prefetch batch members that failed "
+                             "validation");
     // Retry accounting is labeled by retry *domain*, not by client: every
     // client's handle feeds the same {domain=...} cell, so the registry sum
     // is the fleet-wide figure the flaky-net acceptance gate reads
@@ -177,6 +181,11 @@ class ClientContext {
   /// Speculative descents where validation had to fall back to the
   /// level-by-level loop (stale prediction, locked or dropped batch slot).
   metrics::Counter mispredicts;
+  /// Range-scan prefetch batch members (LeafLevel::ScanChain) that could
+  /// not be used as read: re-read because locked or on a dead server, or
+  /// dropped because the chain no longer matched the leaf-parent directory
+  /// (a split it does not list yet, a drained leaf).
+  metrics::Counter scan_prefetch_fallbacks;
   // Unified retry families ({domain=lock|verb|steal}; {domain=rpc} is owned
   // by the Fabric). `attempts` counts re-tries (first tries are free),
   // `exhausted` counts budgets that ran dry.

@@ -80,6 +80,9 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
                            {}, "doorbell rings (one per verb or chain)");
   metrics_.RegisterCounter(combined_reads_, "fabric.combined_reads", {},
                            "READs combined away onto in-flight ones");
+  metrics_.RegisterCounter(duplicate_inflight_reads_,
+                           "fabric.duplicate_inflight_reads", {},
+                           "same-client duplicate READs posted in flight");
   metrics_.RegisterCounter(dropped_verbs_, "fabric.dropped_verbs", {},
                            "verbs dropped at post or effect time");
   metrics_.RegisterCounter(dropped_responses_, "fabric.dropped_responses",
@@ -428,7 +431,7 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
   if (net.extra_delay > 0) net_delayed_verbs_.Inc();
   // Standalone READ in-flight tracking (drops complete the posting too):
   // overlapping same-client duplicates are the combiner's waste metric.
-  if (auditor_) auditor_->OnReadPosted(client, src, len);
+  ReadPosted(client, src, len);
   MemoryServerEndpoint& server = memory_servers_[src.server_id()];
   uint8_t* remote = TargetAddress(src, len);
 
@@ -437,7 +440,7 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
     const SimTime done = bus.ReserveTransfer(
         simulator_.now() + config_.local_latency_ns, len);
     co_await sim::DelayUntil(simulator_, done);
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
+    ReadCompleted(client, src, len);
     if (!ClientAlive(client)) {
       dropped_verbs_.Inc();
       co_return VerbCompletion::kOk;
@@ -478,12 +481,12 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
   co_await sim::DelayUntil(simulator_, t_effect);
   if (!ClientAlive(client)) {  // died with the verb in flight: drop it
     dropped_verbs_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
+    ReadCompleted(client, src, len);
     co_return VerbCompletion::kOk;
   }
   if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
     dropped_verbs_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
+    ReadCompleted(client, src, len);
     co_return VerbCompletion::kOk;
   }
   if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
@@ -493,7 +496,7 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
     // The response never reaches the client: the bytes are in flight but
     // unacknowledged, so the caller must treat the buffer as unspecified.
     net_dropped_completions_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
+    ReadCompleted(client, src, len);
     co_await sim::DelayUntil(simulator_,
                              t_effect + config_.net_verb_timeout_ns);
     co_return VerbCompletion::kLost;
@@ -504,7 +507,7 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
       t_tx - server.tx.TransferDuration(len) + WireLatency();
   const SimTime done = compute.rx.ReserveArrival(first_byte_at_client, len);
   co_await sim::DelayUntil(simulator_, done);
-  if (auditor_) auditor_->OnReadCompleted(client, src, len);
+  ReadCompleted(client, src, len);
   co_return VerbCompletion::kOk;
 }
 
@@ -554,7 +557,7 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
   unsignaled_verbs_.Inc(ops.size() - 1);
   const uint64_t chain_id = next_chain_id_++;
 
-  // A READ-only chain (head-node prefetch) has independent members; any
+  // A READ-only chain (range-scan prefetch) has independent members; any
   // WRITE or CAS makes the chain ordered — each member's effect waits for
   // its predecessor, as the initiating NIC streams WQEs in posting order.
   bool ordered = false;
@@ -1368,6 +1371,23 @@ uint64_t Fabric::TotalMemoryServerBytes() const {
     total += stats.tx_bytes + stats.rx_bytes;
   }
   return total;
+}
+
+void Fabric::ReadPosted(uint32_t client, RemotePtr src, uint32_t len) {
+  if (client >= inflight_reads_.size()) inflight_reads_.resize(client + 1);
+  auto& reads = inflight_reads_[client];
+  const std::pair<uint64_t, uint32_t> read(src.raw(), len);
+  if (std::find(reads.begin(), reads.end(), read) != reads.end()) {
+    duplicate_inflight_reads_.Inc();
+  }
+  reads.push_back(read);
+}
+
+void Fabric::ReadCompleted(uint32_t client, RemotePtr src, uint32_t len) {
+  auto& reads = inflight_reads_[client];
+  *std::find(reads.begin(), reads.end(),
+             std::pair<uint64_t, uint32_t>(src.raw(), len)) = reads.back();
+  reads.pop_back();
 }
 
 void Fabric::ResetStats() {

@@ -335,7 +335,7 @@ class Fabric {
   sim::Task<VerbCompletion> PostChain(uint32_t client,
                                       std::vector<ChainOp> ops);
 
-  /// Selectively-signaled batch of READs (head-node prefetch, §4.3): a
+  /// Selectively-signaled batch of READs (range-scan prefetch, §4.3): a
   /// READ-only PostChain. Completes when the last read has arrived.
   sim::Task<VerbCompletion> ReadBatch(uint32_t client,
                                       std::vector<ReadRequest> requests);
@@ -414,6 +414,10 @@ class Fabric {
   ///                            one per chain
   ///   fabric.combined_reads    READs combined away by CombinedRead
   ///                            (verbs never posted)
+  ///   fabric.duplicate_inflight_reads  same-client standalone READs
+  ///                            posted while an identical (target, len)
+  ///                            READ of that client was in flight: the
+  ///                            waste read combining removes (never reset)
   ///   fabric.dropped_verbs     verbs dropped because their client was dead
   ///                            at post or effect time (never reset)
   ///   fabric.dropped_responses RPC responses whose caller had abandoned
@@ -649,6 +653,17 @@ class Fabric {
   std::map<std::tuple<uint32_t, uint64_t, uint32_t>,
            std::shared_ptr<PendingRead>>
       pending_reads_;
+  /// Standalone READ in-flight tracking behind
+  /// fabric.duplicate_inflight_reads: the outstanding (target raw, len)
+  /// READs of each client, indexed by client id. A client has at most a
+  /// few (one per pipelined lane), so a linear scan beats a keyed map on
+  /// this per-READ path. Drops complete the posting too; doorbell-chain
+  /// members are not tracked (a chain's builder deduplicates them, and
+  /// they share one doorbell anyway).
+  void ReadPosted(uint32_t client, RemotePtr src, uint32_t len);
+  void ReadCompleted(uint32_t client, RemotePtr src, uint32_t len);
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> inflight_reads_;
+  metrics::Counter duplicate_inflight_reads_;
   // Registered in the constructor under the family names documented at
   // metrics(); ResetStats() zeroes the first four, the drop/timeout
   // counters run for the fabric's lifetime.

@@ -43,8 +43,8 @@ struct FabricConfig {
   /// what caps fine-grained point-query throughput per server.
   SimTime onesided_engine_ns = 1000;
   /// Occupancy per *unsignaled* batched READ/WRITE inside a doorbell
-  /// chain (Fabric::PostChain; selectively-signaled prefetch via head
-  /// nodes, §4.3, and the write+unlock / split chains): doorbell batching
+  /// chain (Fabric::PostChain; selectively-signaled range-scan prefetch,
+  /// §4.3, and the write+unlock / split chains): doorbell batching
   /// amortises most of the per-verb cost, so every chain member — the
   /// signaled tail included — is charged this instead of
   /// `onesided_engine_ns`. Chained atomics still pay `atomic_engine_ns`
@@ -229,7 +229,7 @@ struct FabricConfig {
   /// chain, and B-link splits chain {new-sibling WRITE, page WRITE,
   /// unlock WRITE}. Disabling falls back to individually signaled verbs
   /// (WRITE + FAA unlock), bit-identical to the pre-chain protocol.
-  /// READ-only chains (head-node prefetch) are unaffected by this knob.
+  /// READ-only chains (range-scan prefetch) are unaffected by this knob.
   bool verb_chaining = true;
   /// In-flight read combining: when several coroutines of one client
   /// (RunConfig::pipeline_depth lanes) await the same (server, offset,
@@ -239,7 +239,7 @@ struct FabricConfig {
   /// client-side NIC-queue discipline: no memory-server cooperation, no
   /// protocol change (the combined read observes the same bytes the verb
   /// delivered). Off by default — bit-identical to independent READs;
-  /// VerbAuditor::duplicate_inflight_reads counts what stays on the table.
+  /// fabric.duplicate_inflight_reads counts what stays on the table.
   bool read_combining = false;
   /// Initial backoff before re-polling a locked remote node (remote
   /// spinlock). Consecutive re-polls back off exponentially (with jitter)

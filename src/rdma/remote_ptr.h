@@ -60,7 +60,13 @@ class RemotePtr {
 
   std::string ToString() const {
     if (is_null()) return "null";
-    return "s" + std::to_string(server_id()) + "+" + std::to_string(offset());
+    // Appending (rather than "s" + std::string&&) sidesteps a GCC 12
+    // -Wrestrict false positive in Release builds.
+    std::string out = "s";
+    out += std::to_string(server_id());
+    out += '+';
+    out += std::to_string(offset());
+    return out;
   }
 
  private:

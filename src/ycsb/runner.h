@@ -112,6 +112,10 @@ struct RunResult {
   }
   /// Speculative descents that fell back to the level-by-level loop.
   uint64_t mispredicts() const { return counters.Value("client.mispredicts"); }
+  /// Range-scan prefetch batch members that failed validation.
+  uint64_t scan_prefetch_fallbacks() const {
+    return counters.Value("client.scan_prefetch_fallbacks");
+  }
 
   /// Failed operations bucketed by status class (the one status -> class
   /// mapping is common/status.h StatusClassOf); `failed_ops() == total()`.

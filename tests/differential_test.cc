@@ -224,7 +224,6 @@ TEST_P(DifferentialTest, AllDesignsMatchTheModel) {
     Cluster cluster(fabric_config, 64 << 20);
     IndexConfig index_config;
     index_config.page_size = 256;
-    index_config.head_node_interval = 4;
     std::unique_ptr<DistributedIndex> index;
     switch (design) {
       case 0:

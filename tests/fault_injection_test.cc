@@ -56,7 +56,6 @@ StressOutcome RunStress(const rdma::FabricConfig& fabric_config,
   Cluster cluster(fabric_config, 64 << 20);
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 4;
   Index index(cluster, config);
   const uint64_t keys = 4000;
   EXPECT_TRUE(index.BulkLoad(MakeData(keys)).ok());
@@ -213,7 +212,6 @@ TEST(ResourceExhaustionTest, FineGrainedInsertsFailCleanlyWhenRegionsFill) {
   nam::Cluster cluster(fc, 96 * 1024);
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 0;
   FineGrainedIndex index(cluster, config);
   std::vector<btree::KV> data;
   for (uint64_t i = 0; i < 2500; ++i) data.push_back({i * 4, i});
@@ -292,7 +290,6 @@ CrashOutcome RunCrashStress(rdma::FabricConfig fc, uint64_t seed) {
   Cluster cluster(fc, 64 << 20);
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 4;
   Index index(cluster, config);
   const uint64_t keys = 4000;
   EXPECT_TRUE(index.BulkLoad(MakeData(keys)).ok());
@@ -516,7 +513,6 @@ TEST_P(SplitCrashTest, FineGrainedInsertCrashLeavesRecoverableTree) {
   cluster.fabric().SetNumClients(2);
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 0;
   FineGrainedIndex index(cluster, config);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 20; ++i) data.push_back({i * 10, i});
@@ -1112,7 +1108,6 @@ TEST(ServerLossTest, DegradedRunAtR1FailsOpsUnavailable) {
   Cluster cluster(fc, 64 << 20);
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 4;
   FineGrainedIndex index(cluster, config);
   const uint64_t keys = 4000;
   ASSERT_TRUE(index.BulkLoad(MakeData(keys)).ok());
@@ -1151,7 +1146,6 @@ TEST(ServerLossTest, ReplicatedRunSurvivesServerDeathAcrossSeeds) {
     Cluster cluster(fc, 64 << 20);
     IndexConfig config;
     config.page_size = 256;
-    config.head_node_interval = 4;
     FineGrainedIndex index(cluster, config);
     const uint64_t keys = 4000;
     ASSERT_TRUE(index.BulkLoad(MakeData(keys)).ok());

@@ -2,7 +2,7 @@
 // two-sided, fine-grained one-sided, hybrid, coarse-grained one-sided)
 // running on the simulated NAM cluster: bulk load, point/range queries,
 // inserts with splits, updates, deletes with epoch GC, duplicates, skewed
-// placement, concurrent clients, and head-node prefetching.
+// placement, concurrent clients, and leaf-parent scan prefetching.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +63,6 @@ struct TestRig {
       : config_template(MakeFabricConfig(servers)),
         cluster(config_template, 64ull << 20) {
     index_config.page_size = page_size;
-    index_config.head_node_interval = 4;
     index_config.partition_weights = std::move(weights);
     switch (design) {
       case Design::kCoarseRange:
@@ -536,105 +535,161 @@ TEST(HybridDesignTest, RejectsHashPartitioning) {
   EXPECT_EQ(hybrid.BulkLoad(data).code(), StatusCode::kUnsupported);
 }
 
-TEST(HeadNodeTest, ScansWorkWithAndWithoutHeadNodes) {
-  for (uint32_t interval : {0u, 2u, 4u, 16u}) {
-    rdma::FabricConfig fc;
-    fc.num_memory_servers = 4;
-    Cluster cluster(fc, 64ull << 20);
-    IndexConfig ic;
-    ic.page_size = 256;
-    ic.head_node_interval = interval;
-    FineGrainedIndex index(cluster, ic);
-    const auto data = MakeData(5000, 2);
-    ASSERT_TRUE(index.BulkLoad(data).ok());
-    ClientContext ctx(0, cluster.fabric(), ic.page_size, 1);
-    std::vector<KV> out;
-    uint64_t count = 0;
-    Spawn(cluster.simulator(),
-          ScanOne(index, ctx, 1000, 9000, &out, &count));
-    cluster.simulator().Run();
-    EXPECT_EQ(count, 4000u) << "interval " << interval;
-    EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
-                               [](const KV& a, const KV& b) {
-                                 return a.key < b.key;
-                               }));
-  }
+// ---- Range scans prefetch through the leaf-parent level ---------------------
+
+Task<> ScanWithStatus(DistributedIndex& index, ClientContext& ctx, Key lo,
+                      Key hi, std::vector<KV>* out, uint64_t* count,
+                      Status* status) {
+  *count = co_await index.Scan(ctx, lo, hi, out, status);
 }
 
-TEST(HeadNodeTest, PrefetchReducesRoundTrips) {
+/// Every even key in [lo, hi) below `limit`: the oracle for MakeData(n, 2).
+std::vector<Key> EvenKeys(Key lo, Key hi, Key limit) {
+  std::vector<Key> keys;
+  for (Key k = lo + (lo % 2); k < std::min(hi, limit); k += 2) {
+    keys.push_back(k);
+  }
+  return keys;
+}
+
+std::vector<Key> KeysOf(const std::vector<KV>& kvs) {
+  std::vector<Key> keys;
+  for (const KV& kv : kvs) keys.push_back(kv.key);
+  return keys;
+}
+
+// The level-1 node the descent ends in lists the next ~55 leaves at 1 KB
+// pages, so a ~20-leaf scan is one batch — two when it crosses into the
+// parent's right sibling, which rides the first batch.
+TEST(ScanPrefetchTest, FgScanOfTwentyLeavesCostsDescentPlusTwoDoorbells) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 4;
   Cluster cluster(fc, 64ull << 20);
-
-  auto measure = [&](uint32_t interval) {
-    Cluster local_cluster(fc, 64ull << 20);
-    IndexConfig ic;
-    ic.page_size = 256;
-    ic.head_node_interval = interval;
-    FineGrainedIndex index(local_cluster, ic);
-    const auto data = MakeData(20000, 2);
-    EXPECT_TRUE(index.BulkLoad(data).ok());
-    ClientContext ctx(0, local_cluster.fabric(), ic.page_size, 1);
+  IndexConfig ic;
+  FineGrainedIndex index(cluster, ic);
+  constexpr uint64_t kKeys = 100000;
+  ASSERT_TRUE(index.BulkLoad(MakeData(kKeys, 2)).ok());
+  const Key per_leaf =
+      btree::PageView::LeafCapacity(ic.page_size) * ic.leaf_fill_percent / 100;
+  const Key span = 20 * per_leaf * 2;
+  // The first parent covers 55 leaves; the second start straddles its
+  // high fence.
+  for (const Key lo : {Key{0}, Key{45 * per_leaf * 2}, Key{77777},
+                       Key{150001}}) {
+    ClientContext ctx(0, cluster.fabric(), ic.page_size, 1);
+    const uint64_t before = cluster.fabric().metrics().Value("fabric.doorbells");
+    std::vector<KV> out;
     uint64_t count = 0;
-    Spawn(local_cluster.simulator(),
-          ScanOne(index, ctx, 0, 40000, nullptr, &count));
-    local_cluster.simulator().Run();
-    EXPECT_EQ(count, 20000u);
-    return ctx.round_trips.value();
-  };
-
-  const uint64_t without = measure(0);
-  const uint64_t with_heads = measure(16);
-  EXPECT_LT(with_heads, without / 4)
-      << "head-node prefetch must collapse per-leaf round trips";
+    Status status;
+    Spawn(cluster.simulator(), ScanWithStatus(index, ctx, lo, lo + span, &out,
+                                              &count, &status));
+    cluster.simulator().Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(KeysOf(out), EvenKeys(lo, lo + span, 2 * kKeys));
+    EXPECT_EQ(count, out.size());
+    const uint64_t doorbells =
+        cluster.fabric().metrics().Value("fabric.doorbells") - before;
+    EXPECT_LE(doorbells, index.root_level() + 2u) << "scan from " << lo;
+    EXPECT_EQ(ctx.scan_prefetch_fallbacks, 0u);
+  }
 }
 
-TEST(HeadNodeTest, OutdatedHeadsFallBackAndRebuildRestoresThem) {
+// The hybrid's find-leaf RPC in range form lists up to one bottom node's
+// worth of leaves (14 at 256 B pages), so long scans continue with more
+// RPCs at the cursor, which is the last leaf's high fence: that routes to
+// the consumed leaf first (inclusive inner fence) and must neither
+// re-collect it nor stall. Partition boundaries are crossed through the
+// global leaf chain.
+TEST(ScanPrefetchTest, HybridScansAcrossPartitionsTerminateExactly) {
+  TestRig setup(Design::kHybrid);
+  constexpr uint64_t kKeys = 20000;
+  ASSERT_TRUE(setup.index->BulkLoad(MakeData(kKeys, 2)).ok());
+  const auto& hybrid = static_cast<HybridIndex&>(*setup.index);
+  // Leaves hold 9 entries (low keys at multiples of 18): `18 * 37` starts
+  // a scan exactly on a separator.
+  std::vector<std::pair<Key, Key>> ranges = {{0, 2 * kKeys},
+                                             {18 * 37, 18 * 37 + 2000},
+                                             {18 * 37 + 1, 18 * 50}};
+  for (uint32_t s = 0; s + 1 < 4; ++s) {
+    const Key b = hybrid.partitioner().UpperBoundOf(s);
+    ranges.push_back({b - 300, b + 300});
+    ranges.push_back({b, b + 50});
+    ranges.push_back({b - 18, b});
+  }
+  for (const auto& [lo, hi] : ranges) {
+    ClientContext ctx = setup.MakeClient(0, 1);
+    uint64_t rpcs_before = 0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      rpcs_before += setup.cluster.memory_server(s).requests_handled();
+    }
+    std::vector<KV> out;
+    uint64_t count = 0;
+    Status status;
+    Spawn(setup.cluster.simulator(),
+          ScanWithStatus(*setup.index, ctx, lo, hi, &out, &count, &status));
+    setup.cluster.simulator().Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(KeysOf(out), EvenKeys(lo, hi, 2 * kKeys))
+        << "[" << lo << ", " << hi << ")";
+    uint64_t rpcs = 0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      rpcs += setup.cluster.memory_server(s).requests_handled();
+    }
+    rpcs -= rpcs_before;
+    // Every continuation names 13 new leaves, except at the ends of the
+    // four partitions.
+    const uint64_t leaves = (hi - lo) / 18 + 2;
+    EXPECT_LE(rpcs, leaves / 13 + 5) << "[" << lo << ", " << hi << ")";
+    EXPECT_EQ(ctx.scan_prefetch_fallbacks, 0u);
+  }
+}
+
+TEST(ScanPrefetchTest, HashPartitionedCoarseOneSidedScanVisitsEveryPartition) {
+  TestRig setup(Design::kCoarseOneSided);
+  setup.index_config.partition = PartitionKind::kHash;
+  CoarseOneSidedIndex index(setup.cluster, setup.index_config);
+  constexpr uint64_t kKeys = 8000;
+  ASSERT_TRUE(index.BulkLoad(MakeData(kKeys, 2)).ok());
+  ClientContext ctx = setup.MakeClient(0, 1);
+  std::vector<KV> out;
+  uint64_t count = 0;
+  Status status;
+  Spawn(setup.cluster.simulator(),
+        ScanWithStatus(index, ctx, 101, 9001, &out, &count, &status));
+  setup.cluster.simulator().Run();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(KeysOf(out), EvenKeys(101, 9001, 2 * kKeys));
+  std::set<uint32_t> servers;
+  for (const KV& kv : out) servers.insert(index.partitioner().ServerFor(kv.key));
+  EXPECT_EQ(servers.size(), 4u);
+}
+
+// At R=2 a dead primary's batch members arrive unspecified; each is
+// re-read through the failing-over single READ, so the scan completes with
+// every entry and an OK status.
+TEST(ScanPrefetchTest, BatchMemberOnKilledPrimaryFailsOverAtR2) {
   rdma::FabricConfig fc;
-  fc.num_memory_servers = 2;
+  fc.num_memory_servers = 4;
+  fc.replication_factor = 2;
   Cluster cluster(fc, 64ull << 20);
   IndexConfig ic;
   ic.page_size = 256;
-  ic.head_node_interval = 4;
   FineGrainedIndex index(cluster, ic);
-  const auto data = MakeData(2000, 4);
-  ASSERT_TRUE(index.BulkLoad(data).ok());
+  constexpr uint64_t kKeys = 5000;
+  ASSERT_TRUE(index.BulkLoad(MakeData(kKeys, 2)).ok());
+  cluster.fabric().KillServer(1);
   ClientContext ctx(0, cluster.fabric(), ic.page_size, 1);
-
-  // Splits make head nodes stale.
-  std::vector<KV> inserts;
-  for (uint64_t i = 0; i < 2000; ++i) {
-    inserts.push_back({i * 4 + 1, i});
-    inserts.push_back({i * 4 + 2, i});
-  }
-  uint64_t failures = 0;
-  Spawn(cluster.simulator(),
-        InsertMany(index, ctx, std::move(inserts), &failures));
-  cluster.simulator().Run();
-  ASSERT_EQ(failures, 0u);
-
-  // Scans stay correct over stale heads.
+  std::vector<KV> out;
   uint64_t count = 0;
-  Spawn(cluster.simulator(), ScanOne(index, ctx, 0, 8000, nullptr, &count));
+  Status status;
+  Spawn(cluster.simulator(),
+        ScanWithStatus(index, ctx, 0, 2 * kKeys, &out, &count, &status));
   cluster.simulator().Run();
-  EXPECT_EQ(count, 6000u);
-
-  // Rebuild, then scans are correct and cheaper.
-  const uint64_t stale_round_trips = ctx.round_trips;
-  (void)stale_round_trips;
-  struct Rebuild {
-    static Task<> Run(FineGrainedIndex& index, ClientContext& ctx) {
-      (void)co_await index.RebuildHeads(ctx);
-    }
-  };
-  Spawn(cluster.simulator(), Rebuild::Run(index, ctx));
-  cluster.simulator().Run();
-
-  ctx.round_trips.Reset();
-  count = 0;
-  Spawn(cluster.simulator(), ScanOne(index, ctx, 0, 8000, nullptr, &count));
-  cluster.simulator().Run();
-  EXPECT_EQ(count, 6000u);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(KeysOf(out), EvenKeys(0, 2 * kKeys, 2 * kKeys));
+  EXPECT_GT(ctx.scan_prefetch_fallbacks, 0u);
+  EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
+      << cluster.fabric().CheckAuditClean().ToString();
 }
 
 // ---- Metrics registry parity ------------------------------------------------

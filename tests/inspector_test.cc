@@ -37,7 +37,6 @@ std::vector<KV> MakeData(uint64_t n) {
 IndexConfig SmallPages() {
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 4;
   return config;
 }
 
@@ -49,7 +48,7 @@ TEST(InspectorTest, FreshFineGrainedIndexIsSound) {
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.live_entries, 20000u);
   EXPECT_EQ(report.tombstones, 0u);
-  EXPECT_GT(report.head_pages, 0u);
+  EXPECT_GT(report.leaf_pages, 0u);
   EXPECT_GE(report.height, 3u);
 }
 

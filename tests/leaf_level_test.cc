@@ -1,6 +1,7 @@
-// Direct tests of the fine-grained leaf level: chain building with head
-// nodes, one-sided search/insert/delete at chain granularity, prefetching
-// scans, compaction, and chain accounting.
+// Direct tests of the fine-grained leaf level: chain building, one-sided
+// search/insert/delete at chain granularity, scans prefetching through the
+// leaf-parent level (including parents that missed splits and merges),
+// compaction, and chain accounting.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "index/leaf_level.h"
+#include "index/tree_build.h"
 #include "nam/cluster.h"
 
 namespace namtree::index {
@@ -29,10 +31,9 @@ rdma::FabricConfig Config() {
   return config;
 }
 
-IndexConfig MakeIndexConfig(uint32_t interval) {
+IndexConfig MakeIndexConfig() {
   IndexConfig config;
   config.page_size = kPage;
-  config.head_node_interval = interval;
   return config;
 }
 
@@ -46,7 +47,7 @@ TEST(LeafLevelTest, BuildChainsLeavesAcrossServers) {
   Cluster cluster(Config(), 16 << 20);
   LeafLevel::BuildResult result;
   ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(1000),
-                               MakeIndexConfig(0), &result)
+                               MakeIndexConfig(), &result)
                   .ok());
   ASSERT_FALSE(result.leaf_refs.empty());
   // Round-robin placement over 4 servers.
@@ -59,11 +60,11 @@ TEST(LeafLevelTest, BuildChainsLeavesAcrossServers) {
   }
 }
 
-TEST(LeafLevelTest, HeadNodesAppearEveryInterval) {
+TEST(LeafLevelTest, BuildLinksEveryLeafIntoTheChain) {
   Cluster cluster(Config(), 16 << 20);
   LeafLevel::BuildResult result;
   ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(1000),
-                               MakeIndexConfig(4), &result)
+                               MakeIndexConfig(), &result)
                   .ok());
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
 
@@ -79,12 +80,9 @@ TEST(LeafLevelTest, HeadNodesAppearEveryInterval) {
         Count::Go(RemoteOps(ctx), result.first, &pages, &live));
   cluster.simulator().Run();
 
-  const uint64_t leaves = result.leaf_refs.size();
-  const uint64_t heads = pages - leaves;
+  // The chain holds exactly the built leaves, nothing in between.
+  EXPECT_EQ(pages, result.leaf_refs.size());
   EXPECT_EQ(live, 1000u);
-  // One head after every 4th leaf (except past the end).
-  EXPECT_NEAR(static_cast<double>(heads),
-              static_cast<double>(leaves) / 4.0, 2.0);
 }
 
 Task<> SearchKeys(RemoteOps ops, rdma::RemotePtr start,
@@ -98,11 +96,11 @@ TEST(LeafLevelTest, SearchChainChasesFromAnyStartingLeaf) {
   Cluster cluster(Config(), 16 << 20);
   LeafLevel::BuildResult result;
   ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(500),
-                               MakeIndexConfig(4), &result)
+                               MakeIndexConfig(), &result)
                   .ok());
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
   // Start at the FIRST leaf and search keys that live far to the right:
-  // the B-link chase (through head nodes) must find them.
+  // the B-link chase must find them.
   std::vector<LookupResult> results;
   Spawn(cluster.simulator(),
         SearchKeys(RemoteOps(ctx), result.first, {0, 998, 400, 999},
@@ -120,7 +118,7 @@ TEST(LeafLevelTest, InsertSplitReportsSeparator) {
   LeafLevel::BuildResult built;
   // One nearly-full leaf (fill 90% of capacity 10 -> 9 entries).
   ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(9),
-                               MakeIndexConfig(0), &built)
+                               MakeIndexConfig(), &built)
                   .ok());
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
 
@@ -157,39 +155,85 @@ TEST(LeafLevelTest, InsertSplitReportsSeparator) {
   EXPECT_EQ(live, 39u);
 }
 
+/// A leaf chain with bulk-loaded inner levels above it.
+struct Tree {
+  LeafLevel::BuildResult leaves;
+  rdma::RemotePtr root;
+  uint8_t root_level = 0;
+};
+
+Tree BuildTree(Cluster& cluster, const std::vector<KV>& data) {
+  Tree tree;
+  EXPECT_TRUE(LeafLevel::Build(cluster.fabric(), data, MakeIndexConfig(),
+                               &tree.leaves)
+                  .ok());
+  EXPECT_TRUE(BuildUpperLevels(cluster.fabric(), tree.leaves.leaf_refs, kPage,
+                               90, -1, &tree.root, &tree.root_level)
+                  .ok());
+  return tree;
+}
+
+/// Descends `tree` in region memory to the level-1 node routing `key`:
+/// returns a copy of its image and sets `*leaf` to the child for `key`.
+std::vector<uint8_t> ParentImage(Cluster& cluster, const Tree& tree, Key key,
+                                 rdma::RemotePtr* leaf) {
+  rdma::RemotePtr ptr = tree.root;
+  for (;;) {
+    PageView view(cluster.fabric().region(ptr.server_id())->at(ptr.offset()),
+                  kPage);
+    if (view.NeedsChase(key)) {
+      ptr = rdma::RemotePtr(view.right_sibling());
+      continue;
+    }
+    const rdma::RemotePtr child(view.InnerChildFor(key));
+    if (view.level() == 1) {
+      *leaf = child;
+      return std::vector<uint8_t>(view.data(), view.data() + kPage);
+    }
+    ptr = child;
+  }
+}
+
+struct ScanDriver {
+  static Task<> Go(RemoteOps ops, rdma::RemotePtr start,
+                   std::vector<uint8_t> parent, Key lo, Key hi,
+                   std::vector<KV>* out, uint64_t* n) {
+    LeafLevel::ParentDirectory directory(parent.data(), kPage);
+    Status status;
+    *n = co_await LeafLevel::ScanChain(ops, start, lo, hi, out, &status,
+                                       &directory);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+};
+
 TEST(LeafLevelTest, ScanUsesBatchedPrefetch) {
   Cluster cluster(Config(), 16 << 20);
-  LeafLevel::BuildResult built;
-  ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(2000),
-                               MakeIndexConfig(8), &built)
-                  .ok());
+  const Tree tree = BuildTree(cluster, MakeData(2000));
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
+  rdma::RemotePtr start;
+  std::vector<uint8_t> parent = ParentImage(cluster, tree, 100, &start);
 
-  struct Driver {
-    static Task<> Go(RemoteOps ops, rdma::RemotePtr start,
-                     std::vector<KV>* out, uint64_t* n) {
-      *n = co_await LeafLevel::ScanChain(ops, start, 100, 3900, out);
-    }
-  };
   std::vector<KV> out;
   uint64_t n = 0;
-  Spawn(cluster.simulator(), Driver::Go(RemoteOps(ctx), built.first, &out,
-                                        &n));
+  Spawn(cluster.simulator(), ScanDriver::Go(RemoteOps(ctx), start,
+                                            std::move(parent), 100, 3900,
+                                            &out, &n));
   cluster.simulator().Run();
   EXPECT_EQ(n, 1900u);
   ASSERT_EQ(out.size(), 1900u);
   EXPECT_EQ(out.front().key, 100u);
   EXPECT_EQ(out.back().key, 3898u);
-  // ~211 leaves scanned in batches of 8 (one signaled head read + one
-  // batch per group): round trips must be far below the per-leaf count.
-  EXPECT_LT(ctx.round_trips, 110u);
+  // ~211 leaves under ~18 parents of 12 children: one batch per parent
+  // (each carrying the next parent along), far below one READ per leaf.
+  EXPECT_LE(ctx.round_trips, 20u);
+  EXPECT_EQ(ctx.scan_prefetch_fallbacks, 0u);
 }
 
 TEST(LeafLevelTest, CompactChainReclaimsTombstones) {
   Cluster cluster(Config(), 16 << 20);
   LeafLevel::BuildResult built;
   ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(300),
-                               MakeIndexConfig(4), &built)
+                               MakeIndexConfig(), &built)
                   .ok());
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
 
@@ -225,43 +269,83 @@ TEST(LeafLevelTest, CompactChainReclaimsTombstones) {
   EXPECT_EQ(dead, 0u);
 }
 
-TEST(LeafLevelTest, RebuildHeadNodesBypassesStaleHeads) {
+// A split the parent does not list yet (its separator is not installed):
+// the new leaf fails the batch's chain check, the scan reads it alone and
+// resumes batching at the next listed leaf, and every entry comes back
+// exactly once.
+TEST(LeafLevelTest, ScanFallsBackOnSplitsTheParentMissed) {
   Cluster cluster(Config(), 16 << 20);
-  LeafLevel::BuildResult built;
-  ASSERT_TRUE(LeafLevel::Build(cluster.fabric(), MakeData(500),
-                               MakeIndexConfig(4), &built)
-                  .ok());
+  const Tree tree = BuildTree(cluster, MakeData(500));
   ClientContext ctx(0, cluster.fabric(), kPage, 1);
+  rdma::RemotePtr start;
+  std::vector<uint8_t> parent = ParentImage(cluster, tree, 0, &start);
 
-  // Split many leaves (insert into every gap).
+  // Split leaves everywhere (insert into every gap) without telling the
+  // inner levels.
   struct Churn {
     static Task<> Go(RemoteOps ops, rdma::RemotePtr first) {
       for (Key k = 0; k < 500; ++k) {
         LeafLevel::SplitInfo split;
-        (void)co_await LeafLevel::InsertAt(ops, first, k * 2 + 1, k,
-                                           &split);
+        EXPECT_TRUE(
+            (co_await LeafLevel::InsertAt(ops, first, k * 2 + 1, k, &split))
+                .ok());
       }
-      (void)co_await LeafLevel::RebuildHeadNodes(ops, first, 4);
     }
   };
-  Spawn(cluster.simulator(), Churn::Go(RemoteOps(ctx), built.first));
+  Spawn(cluster.simulator(), Churn::Go(RemoteOps(ctx), tree.leaves.first));
   cluster.simulator().Run();
 
-  // After the rebuild a fresh scan sees everything, and the prefetch
-  // efficiency is restored (few round trips per leaf).
-  ClientContext ctx2(1, cluster.fabric(), kPage, 2);
-  struct Driver {
-    static Task<> Go(RemoteOps ops, rdma::RemotePtr start, uint64_t* n) {
-      *n = co_await LeafLevel::ScanChain(ops, start, 0, 1000000, nullptr);
-    }
-  };
+  ClientContext reader(1, cluster.fabric(), kPage, 2);
+  std::vector<KV> out;
   uint64_t n = 0;
-  Spawn(cluster.simulator(), Driver::Go(RemoteOps(ctx2), built.first, &n));
+  Spawn(cluster.simulator(), ScanDriver::Go(RemoteOps(reader), start,
+                                            std::move(parent), 0, 1000, &out,
+                                            &n));
   cluster.simulator().Run();
   EXPECT_EQ(n, 1000u);
-  const uint64_t leaves = 1000 / 9 + 1;
-  EXPECT_LT(ctx2.round_trips, leaves)
-      << "rebuilt heads must batch most leaf reads";
+  ASSERT_EQ(out.size(), 1000u);
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].key, i);
+  EXPECT_GT(reader.scan_prefetch_fallbacks, 0u);
+}
+
+// Epoch rebalancing drains leaf pairs into fresh absorbers but leaves the
+// parents pointing at the drained pages. A drained batch member points at
+// an absorber the parent does not list: the scan falls back, reads the
+// absorber alone, and the cursor keeps collection exactly-once.
+TEST(LeafLevelTest, ScanHandlesDrainedLeavesInTheBatch) {
+  Cluster cluster(Config(), 16 << 20);
+  const Tree tree = BuildTree(cluster, MakeData(1000));
+  ClientContext ctx(0, cluster.fabric(), kPage, 1);
+
+  struct Shrink {
+    static Task<> Go(RemoteOps ops, rdma::RemotePtr first, uint64_t* merged) {
+      for (Key k = 0; k < 1000; ++k) {
+        if (k % 3 == 0) continue;
+        EXPECT_TRUE((co_await LeafLevel::DeleteAt(ops, first, k * 2)).ok());
+      }
+      (void)co_await LeafLevel::CompactChain(ops, first);
+      *merged = co_await LeafLevel::RebalanceChain(ops, first, 70);
+    }
+  };
+  uint64_t merged = 0;
+  Spawn(cluster.simulator(),
+        Shrink::Go(RemoteOps(ctx), tree.leaves.first, &merged));
+  cluster.simulator().Run();
+  ASSERT_GT(merged, 0u);
+
+  rdma::RemotePtr start;
+  std::vector<uint8_t> parent = ParentImage(cluster, tree, 0, &start);
+  ClientContext reader(1, cluster.fabric(), kPage, 2);
+  std::vector<KV> out;
+  uint64_t n = 0;
+  Spawn(cluster.simulator(), ScanDriver::Go(RemoteOps(reader), start,
+                                            std::move(parent), 0, 2000, &out,
+                                            &n));
+  cluster.simulator().Run();
+  EXPECT_EQ(n, 334u);
+  ASSERT_EQ(out.size(), 334u);
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].key, i * 6);
+  EXPECT_GT(reader.scan_prefetch_fallbacks, 0u);
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ rdma::FabricConfig Config() {
 IndexConfig SmallPages() {
   IndexConfig config;
   config.page_size = 256;
-  config.head_node_interval = 4;
   return config;
 }
 

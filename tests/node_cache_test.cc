@@ -171,7 +171,6 @@ TEST(CachedFineGrainedTest, StaleCacheStaysCorrectUnderInserts) {
   Cluster cluster(fc, 64 << 20);
   IndexConfig ic;
   ic.page_size = 256;
-  ic.head_node_interval = 4;
   ic.client_cache_pages = 4096;
   ic.client_cache_ttl = 10 * kSecond;  // effectively never expires
   FineGrainedIndex index(cluster, ic);
@@ -292,7 +291,6 @@ TEST(CachedFineGrainedTest, SplitSeedsWriterCacheWithPublishedParent) {
   Cluster cluster(fc, 16 << 20);
   IndexConfig ic;
   ic.page_size = 256;
-  ic.head_node_interval = 0;
   ic.client_cache_pages = 1024;
   ic.client_cache_ttl = 0;  // no expiry
   FineGrainedIndex index(cluster, ic);

@@ -49,7 +49,6 @@ TEST_P(PageSizeSweepTest, EndToEndCorrectness) {
   Cluster cluster(fc, 64 << 20);
   IndexConfig config;
   config.page_size = page_size;
-  config.head_node_interval = 8;
   std::unique_ptr<DistributedIndex> index;
   switch (design) {
     case 0:

@@ -34,7 +34,6 @@ TEST(PageLayoutTest, CapacitiesForPaperPageSize) {
   // P=1024: leaf (1024-32-64)/16 = 58, inner (1024-40)/16 = 61.
   EXPECT_EQ(PageView::LeafCapacity(1024), 58u);
   EXPECT_EQ(PageView::InnerKeyCapacity(1024), 61u);
-  EXPECT_EQ(PageView::HeadCapacity(1024), 124u);
 }
 
 class PageSizeTest : public ::testing::TestWithParam<uint32_t> {};
@@ -255,21 +254,6 @@ TEST(PageTest, SplitInnerPromotesMiddleKey) {
   EXPECT_EQ(right.inner_children()[0], cap / 2 + 1u);
 }
 
-TEST(PageTest, HeadNodeLayout) {
-  PageBuffer buf(1024);
-  PageView head = buf.view();
-  head.InitHead(0x42);
-  EXPECT_TRUE(head.is_head());
-  EXPECT_FALSE(head.is_leaf());
-  EXPECT_EQ(head.right_sibling(), 0x42u);
-  for (uint32_t i = 0; i < head.head_capacity(); ++i) {
-    head.head_ptrs()[i] = i + 1;
-  }
-  head.header().count = static_cast<uint16_t>(head.head_capacity());
-  EXPECT_EQ(head.head_ptrs()[head.head_capacity() - 1],
-            head.head_capacity());
-}
-
 // ---- Fence-predicate boundary regressions ---------------------------------
 // The inclusive/exclusive fence contract lives in PageView::NeedsChase
 // (page.h); every descent in the repo routes through it. These tests pin
@@ -337,16 +321,19 @@ TEST(FencePredicateTest, SplitFencesAgreeWithPredicate) {
   EXPECT_TRUE(iright.Covers(promoted + 1));
 }
 
-TEST(FencePredicateTest, HeadNodeChasesThroughForEveryKey) {
-  // Head nodes carry high_key == 0 and exist only to route scans to the
-  // real chain; every key chases through to the right sibling.
+TEST(FencePredicateTest, InnerFenceDecidesTheScanSiblingStep) {
+  // A range scan batching a leaf-parent's children also needs the parent's
+  // right sibling exactly when the range holds a key above the inclusive
+  // inner fence. The fence key itself is the sibling's first child's low
+  // key, so [lo, fence) stays within the parent and [lo, fence + 1) does
+  // not: the scan decides with NeedsChase(hi).
   PageBuffer buf(1024);
-  PageView head = buf.view();
-  head.InitHead(/*right_sibling=*/0x42);
-  EXPECT_TRUE(head.NeedsChase(0));
-  EXPECT_TRUE(head.NeedsChase(1));
-  EXPECT_TRUE(head.NeedsChase(kInfinityKey));
-  EXPECT_FALSE(head.Covers(7));
+  PageView parent = buf.view();
+  parent.InitInner(1, /*high_key=*/100, /*right_sibling=*/0x42);
+  EXPECT_FALSE(parent.NeedsChase(100));
+  EXPECT_TRUE(parent.NeedsChase(101));
+  parent.header().right_sibling = 0;  // the level's right edge
+  EXPECT_FALSE(parent.NeedsChase(kInfinityKey));
 }
 
 TEST(FencePredicateTest, DrainedLeafChasesThroughForEveryKey) {

@@ -36,7 +36,6 @@ rdma::FabricConfig Config() {
 IndexConfig MakeIndexConfig() {
   IndexConfig config;
   config.page_size = kPage;
-  config.head_node_interval = 4;
   config.gc_merge_fill_percent = 70;
   return config;
 }

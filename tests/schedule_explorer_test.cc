@@ -194,7 +194,6 @@ Status RunFineGrainedUnderSeed(uint64_t schedule_seed, SimTime jitter_ns,
   nam::Cluster cluster(fc, 64ull << 20);
   index::IndexConfig ic;
   ic.page_size = 256;
-  ic.head_node_interval = 4;
   index::FineGrainedIndex index(cluster, ic);
   const uint64_t keys = 4000;
   Status load = index.BulkLoad(ycsb::GenerateDataset(keys));
