@@ -3,7 +3,7 @@
 
 Generic tooling (-Wall, clang-tidy) cannot see the hazards that are specific
 to this repo's simulated-RDMA coroutine architecture, so this script scans
-`src/` for three of them:
+`src/` for them:
 
 1. spawn-unsafe-params (error)
    A `sim::Task` coroutine that is *detached* with `sim::Spawn(...)` keeps
@@ -40,15 +40,6 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
    and failure statuses (`alive()`, `IsAborted`, `IsUnavailable`).
    Suppress an audited loop with a comment on (or directly above) it:
        // namtree-lint: bounded-loop(<why the loop terminates>)
-
-5. unchained-writes (error)
-   Two consecutive co_awaited signaled write-class verbs (Write /
-   CompareAndSwap / FetchAndAdd) aimed at the same destination page ring
-   two doorbells and pay two NIC completions where one doorbell-batched
-   chain (Fabric::PostChain; see RemoteOps::WriteUnlockPage and
-   docs/batching.md) would do. Suppress an audited sequence with a comment
-   on (or directly above) either verb:
-       // namtree-lint: unchained-ok(<why chaining does not apply>)
 
 6. hand-rolled-chase (error)
    An `if`/`while` condition that consults both the fence key
@@ -103,6 +94,20 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
    loop or the atomic:
        // namtree-lint: retry-ok(<why the re-post cannot double-apply>)
 
+10. raw-fabric-verb (error)
+   A co_await of a one-sided Fabric verb (Read, CombinedRead, Write,
+   CompareAndSwap, FetchAndAdd, PostChain, Post) under src/ outside
+   src/rdma/ and RemoteOps::Post. RemoteOps::Post is the one verb-posting
+   path: it owns the lost-completion retry loop, the liveness checks,
+   tracing, round-trip accounting and the dead-server status mapping, so
+   a raw verb anywhere else re-grows the copied boilerplate Post replaced
+   and escapes rules 4 and 9's review of that loop. Build the verb as a
+   Fabric::ChainOp and post it through RemoteOps instead. No suppression.
+
+(Rule 5, unchained-writes, retired: with every verb posted through
+RemoteOps::Post, consecutive raw write verbs cannot appear outside
+src/rdma/, and verb chaining is a fabric posting mode.)
+
 With --verbose the script additionally *notes* every awaited Task coroutine
 taking reference/pointer parameters. These are not errors here: the repo
 convention is that a Task is co_await-ed immediately by its caller, whose
@@ -119,7 +124,7 @@ import sys
 
 SUPPRESS_RE = re.compile(
     r"namtree-lint:\s*(safe-coro-ref|real-threads-ok|bounded-loop|"
-    r"unchained-ok|chase-ok|status-ok|metric-ok|retry-ok)\(")
+    r"chase-ok|status-ok|metric-ok|retry-ok)\(")
 
 # Directories (relative to src/) allowed to use real-thread primitives.
 REAL_THREAD_ALLOWED = {"btree"}
@@ -177,21 +182,28 @@ INFINITE_LOOP_RE = re.compile(
 # A co_await whose expression mentions a fabric verb or RemoteOps primitive.
 VERB_AWAIT_RE = re.compile(
     r"\bco_await\b[^;]*?\b(?:Read(?:Page(?:Unlocked)?|Batch|ClientEpoch)?|"
-    r"Write(?:UnlockPage)?|CompareAndSwap|FetchAndAdd|Call|"
+    r"Write(?:UnlockPage)?|CompareAndSwap|FetchAndAdd|Call|Post(?:Chain)?|"
     r"(?:Try)?LockPage|UnlockPage|AllocPage(?:RoundRobin)?)\s*\(",
     re.DOTALL,
 )
+
+# A co_await of a one-sided Fabric verb: the call is made on a fabric
+# object (`fabric().`, `fabric.`, `fabric_->`, ...).
+RAW_FABRIC_VERB_RE = re.compile(
+    r"\bco_await\b[^;]*?\bfabric(?:_|\(\))?\s*(?:\.|->)\s*"
+    r"(?P<verb>Read|CombinedRead|Write|CompareAndSwap|FetchAndAdd|PostChain|"
+    r"Post)\s*\(",
+    re.DOTALL,
+)
+
+# Directories (relative to src/) that implement the fabric's verbs.
+RAW_VERB_ALLOWED = {"rdma"}
 
 # Pacing / failure-guard evidence that bounds a verb retry loop.
 RETRY_GUARD_RE = re.compile(
     r"\bDelay\s*\(|backoff|deadline|lease|\balive\s*\(|"
     r"\bIsAborted\s*\(|\bIsUnavailable\s*\("
 )
-
-# A co_awaited signaled write-class fabric verb. The match ends at the
-# opening paren of the call so the argument list can be paren-matched.
-AWAITED_WRITE_RE = re.compile(
-    r"\bco_await\b[^;{}]*?\b(?:Write|CompareAndSwap|FetchAndAdd)\s*\(")
 
 # Any loop header (the unresolved-ambiguous-retry rule covers bounded
 # retry loops too, not just infinite ones).
@@ -292,13 +304,6 @@ def match_paren(text, open_index):
     return len(text)
 
 
-def dest_base(arg):
-    """Normalises a verb-destination expression to its base page pointer:
-    whitespace-insensitive, and `ptr.Plus(offset)` folds onto `ptr` (the
-    version-word sub-address of the same page)."""
-    return re.sub(r"\s+", "", arg).split(".Plus(")[0]
-
-
 def line_of(text, index):
     return text.count("\n", 0, index) + 1
 
@@ -374,6 +379,7 @@ def lint_tree(src_root, verbose):
         rel = os.path.relpath(path, os.path.dirname(src_root))
         subdir = os.path.relpath(path, src_root).split(os.sep)[0]
         scanned.append((rel, raw_lines, clean))
+        post_bodies = []  # (start, end) of RemoteOps::Post definitions
 
         # Status-returning function names (for rule discarded-status).
         for m in STATUS_FN_RE.finditer(clean):
@@ -402,6 +408,8 @@ def lint_tree(src_root, verbose):
             line = line_of(clean, m.start())
             params = split_params(m.group("params"))
             task_defs.setdefault(name, []).append((rel, line, params, body))
+            if m.group("name") == "RemoteOps::Post":
+                post_bodies.append((m.end(), body_end))
 
             if not re.search(r"\bco_(await|return|yield)\b", body):
                 findings.append(Finding(
@@ -472,40 +480,18 @@ def lint_tree(src_root, verbose):
                 "Read-class verb first (cf. RemoteOps lock/unlock paths), "
                 "or annotate with '// namtree-lint: retry-ok(...)'"))
 
-        # Rule: unchained-writes — two co_awaited signaled write-class
-        # verbs to the same destination, with nothing but trivial
-        # statements between them, belong in one PostChain.
-        awaited = []
-        for m in AWAITED_WRITE_RE.finditer(clean):
-            open_paren = m.end() - 1
-            close = match_paren(clean, open_paren)
-            args = split_params(clean[open_paren + 1:close - 1])
-            # Fabric verbs are (client, destination, ...): need both.
-            if len(args) < 2:
-                continue
-            awaited.append(
-                (m.start(), close, dest_base(args[1])))
-        for (a_start, a_end, a_dest), (b_start, _, b_dest) in zip(
-                awaited, awaited[1:]):
-            between = clean[a_end:b_start]
-            # Same statement run only: no new scope, at most the first
-            # verb's terminator plus one trivial statement in between.
-            if "{" in between or "}" in between or between.count(";") > 2:
-                continue
-            if not a_dest or a_dest != b_dest:
-                continue
-            line_a = line_of(clean, a_start)
-            line_b = line_of(clean, b_start)
-            if (is_suppressed(raw_lines, line_a)
-                    or is_suppressed(raw_lines, line_b)):
-                continue
-            findings.append(Finding(
-                "unchained-writes", rel, line_b,
-                "consecutive signaled write-class verbs to the same "
-                f"destination ('{a_dest}') ring two doorbells where one "
-                "doorbell-batched chain would do; post them via "
-                "Fabric::PostChain (cf. RemoteOps::WriteUnlockPage), or "
-                "annotate with '// namtree-lint: unchained-ok(...)'"))
+        # Rule: raw-fabric-verb — every one-sided verb outside the fabric
+        # goes through the body of RemoteOps::Post.
+        if subdir not in RAW_VERB_ALLOWED:
+            for m in RAW_FABRIC_VERB_RE.finditer(clean):
+                if any(lo <= m.start() < hi for lo, hi in post_bodies):
+                    continue
+                findings.append(Finding(
+                    "raw-fabric-verb", rel, line_of(clean, m.start()),
+                    f"co_await of the raw fabric verb '{m.group('verb')}' "
+                    "outside RemoteOps::Post: build a Fabric::ChainOp and "
+                    "post it through RemoteOps, which owns the retry, "
+                    "liveness, tracing and status discipline"))
 
         # Rule: hand-rolled-chase — an if/while condition consulting both
         # the fence key and the right sibling re-derives the B-link chase

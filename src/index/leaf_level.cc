@@ -291,14 +291,16 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
 
     // One selectively signaled doorbell batch for the whole run (§4.3).
     batch.resize(members * page_size);
-    std::vector<rdma::Fabric::ReadRequest> reqs;
+    std::vector<RemoteOps::ChainOp> reqs;
     reqs.reserve(members);
     for (size_t k = 0; k < run.size(); ++k) {
-      reqs.push_back({rdma::RemotePtr(run[k]), batch.data() + k * page_size,
-                      page_size});
+      reqs.push_back(RemoteOps::ChainOp::Read(
+          rdma::RemotePtr(run[k]), batch.data() + k * page_size, page_size));
     }
     uint8_t* extra_image = batch.data() + run.size() * page_size;
-    if (!extra.is_null()) reqs.push_back({extra, extra_image, page_size});
+    if (!extra.is_null()) {
+      reqs.push_back(RemoteOps::ChainOp::Read(extra, extra_image, page_size));
+    }
     const Status read = co_await ops.ReadPagesBatch(std::move(reqs));
     if (!read.ok()) {
       if (status != nullptr) *status = read;

@@ -9,17 +9,25 @@
 namespace namtree::index {
 
 using btree::IsLocked;
+using Posting = rdma::Fabric::Posting;
 
-// Network-fault recovery discipline (docs/fault_model.md §8): a verb that
-// comes back kLost is *ambiguous* — the fabric may have executed its memory
-// effect and lost only the completion. Every recovery below therefore
-// either (a) re-posts a verb that is byte-idempotent (READs, WRITEs of the
-// same image), or (b) resolves the ambiguity with a read-back before
-// re-posting a non-idempotent atomic. Blind atomic re-posts are what the
-// auditor's kUnresolvedAmbiguousRetry violation exists to catch. All
-// re-posts are bounded by RetryPolicy::ForVerbs; exhaustion surfaces as
-// kTimedOut so restart loops and the YCSB failure breakdown can tell a
-// flaky link (kTimedOut) from a dead server (kUnavailable).
+namespace {
+
+/// Trace verb of one posted member; READs riding a doorbell are batch
+/// slots.
+metrics::TraceVerb TraceVerbOf(RemoteOps::ChainOp::Kind kind, bool doorbell) {
+  switch (kind) {
+    case RemoteOps::ChainOp::Kind::kRead:
+      return doorbell ? metrics::TraceVerb::kReadBatch
+                      : metrics::TraceVerb::kRead;
+    case RemoteOps::ChainOp::Kind::kWrite: return metrics::TraceVerb::kWrite;
+    case RemoteOps::ChainOp::Kind::kCas: return metrics::TraceVerb::kCas;
+    case RemoteOps::ChainOp::Kind::kFaa: return metrics::TraceVerb::kFaa;
+  }
+  return metrics::TraceVerb::kRead;
+}
+
+}  // namespace
 
 RouteResult RemoteOps::ActingPrimary(rdma::RemotePtr primary) const {
   rdma::Fabric& fabric = ctx_->fabric();
@@ -46,34 +54,62 @@ void RemoteOps::StampLocked(uint8_t* buf, uint64_t version) {
   std::memcpy(buf + btree::kVersionOffset, &locked, 8);
 }
 
-sim::Task<Status> RemoteOps::ReadPageFrom(rdma::RemotePtr at, uint8_t* buf) {
-  // With FabricConfig::read_combining a concurrent lane's identical READ
-  // serves this one too: no verb posted, no round trip — only the
-  // combined-read counter moves. Off (default), CombinedRead degenerates
-  // to a plain Read and the toll is the historical one.
+// Network-fault recovery discipline (docs/fault_model.md §8): a verb that
+// comes back kLost is *ambiguous* — the fabric may have executed its memory
+// effect and lost only the completion. Post therefore either (a) re-posts a
+// chain that is byte-idempotent, or (b) resolves the ambiguity with a
+// witness read-back before re-posting. Blind atomic re-posts are what the
+// auditor's kUnresolvedAmbiguousRetry violation exists to catch. All
+// re-posts are bounded by RetryPolicy::ForVerbs; exhaustion surfaces as
+// kTimedOut so restart loops and the YCSB failure breakdown can tell a
+// flaky link (kTimedOut) from a dead server (kUnavailable).
+sim::Task<Status> RemoteOps::Post(std::span<const ChainOp> chain,
+                                  int32_t watched, LostRule rule,
+                                  Posting posting) {
   const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
+  // The members of one doorbell share a trace chain id.
+  const bool doorbell = chain.size() > 1 || posting == Posting::kBatch;
+  const uint64_t chain_id = doorbell ? ctx_->trace().NextChainId() : 0;
   for (uint32_t attempt = 0;; ++attempt) {
     const SimTime t0 = TraceStart();
-    const rdma::CombinedReadResult read = co_await fabric().CombinedRead(
-        ctx_->client_id(), at, buf, page_size());
-    TraceVerbEvent(metrics::TraceVerb::kRead, at.server_id(), /*chain=*/0, t0);
-    if (read.combined) {
+    const rdma::Fabric::PostResult done =
+        co_await fabric().Post(ctx_->client_id(), chain, posting);
+    for (const ChainOp& op : chain) {
+      ctx_->trace().Event(TraceVerbOf(op.kind, doorbell),
+                          op.target.server_id(), chain_id, t0);
+    }
+    // A READ combined onto a sibling lane's in-flight one posts nothing.
+    if (done.round_trips == 0) {
       ctx_->combined_reads.Inc();
     } else {
-      ctx_->round_trips.Inc();
+      ctx_->round_trips.Inc(done.round_trips);
     }
     if (!alive()) co_return Status::Unavailable("client crashed");
-    if (!fabric().ServerAlive(at.server_id())) {
-      co_return Status::Unavailable("memory server dead");
+    if (watched != kNoWatch &&
+        !fabric().ServerAlive(static_cast<uint32_t>(watched))) {
+      // Whether the post landed or not, that server is gone: at R>1 the op
+      // restarts against the promoted replica.
+      co_return fabric().replicated()
+          ? Status::Aborted("watched server died during the post")
+          : Status::Unavailable("memory server dead");
     }
-    if (read.ok()) co_return Status::OK();
-    // The READ or its completion was lost. A READ has no remote effect, so
-    // the re-post is sanctioned as-is.
-    // namtree-lint: retry-ok(READ is idempotent)
+    if (done.ok()) co_return Status::OK();
+    if (!rule.witness.is_null()) {
+      uint64_t word = 0;
+      const ChainOp read_back = ChainOp::Read(rule.witness, &word, 8);
+      const Status witnessed =
+          co_await Post({&read_back, 1}, kNoWatch, LostRule::Repost());
+      if (!witnessed.ok()) co_return witnessed;
+      switch (rule.judge(word)) {
+        case Witnessed::kLanded: co_return Status::OK();
+        case Witnessed::kLostRace:
+          co_return Status::Aborted("lost race behind a lost completion");
+        case Witnessed::kUntouched: break;  // re-posting cannot double-apply
+      }
+    }
     if (policy.Exhausted(attempt + 1)) {
       ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("READ lost in the network");
+      co_return Status::TimedOut("verb lost in the network");
     }
     ctx_->verb_retry_attempts.Inc();
     co_await sim::Delay(fabric().simulator(),
@@ -82,124 +118,39 @@ sim::Task<Status> RemoteOps::ReadPageFrom(rdma::RemotePtr at, uint8_t* buf) {
 }
 
 sim::Task<Status> RemoteOps::ReadWord(rdma::RemotePtr at, uint64_t* out) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().Read(ctx_->client_id(), at, out, 8);
-    TraceVerbEvent(metrics::TraceVerb::kRead, at.server_id(), /*chain=*/0, t0);
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // namtree-lint: retry-ok(READ is idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("READ lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  const ChainOp read = ChainOp::Read(at, out, 8);
+  co_return co_await Post({&read, 1}, kNoWatch, LostRule::Repost());
 }
 
 sim::Task<Status> RemoteOps::WriteWord(rdma::RemotePtr at, uint64_t value) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().Write(ctx_->client_id(), at, &value, 8);
-    TraceVerbEvent(metrics::TraceVerb::kWrite, at.server_id(), /*chain=*/0,
-                   t0);
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // Re-posts the same 8 bytes — byte-idempotent.
-    // namtree-lint: retry-ok(WRITE of identical bytes)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("WRITE lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  const ChainOp write = ChainOp::Write(at, &value, 8);
+  co_return co_await Post({&write, 1}, kNoWatch, LostRule::Repost());
 }
 
 sim::Task<Status> RemoteOps::WriteRaw(rdma::RemotePtr at, const void* src,
                                       uint32_t len) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().Write(ctx_->client_id(), at, src, len);
-    TraceVerbEvent(metrics::TraceVerb::kWrite, at.server_id(), /*chain=*/0,
-                   t0);
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // namtree-lint: retry-ok(WRITE of identical bytes)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("WRITE lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  const ChainOp write = ChainOp::Write(at, src, len);
+  co_return co_await Post({&write, 1}, kNoWatch, LostRule::Repost());
 }
 
-sim::Task<Status> RemoteOps::ReadPagesBatch(
-    std::vector<rdma::Fabric::ReadRequest> requests) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // One event per batch slot, all under one chain id: the whole batch rides
-  // one doorbell, so the slots share start/finish but keep per-server
-  // attribution.
-  const uint64_t chain = ctx_->trace().NextChainId();
-  std::vector<uint32_t> servers;
-  if (ctx_->trace().in_span()) {
-    servers.reserve(requests.size());
-    for (const rdma::Fabric::ReadRequest& r : requests) {
-      servers.push_back(r.src.server_id());
-    }
-  }
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().ReadBatch(ctx_->client_id(), requests);
-    for (const uint32_t server : servers) {
-      TraceVerbEvent(metrics::TraceVerb::kReadBatch, server, chain, t0);
-    }
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // A READ-only chain has no remote effect: re-post it wholesale.
-    // namtree-lint: retry-ok(READ batch is idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("READ batch lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+sim::Task<Status> RemoteOps::ReadPagesBatch(std::vector<ChainOp> reads) {
+  co_return co_await Post(reads, kNoWatch, LostRule::Repost(),
+                          Posting::kBatch);
 }
 
 sim::Task<Status> RemoteOps::ReadPage(rdma::RemotePtr ptr, uint8_t* buf) {
-  // Bounded: each pass either returns or permanently excludes a replica
-  // whose server died mid-read. namtree-lint: bounded-loop(failover)
   for (;;) {
     const RouteResult route = ActingPrimary(ptr);
     if (!route.ok()) co_return route.status;
-    const Status read = co_await ReadPageFrom(route.ptr, buf);
-    if (read.ok()) co_return Status::OK();
-    if (!alive() || !fabric().replicated()) co_return read;
-    // The acting primary died with the READ in flight: promote the next
-    // live replica (ActingPrimary re-resolves past the dead server).
-    if (fabric().ServerAlive(route.ptr.server_id())) co_return read;
+    // With FabricConfig::read_combining a concurrent lane's identical READ
+    // serves this one too.
+    const ChainOp read = ChainOp::Read(route.ptr, buf, page_size());
+    const Status status = co_await Post({&read, 1}, route.ptr.server_id(),
+                                        LostRule::Repost(), Posting::kCombined);
+    // Aborted: the acting primary died with the READ in flight. Promote
+    // the next live replica (ActingPrimary re-resolves past the dead
+    // server), so the loop is bounded by the replica count.
+    if (!status.IsAborted()) co_return status;
     ctx_->restarts.Inc();
   }
 }
@@ -220,24 +171,22 @@ sim::Task<PageReadResult> RemoteOps::ReadPageUnlocked(rdma::RemotePtr ptr,
   // host was dead; bounded like RPC retries so an unreachable registry
   // cannot wedge the waiter forever.
   uint32_t failed_probes = 0;
-  // Bounded: each pass either returns, backs off (capped exponential), or
-  // lease-steals from a dead holder. namtree-lint: bounded-loop(backoff)
+  // Each pass either returns, promotes past a dead replica, backs off
+  // (capped exponential), or lease-steals from a dead holder.
   for (;;) {
     // Resolve the acting primary fresh each pass: the lock we watch (and
     // would steal) lives on the replica actually serving reads.
     const RouteResult route = ActingPrimary(ptr);
     if (!route.ok()) co_return PageReadResult{route.status, 0};
     const rdma::RemotePtr at = route.ptr;
-    const Status read = co_await ReadPageFrom(at, buf);
-    if (!read.ok()) {
-      if (alive() && fabric().replicated() &&
-          !fabric().ServerAlive(at.server_id())) {
-        // Mid-read server death: promote and retry.
-        ctx_->restarts.Inc();
-        continue;
-      }
-      co_return PageReadResult{read, 0};
+    const ChainOp read = ChainOp::Read(at, buf, page_size());
+    const Status status = co_await Post({&read, 1}, at.server_id(),
+                                        LostRule::Repost(), Posting::kCombined);
+    if (status.IsAborted()) {  // mid-read server death: promote and retry
+      ctx_->restarts.Inc();
+      continue;
     }
+    if (!status.ok()) co_return PageReadResult{status, 0};
     uint64_t word;
     std::memcpy(&word, buf + btree::kVersionOffset, 8);
     if (!IsLocked(word)) co_return PageReadResult{Status::OK(), word};
@@ -259,9 +208,9 @@ sim::Task<PageReadResult> RemoteOps::ReadPageUnlocked(rdma::RemotePtr ptr,
           co_await fabric().ReadClientEpoch(ctx_->client_id(), holder);
       // The holder's registry record lives on server holder % N (its home;
       // failover may promote a replica — home is the attribution).
-      TraceVerbEvent(metrics::TraceVerb::kRead,
-                     holder % fabric().num_memory_servers(), /*chain=*/0,
-                     probe_t0);
+      ctx_->trace().Event(metrics::TraceVerb::kRead,
+                          holder % fabric().num_memory_servers(),
+                          /*chain=*/0, probe_t0);
       if (!alive()) {
         co_return PageReadResult{Status::Unavailable("client crashed"), 0};
       }
@@ -281,22 +230,22 @@ sim::Task<PageReadResult> RemoteOps::ReadPageUnlocked(rdma::RemotePtr ptr,
         if (!probe.alive) {
           // CAS the orphan's locked word back to unlocked, one full
           // version cycle ahead so the orphan's partial image never
-          // revalidates.
-          ctx_->round_trips.Inc();
-          const SimTime cas_t0 = TraceStart();
-          const rdma::AtomicResult cas = co_await fabric().CompareAndSwap(
-              ctx_->client_id(), at.Plus(btree::kVersionOffset), word,
-              btree::StolenUnlockWord(word));
-          TraceVerbEvent(metrics::TraceVerb::kCas, at.server_id(),
-                         /*chain=*/0, cas_t0);
-          if (!alive()) {
-            co_return PageReadResult{Status::Unavailable("client crashed"),
-                                     0};
-          }
-          // A lost steal CAS needs no dedicated resolution: the immediate
-          // re-read below observes whichever outcome the network actually
-          // delivered, and the CAS never re-posts.
-          if (cas.ok() && cas.value == word) ctx_->lock_steals.Inc();
+          // revalidates. A lost steal CAS is judged by the word itself:
+          // still the orphan's word = no effect; anything else = freed
+          // (by us or a faster waiter). Any other failure is left to the
+          // immediate re-read below.
+          const rdma::RemotePtr word_at = at.Plus(btree::kVersionOffset);
+          uint64_t pre = 0;  // a locked word is never 0
+          const ChainOp steal =
+              ChainOp::Cas(word_at, word, btree::StolenUnlockWord(word), &pre);
+          const auto judge = [word](uint64_t now_word) {
+            return now_word == word ? Witnessed::kUntouched
+                                    : Witnessed::kLanded;
+          };
+          const Status stolen = co_await Post(
+              {&steal, 1}, kNoWatch, LostRule::ReadBack(word_at, judge));
+          if (stolen.IsUnavailable()) co_return PageReadResult{stolen, 0};
+          if (pre == word) ctx_->lock_steals.Inc();
           // Re-read immediately (we or a faster waiter just freed it).
           watched_word = 0;
           backoff_round = 0;
@@ -322,51 +271,22 @@ sim::Task<Status> RemoteOps::TryLockPage(rdma::RemotePtr ptr,
                                          uint64_t version) {
   const RouteResult route = ActingPrimary(ptr);
   if (!route.ok()) co_return route.status;
+  const rdma::RemotePtr word_at = route.ptr.Plus(btree::kVersionOffset);
   const uint64_t locked = btree::MakeLockedWord(version, ctx_->client_id());
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::AtomicResult cas = co_await fabric().CompareAndSwap(
-        ctx_->client_id(), route.ptr.Plus(btree::kVersionOffset), version,
-        locked);
-    TraceVerbEvent(metrics::TraceVerb::kCas, route.ptr.server_id(),
-                   /*chain=*/0, t0);
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (!fabric().ServerAlive(route.ptr.server_id())) {
-      // The acting primary died mid-CAS. Whether the swap landed or not,
-      // that replica is gone — restart against the promoted one.
-      co_return fabric().replicated()
-          ? Status::Aborted("acting primary died during lock CAS")
-          : Status::Unavailable("memory server dead");
-    }
-    if (cas.ok()) {
-      if (cas.value != version) co_return Status::Aborted("lock CAS lost");
-      break;  // acquired
-    }
-    // Ambiguous completion: the CAS — or only its ACK — was lost. Resolve
-    // by reading the word back; the holder stamp in our locked word is the
-    // witness. Blindly re-CASing here is exactly what the auditor's
-    // UnresolvedAmbiguousRetry violation flags: a landed swap would make
-    // the retry spin against our own lock.
-    uint64_t word = 0;
-    const Status read_back =
-        co_await ReadWord(route.ptr.Plus(btree::kVersionOffset), &word);
-    if (!read_back.ok()) co_return read_back;
-    if (word == locked) break;  // the swap landed; only the ACK was lost
-    if (word != version) co_return Status::Aborted("lock CAS lost");
-    // The word is untouched: the verb itself was dropped. Re-posting is
-    // sanctioned — the read-back proved there is no effect to duplicate.
-    // namtree-lint: retry-ok(read-back proved the CAS had no effect)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("lock CAS lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  // A lost CAS is resolved by the holder stamp in our locked word: seeing
+  // it proves the swap landed (only the ACK was lost), seeing `version`
+  // proves it never executed. Blindly re-CASing instead is exactly what
+  // the auditor's UnresolvedAmbiguousRetry violation flags.
+  uint64_t pre = version;  // a swap proven by the witness keeps this
+  const ChainOp cas = ChainOp::Cas(word_at, version, locked, &pre);
+  const auto judge = [version, locked](uint64_t word) {
+    if (word == locked) return Witnessed::kLanded;
+    return word == version ? Witnessed::kUntouched : Witnessed::kLostRace;
+  };
+  const Status status = co_await Post({&cas, 1}, route.ptr.server_id(),
+                                      LostRule::ReadBack(word_at, judge));
+  if (!status.ok()) co_return status;
+  if (pre != version) co_return Status::Aborted("lock CAS lost");
   if (fabric().replicated()) {
     // Remember which replica actually holds the lock so the release lands
     // there even if further failovers change the acting primary.
@@ -377,8 +297,8 @@ sim::Task<Status> RemoteOps::TryLockPage(rdma::RemotePtr ptr,
 
 sim::Task<PageReadResult> RemoteOps::LockPage(rdma::RemotePtr ptr,
                                               uint8_t* buf) {
-  // Bounded: ReadPageUnlocked backs off / steals, and every failure mode
-  // other than a lost CAS race propagates. namtree-lint: bounded-loop(cas)
+  // ReadPageUnlocked backs off / steals, and every failure mode other than
+  // a lost CAS race propagates.
   for (;;) {
     PageReadResult read = co_await ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read;
@@ -394,8 +314,9 @@ sim::Task<PageReadResult> RemoteOps::LockPage(rdma::RemotePtr ptr,
   }
 }
 
-sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
-                                             const uint8_t* buf) {
+sim::Task<Status> RemoteOps::Publish(rdma::RemotePtr sibling,
+                                     const uint8_t* sibling_buf,
+                                     rdma::RemotePtr ptr, const uint8_t* buf) {
   uint64_t word;
   std::memcpy(&word, buf + btree::kVersionOffset, 8);
   assert(IsLocked(word) && "image must carry the lock bit until the release");
@@ -414,580 +335,179 @@ sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
         ? Status::Aborted("locked primary died before publication")
         : Status::Unavailable("memory server dead");
   }
-  const uint64_t unlocked = btree::VersionOf(word) + 2;
-  // Backup images carry the clean post-release word: a locked backup word
+  const uint32_t page = page_size();
+  const uint32_t replicas = fabric().replication();
+  // The unlock WRITE installs the next version with the holder bits
+  // cleared. Backup images carry the same clean word: a locked backup word
   // would wedge promotion forever (the holder is alive, so no waiter may
   // steal it), and version-equality across replicas must imply
   // content-equality.
+  const uint64_t unlocked = btree::VersionOf(word) + 2;
   std::vector<uint8_t> backup_img;
   if (fabric().replicated()) {
-    backup_img.assign(buf, buf + page_size());
+    backup_img.assign(buf, buf + page);
     std::memcpy(backup_img.data() + btree::kVersionOffset, &unlocked, 8);
   }
-  const rdma::RetryPolicy policy = VerbPolicy();
-
-  if (!fabric().config().verb_chaining) {
-    // Unchained fallback: individually signaled WRITE + FAA release,
-    // bit-identical to the pre-chain protocol (the FAA keeps the stale
-    // holder bits in the unlocked word; VersionOf masks them out).
-    ctx_->round_trips.Inc(2);
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      const SimTime write_t0 = TraceStart();
-      // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-      const rdma::VerbCompletion done = co_await fabric().Write(
-          ctx_->client_id(), locked_at, buf, page_size());
-      TraceVerbEvent(metrics::TraceVerb::kWrite, locked_server, /*chain=*/0,
-                     write_t0);
-      if (!alive()) co_return Status::Unavailable("client crashed");
-      if (!fabric().ServerAlive(locked_server)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return fabric().replicated()
-            ? Status::Aborted("locked primary died during publication")
-            : Status::Unavailable("memory server dead");
+  std::vector<ChainOp> chain;
+  chain.reserve(2 * replicas + 1);
+  if (!sibling.is_null()) {
+    // Sibling backups ride unfenced: the sibling is unreachable until the
+    // page WRITE below publishes the link, so an orphaned sibling replica
+    // (its chain cut by a mid-chain server death) is harmless garbage.
+    chain.push_back(ChainOp::Write(sibling, sibling_buf, page));
+    for (uint32_t r = 1; r < replicas; ++r) {
+      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
+      if (fabric().ServerAlive(rep.server_id())) {
+        chain.push_back(ChainOp::Write(rep, sibling_buf, page));
       }
-      if (done == rdma::VerbCompletion::kOk) break;
-      // Lost page WRITE under our own lock: byte-idempotent re-post.
-      // namtree-lint: retry-ok(WRITE of identical bytes under our lock)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("publication WRITE lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      ctx_->round_trips.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    for (uint32_t r = 0; fabric().replicated() && r < fabric().replication();
-         ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-      for (uint32_t attempt = 0;; ++attempt) {
-        ctx_->round_trips.Inc();
-        const SimTime rep_t0 = TraceStart();
-        // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-        const rdma::VerbCompletion done = co_await fabric().Write(
-            ctx_->client_id(), rep, backup_img.data(), page_size());
-        TraceVerbEvent(metrics::TraceVerb::kWrite, rep.server_id(),
-                       /*chain=*/0, rep_t0);
-        if (!alive()) co_return Status::Unavailable("client crashed");
-        if (!fabric().ServerAlive(locked_server)) {
-          ctx_->lock_routes.erase(ptr.raw());
-          co_return Status::Aborted("locked primary died during publication");
-        }
-        if (done == rdma::VerbCompletion::kOk) break;
-        // A backup whose server died mid-WRITE is skipped, exactly as a
-        // pre-WRITE death would have skipped it above.
-        if (!fabric().ServerAlive(rep.server_id())) break;
-        // namtree-lint: retry-ok(WRITE of identical bytes)
-        if (policy.Exhausted(attempt + 1)) {
-          ctx_->lock_routes.erase(ptr.raw());
-          ctx_->verb_retry_exhausted.Inc();
-          co_return Status::TimedOut("backup WRITE lost in the network");
-        }
-        ctx_->verb_retry_attempts.Inc();
-        co_await sim::Delay(fabric().simulator(),
-                            policy.BackoffFor(attempt, ctx_->rng()));
-      }
-    }
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      const SimTime faa_t0 = TraceStart();
-      const rdma::AtomicResult faa = co_await fabric().FetchAndAdd(
-          ctx_->client_id(), locked_at.Plus(btree::kVersionOffset), 1);
-      TraceVerbEvent(metrics::TraceVerb::kFaa, locked_server, /*chain=*/0,
-                     faa_t0);
-      if (!alive()) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return Status::Unavailable("client crashed");
-      }
-      if (!fabric().ServerAlive(locked_server)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return fabric().replicated()
-            ? Status::Aborted("locked primary died during publication")
-            : Status::Unavailable("memory server dead");
-      }
-      if (faa.ok()) break;
-      // Ambiguous release: did the +1 land before the ACK vanished? Read
-      // the word back — it stays our locked word until the release is
-      // visible.
-      uint64_t now_word = 0;
-      const Status read_back = co_await ReadWord(
-          locked_at.Plus(btree::kVersionOffset), &now_word);
-      if (!read_back.ok()) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return read_back;
-      }
-      if (now_word != word) break;  // release visible (or lock stolen)
-      // Still our locked word: the FAA never executed. Retrying the
-      // non-idempotent FAA is sanctioned only behind this read-back — a
-      // blind re-post would double-release.
-      // namtree-lint: retry-ok(read-back proved the FAA had no effect)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("unlock FAA lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      ctx_->round_trips.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return Status::OK();
-  }
-  // Doorbell-batched {page WRITE, backup WRITEs, unlock WRITE}: one
-  // doorbell, one completion. The unlock WRITE installs the next version
-  // with the holder bits cleared — the same version an FAA release
-  // reaches. Backup WRITEs are fenced on the locked primary: once it dies
-  // a reader may already have promoted a backup, so a late backup WRITE
-  // must not clobber the promoted copy.
-  ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(1 + fabric().replication());
-  chain.push_back(
-      rdma::Fabric::ChainOp::Write(locked_at, buf, page_size()));
-  if (fabric().replicated()) {
-    for (uint32_t r = 0; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      rdma::Fabric::ChainOp op = rdma::Fabric::ChainOp::Write(
-          rep, backup_img.data(), page_size());
-      op.fence_server = static_cast<int32_t>(locked_server);
-      chain.push_back(op);
     }
   }
-  chain.push_back(rdma::Fabric::ChainOp::Write(
-      locked_at.Plus(btree::kVersionOffset), &unlocked, 8));
-  const uint64_t chain_id = ctx_->trace().NextChainId();
-  std::vector<uint32_t> chain_servers;
-  if (ctx_->trace().in_span()) {
-    chain_servers.reserve(chain.size());
-    for (const rdma::Fabric::ChainOp& op : chain) {
-      chain_servers.push_back(op.target.server_id());
-    }
+  chain.push_back(ChainOp::Write(locked_at, buf, page));
+  // Page backups are fenced on the locked primary: once it dies a reader
+  // may already have promoted a backup, so a late backup WRITE must not
+  // clobber the promoted copy.
+  for (uint32_t r = 0; r < replicas; ++r) {
+    const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
+    if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) continue;
+    ChainOp backup = ChainOp::Write(rep, backup_img.data(), page);
+    backup.fence_server = static_cast<int32_t>(locked_server);
+    chain.push_back(backup);
   }
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    const SimTime chain_t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().PostChain(ctx_->client_id(), chain);
-    for (const uint32_t server : chain_servers) {
-      TraceVerbEvent(metrics::TraceVerb::kWrite, server, chain_id, chain_t0);
-    }
-    if (!alive()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return Status::Unavailable("client crashed");
-    }
-    if (!fabric().ServerAlive(locked_server)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return fabric().replicated()
-          ? Status::Aborted("locked primary died during publication")
-          : Status::Unavailable("memory server dead");
-    }
-    if (done == rdma::VerbCompletion::kOk) break;
-    // Part of the chain — or only completions — was lost. The page stays
-    // ours until the unlock WRITE is visible, so read the version word
-    // back to decide.
-    uint64_t now_word = 0;
-    const Status read_back = co_await ReadWord(
-        locked_at.Plus(btree::kVersionOffset), &now_word);
-    if (!read_back.ok()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return read_back;
-    }
-    if (now_word != word) break;  // the release landed; only ACKs were lost
-    // Still locked by us: the unlock WRITE never executed, so nobody can
-    // have modified the page — every member re-posts the same bytes.
-    // namtree-lint: retry-ok(read-back proved the release missing; chain is byte-idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("publication chain lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    ctx_->round_trips.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  const rdma::RemotePtr word_at = locked_at.Plus(btree::kVersionOffset);
+  chain.push_back(ChainOp::Write(word_at, &unlocked, 8));
+  // A lost completion: the page stays ours until the unlock WRITE is
+  // visible, so while the version word still reads our locked word nobody
+  // can have modified the page and every member re-posts the same bytes.
+  const auto judge = [word](uint64_t now_word) {
+    return now_word == word ? Witnessed::kUntouched : Witnessed::kLanded;
+  };
+  const Status status =
+      co_await Post(chain, locked_server, LostRule::ReadBack(word_at, judge));
   ctx_->lock_routes.erase(ptr.raw());
-  co_return Status::OK();
+  co_return status;
+}
+
+sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
+                                             const uint8_t* buf) {
+  co_return co_await Publish(rdma::RemotePtr::Null(), nullptr, ptr, buf);
 }
 
 sim::Task<Status> RemoteOps::WriteSiblingAndUnlockPage(
     rdma::RemotePtr sibling, const uint8_t* sibling_buf, rdma::RemotePtr ptr,
     const uint8_t* buf) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  if (!fabric().config().verb_chaining) {
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      ctx_->round_trips.Inc();
-      const SimTime sib_t0 = TraceStart();
-      const rdma::VerbCompletion done = co_await fabric().Write(
-          ctx_->client_id(), sibling, sibling_buf, page_size());
-      TraceVerbEvent(metrics::TraceVerb::kWrite, sibling.server_id(),
-                     /*chain=*/0, sib_t0);
-      if (!alive()) co_return Status::Unavailable("client crashed");
-      if (done == rdma::VerbCompletion::kOk) break;
-      // The sibling is unreachable until the page below publishes the
-      // link: re-post freely. namtree-lint: retry-ok(unlinked page)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("sibling WRITE lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    for (uint32_t r = 1; fabric().replicated() && r < fabric().replication();
-         ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
-      if (!fabric().ServerAlive(rep.server_id())) continue;
-      // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-      for (uint32_t attempt = 0;; ++attempt) {
-        ctx_->round_trips.Inc();
-        const SimTime rep_t0 = TraceStart();
-        // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-        const rdma::VerbCompletion done = co_await fabric().Write(
-            ctx_->client_id(), rep, sibling_buf, page_size());
-        TraceVerbEvent(metrics::TraceVerb::kWrite, rep.server_id(),
-                       /*chain=*/0, rep_t0);
-        if (!alive()) co_return Status::Unavailable("client crashed");
-        if (done == rdma::VerbCompletion::kOk) break;
-        if (!fabric().ServerAlive(rep.server_id())) break;
-        // namtree-lint: retry-ok(unlinked page)
-        if (policy.Exhausted(attempt + 1)) {
-          ctx_->verb_retry_exhausted.Inc();
-          co_return Status::TimedOut("sibling WRITE lost in the network");
-        }
-        ctx_->verb_retry_attempts.Inc();
-        co_await sim::Delay(fabric().simulator(),
-                            policy.BackoffFor(attempt, ctx_->rng()));
-      }
-    }
-    co_return co_await WriteUnlockPage(ptr, buf);  // unchained path
-  }
-  uint64_t word;
-  std::memcpy(&word, buf + btree::kVersionOffset, 8);
-  assert(IsLocked(word) && "image must carry the lock bit until the release");
-  const RouteResult route = LockedReplica(ptr);
-  if (!route.ok()) {
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return route.status;
-  }
-  const rdma::RemotePtr locked_at = route.ptr;
-  const uint32_t locked_server = locked_at.server_id();
-  if (!fabric().ServerAlive(locked_server)) {
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return fabric().replicated()
-        ? Status::Aborted("locked primary died before publication")
-        : Status::Unavailable("memory server dead");
-  }
-  const uint64_t unlocked = btree::VersionOf(word) + 2;
-  std::vector<uint8_t> backup_img;
-  if (fabric().replicated()) {
-    backup_img.assign(buf, buf + page_size());
-    std::memcpy(backup_img.data() + btree::kVersionOffset, &unlocked, 8);
-  }
-  ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(1 + 2 * fabric().replication());
-  chain.push_back(
-      rdma::Fabric::ChainOp::Write(sibling, sibling_buf, page_size()));
-  if (fabric().replicated()) {
-    // Sibling backups ride unfenced: the sibling is unreachable until the
-    // page WRITE below publishes the link, so an orphaned sibling replica
-    // (its chain cut by a mid-chain server death) is harmless garbage.
-    for (uint32_t r = 1; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
-      if (!fabric().ServerAlive(rep.server_id())) continue;
-      chain.push_back(rdma::Fabric::ChainOp::Write(rep, sibling_buf,
-                                                   page_size()));
-    }
-  }
-  chain.push_back(rdma::Fabric::ChainOp::Write(locked_at, buf, page_size()));
-  if (fabric().replicated()) {
-    for (uint32_t r = 0; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      rdma::Fabric::ChainOp op = rdma::Fabric::ChainOp::Write(
-          rep, backup_img.data(), page_size());
-      op.fence_server = static_cast<int32_t>(locked_server);
-      chain.push_back(op);
-    }
-  }
-  chain.push_back(rdma::Fabric::ChainOp::Write(
-      locked_at.Plus(btree::kVersionOffset), &unlocked, 8));
-  const uint64_t chain_id = ctx_->trace().NextChainId();
-  std::vector<uint32_t> chain_servers;
-  if (ctx_->trace().in_span()) {
-    chain_servers.reserve(chain.size());
-    for (const rdma::Fabric::ChainOp& op : chain) {
-      chain_servers.push_back(op.target.server_id());
-    }
-  }
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    const SimTime chain_t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().PostChain(ctx_->client_id(), chain);
-    for (const uint32_t server : chain_servers) {
-      TraceVerbEvent(metrics::TraceVerb::kWrite, server, chain_id, chain_t0);
-    }
-    if (!alive()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return Status::Unavailable("client crashed");
-    }
-    if (!fabric().ServerAlive(locked_server)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return fabric().replicated()
-          ? Status::Aborted("locked primary died during publication")
-          : Status::Unavailable("memory server dead");
-    }
-    if (done == rdma::VerbCompletion::kOk) break;
-    // Same resolution as WriteUnlockPage: the page version word decides
-    // whether the (idempotent) chain must be re-posted.
-    uint64_t now_word = 0;
-    const Status read_back = co_await ReadWord(
-        locked_at.Plus(btree::kVersionOffset), &now_word);
-    if (!read_back.ok()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return read_back;
-    }
-    if (now_word != word) break;  // the release landed; only ACKs were lost
-    // namtree-lint: retry-ok(read-back proved the release missing; chain is byte-idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("publication chain lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    ctx_->round_trips.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
-  ctx_->lock_routes.erase(ptr.raw());
-  co_return Status::OK();
+  co_return co_await Publish(sibling, sibling_buf, ptr, buf);
 }
 
 sim::Task<Status> RemoteOps::UnlockPage(rdma::RemotePtr ptr) {
   const RouteResult route = LockedReplica(ptr);
   ctx_->lock_routes.erase(ptr.raw());
   if (!route.ok()) co_return route.status;
-  if (fabric().replicated() &&
-      !fabric().ServerAlive(route.ptr.server_id())) {
-    // The lock evaporated with its server; the promoted replica carries a
-    // clean unlocked word (backups never store locked words).
+  const uint32_t server = route.ptr.server_id();
+  // A lock whose server died took the lock with it: the promoted replica
+  // carries a clean unlocked word (backups never store locked words).
+  if (fabric().replicated() && !fabric().ServerAlive(server)) {
     co_return Status::OK();
   }
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::AtomicResult faa = co_await fabric().FetchAndAdd(
-        ctx_->client_id(), route.ptr.Plus(btree::kVersionOffset), 1);
-    TraceVerbEvent(metrics::TraceVerb::kFaa, route.ptr.server_id(),
-                   /*chain=*/0, t0);
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (!fabric().ServerAlive(route.ptr.server_id())) {
-      co_return fabric().replicated()
-          ? Status::OK()  // lock and server vanished together
-          : Status::Unavailable("memory server dead");
-    }
-    if (faa.ok()) co_return Status::OK();
-    // Ambiguous release: read the word back. While it is still locked with
-    // our holder stamp the FAA provably never executed; anything else
-    // means the release is visible (or a lease steal intervened — either
-    // way a second +1 would corrupt the word).
-    uint64_t now_word = 0;
-    const Status read_back = co_await ReadWord(
-        route.ptr.Plus(btree::kVersionOffset), &now_word);
-    if (!read_back.ok()) co_return read_back;
-    if (!(IsLocked(now_word) &&
-          btree::HolderOf(now_word) == ctx_->client_id())) {
-      co_return Status::OK();
-    }
-    // namtree-lint: retry-ok(read-back proved the FAA had no effect)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("unlock FAA lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  // Ambiguous release: while the word is still locked with our holder
+  // stamp the FAA provably never executed; anything else means the release
+  // is visible (or a lease steal intervened — either way a second +1 would
+  // corrupt the word).
+  const rdma::RemotePtr word_at = route.ptr.Plus(btree::kVersionOffset);
+  const ChainOp faa = ChainOp::Faa(word_at, 1);
+  const uint32_t me = ctx_->client_id();
+  const auto judge = [me](uint64_t word) {
+    return IsLocked(word) && btree::HolderOf(word) == me
+               ? Witnessed::kUntouched
+               : Witnessed::kLanded;
+  };
+  const Status status =
+      co_await Post({&faa, 1}, server, LostRule::ReadBack(word_at, judge));
+  // Aborted: the server died mid-release (R>1) — lock and server vanished
+  // together.
+  co_return status.IsAborted() ? Status::OK() : status;
 }
 
 sim::Task<Status> RemoteOps::WriteFreshPage(rdma::RemotePtr ptr,
                                             const uint8_t* buf) {
-  const rdma::RetryPolicy policy = VerbPolicy();
+  // The page is unreachable until a later publication links it, so every
+  // lost WRITE re-posts as-is.
   if (!fabric().replicated()) {
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      ctx_->round_trips.Inc();
-      const SimTime t0 = TraceStart();
-      const rdma::VerbCompletion done = co_await fabric().Write(
-          ctx_->client_id(), ptr, buf, page_size());
-      TraceVerbEvent(metrics::TraceVerb::kWrite, ptr.server_id(), /*chain=*/0,
-                     t0);
-      if (!alive()) co_return Status::Unavailable("client crashed");
-      if (!fabric().ServerAlive(ptr.server_id())) {
-        co_return Status::Unavailable("memory server dead");
-      }
-      if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-      // The page is unreachable until a later publication links it.
-      // namtree-lint: retry-ok(unlinked page, byte-idempotent)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("fresh-page WRITE lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
+    const ChainOp write = ChainOp::Write(ptr, buf, page_size());
+    co_return co_await Post({&write, 1}, ptr.server_id(), LostRule::Repost());
   }
-  // Primary + all live backups, unfenced: the page is unreachable until a
-  // later (fenced) publication links it, so partial replication after a
-  // mid-chain death is harmless.
-  ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
+  // Primary + all live backups, unfenced: partial replication after a
+  // mid-chain death is harmless for the same reason.
+  std::vector<ChainOp> chain;
   chain.reserve(fabric().replication());
   for (uint32_t r = 0; r < fabric().replication(); ++r) {
     const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
     if (!fabric().ServerAlive(rep.server_id())) continue;
-    chain.push_back(rdma::Fabric::ChainOp::Write(rep, buf, page_size()));
+    chain.push_back(ChainOp::Write(rep, buf, page_size()));
   }
   if (chain.empty()) co_return Status::Unavailable("all replicas dead");
-  const uint64_t chain_id = ctx_->trace().NextChainId();
-  std::vector<uint32_t> chain_servers;
-  if (ctx_->trace().in_span()) {
-    chain_servers.reserve(chain.size());
-    for (const rdma::Fabric::ChainOp& op : chain) {
-      chain_servers.push_back(op.target.server_id());
-    }
-  }
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    const SimTime chain_t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().PostChain(ctx_->client_id(), chain);
-    for (const uint32_t server : chain_servers) {
-      TraceVerbEvent(metrics::TraceVerb::kWrite, server, chain_id, chain_t0);
-    }
-    if (!alive()) co_return Status::Unavailable("client crashed");
-    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // namtree-lint: retry-ok(unlinked pages, byte-idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("fresh-page chain lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    ctx_->round_trips.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
+  co_return co_await Post(chain, kNoWatch, LostRule::Repost());
 }
 
 sim::Task<AllocResult> RemoteOps::AllocPage(uint32_t server) {
-  uint32_t target = server;
-  if (!fabric().ServerAlive(target)) {
-    if (!fabric().replicated()) {
-      co_return AllocResult{Status::Unavailable("memory server dead"),
+  const uint32_t n = fabric().num_memory_servers();
+  // Each pass that does not return saw its target die under the FAA (R>1),
+  // so the passes are bounded by the server count.
+  for (uint32_t pass = 0; pass < n; ++pass) {
+    // A dead home server's allocations move to the next live server
+    // (replicated only); the new page's replica group is the formula group
+    // of its actual host.
+    uint32_t target = server;
+    for (uint32_t i = 1; fabric().replicated() && i < n &&
+                         !fabric().ServerAlive(target);
+         ++i) {
+      target = (server + i) % n;
+    }
+    if (!fabric().ServerAlive(target)) {
+      co_return AllocResult{Status::Unavailable(fabric().replicated()
+                                                    ? "all memory servers dead"
+                                                    : "memory server dead"),
                             rdma::RemotePtr::Null()};
     }
-    // A dead home server's allocations move to the next live server; the
-    // new page's replica group is the formula group of its actual host.
-    const uint32_t n = fabric().num_memory_servers();
-    bool found = false;
-    for (uint32_t i = 1; i < n; ++i) {
-      const uint32_t candidate = (server + i) % n;
-      if (fabric().ServerAlive(candidate)) {
-        target = candidate;
-        found = true;
-        break;
-      }
+    const rdma::RemotePtr cursor =
+        rdma::RemotePtr::Make(target, rdma::MemoryRegion::kAllocCursorOffset);
+    // Ambiguity bookkeeping: a lost allocation FAA leaves no witness in the
+    // allocated slot (unlike lock words, cursor slots carry no holder
+    // stamp), so pre-read the cursor while faults can fire. The extra READ
+    // is gated on fault enablement — knobs-off runs stay verb-identical.
+    uint64_t cursor_before = 0;
+    bool have_cursor_before = false;
+    if (fabric().NetFaultsLive()) {
+      const Status pre = co_await ReadWord(cursor, &cursor_before);
+      if (!pre.ok()) co_return AllocResult{pre, rdma::RemotePtr::Null()};
+      have_cursor_before = true;
     }
-    if (!found) {
-      co_return AllocResult{Status::Unavailable("all memory servers dead"),
-                            rdma::RemotePtr::Null()};
-    }
-  }
-  const rdma::RemotePtr cursor =
-      rdma::RemotePtr::Make(target, rdma::MemoryRegion::kAllocCursorOffset);
-  const rdma::RetryPolicy policy = VerbPolicy();
-  // Ambiguity bookkeeping: a lost allocation FAA leaves no witness in the
-  // allocated slot (unlike lock words, cursor slots carry no holder
-  // stamp), so pre-read the cursor while faults can fire. An unchanged
-  // cursor later proves a lost FAA never executed. The extra READ is
-  // gated on fault enablement — knobs-off runs stay verb-identical.
-  uint64_t cursor_before = 0;
-  bool have_cursor_before = false;
-  if (fabric().NetFaultsLive()) {
-    const Status pre = co_await ReadWord(cursor, &cursor_before);
-    if (!pre.ok()) co_return AllocResult{pre, rdma::RemotePtr::Null()};
-    have_cursor_before = true;
-  }
-  uint64_t offset = 0;
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    ctx_->round_trips.Inc();
-    const SimTime t0 = TraceStart();
-    const rdma::AtomicResult faa = co_await fabric().FetchAndAdd(
-        ctx_->client_id(), cursor, page_size());
-    TraceVerbEvent(metrics::TraceVerb::kFaa, target, /*chain=*/0, t0);
-    // A dead client's FAA is dropped and returns 0, which would alias the
-    // region header — treat it as an allocation failure.
-    if (!alive()) {
-      co_return AllocResult{Status::Unavailable("client crashed"),
-                            rdma::RemotePtr::Null()};
-    }
-    if (!fabric().ServerAlive(target)) {  // died mid-FAA: cursor never moved
-      co_return AllocResult{Status::Unavailable("memory server dead"),
-                            rdma::RemotePtr::Null()};
-    }
-    if (faa.ok()) {
-      offset = faa.value;
-      break;
-    }
-    // Ambiguous allocation: read the cursor back. Unchanged = our FAA
-    // never executed, plain re-post. Moved = ours may be among the movers
-    // but is indistinguishable from concurrent allocators', so re-draw
+    // Ambiguous allocation: the read-back cursor unchanged = our FAA never
+    // executed, plain re-post. Moved = ours may be among the movers but is
+    // indistinguishable from concurrent allocators', so re-draw
     // conservatively: at worst one page-size hole leaks in the stripe
     // (client.alloc_leaks counts the events).
-    uint64_t cursor_now = 0;
-    const Status read_back = co_await ReadWord(cursor, &cursor_now);
-    if (!read_back.ok()) {
-      co_return AllocResult{read_back, rdma::RemotePtr::Null()};
-    }
-    if (have_cursor_before && cursor_now != cursor_before) {
-      ctx_->alloc_leaks.Inc();
-    }
-    cursor_before = cursor_now;
-    have_cursor_before = true;
-    // namtree-lint: retry-ok(read-back resolved the lost FAA; moved cursors leak, never alias)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->verb_retry_exhausted.Inc();
-      co_return AllocResult{Status::TimedOut("alloc FAA lost in the network"),
+    const auto judge = [&](uint64_t cursor_now) {
+      if (have_cursor_before && cursor_now != cursor_before) {
+        ctx_->alloc_leaks.Inc();
+      }
+      cursor_before = cursor_now;
+      have_cursor_before = true;
+      return Witnessed::kUntouched;
+    };
+    uint64_t offset = 0;
+    const ChainOp faa = ChainOp::Faa(cursor, page_size(), &offset);
+    const Status status =
+        co_await Post({&faa, 1}, target, LostRule::ReadBack(cursor, judge));
+    if (status.IsAborted()) continue;  // died mid-FAA: cursor never moved
+    if (!status.ok()) co_return AllocResult{status, rdma::RemotePtr::Null()};
+    if (offset + page_size() > fabric().AllocLimit(target)) {
+      co_return AllocResult{Status::OutOfMemory("region exhausted"),
                             rdma::RemotePtr::Null()};
     }
-    ctx_->verb_retry_attempts.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
+    co_return AllocResult{Status::OK(), rdma::RemotePtr::Make(target, offset)};
   }
-  if (offset + page_size() > fabric().AllocLimit(target)) {
-    co_return AllocResult{Status::OutOfMemory("region exhausted"),
-                          rdma::RemotePtr::Null()};
-  }
-  co_return AllocResult{Status::OK(), rdma::RemotePtr::Make(target, offset)};
+  co_return AllocResult{Status::Unavailable("all memory servers dead"),
+                        rdma::RemotePtr::Null()};
 }
 
 sim::Task<AllocResult> RemoteOps::AllocPageRoundRobin() {

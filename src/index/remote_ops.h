@@ -2,6 +2,8 @@
 #define NAMTREE_INDEX_REMOTE_OPS_H_
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "btree/page.h"
@@ -50,19 +52,24 @@ struct RouteResult {
 
 /// The one-sided page protocol of the fine-grained design (paper Listing 4):
 /// remote reads with a remote spinlock on the version word, lock upgrade via
-/// RDMA CAS, unlock-with-writeback via RDMA WRITE + FETCH_AND_ADD, and
-/// remote page allocation via FETCH_AND_ADD on the region's allocation
-/// cursor (RDMA_ALLOC).
+/// RDMA CAS, unlock-with-writeback as one doorbell chain {page WRITE, unlock
+/// WRITE}, release without changes via FETCH_AND_ADD, and remote page
+/// allocation via FETCH_AND_ADD on the region's allocation cursor
+/// (RDMA_ALLOC).
+///
+/// Every verb goes through one awaitable, Post, which owns the retry loop,
+/// liveness checks, tracing, round-trip accounting and the mapping of a
+/// dead server to a status; the protocol steps below only build chains.
 ///
 /// Network-fault behavior: a verb that the flaky fabric reports kLost is
 /// ambiguous — its effect may have landed with only the completion gone.
-/// Idempotent verbs (READs, WRITEs of the same image) re-post under the
-/// bounded RetryPolicy::ForVerbs budget; non-idempotent atomics resolve
-/// the ambiguity first with a read-back (lock CAS: the holder-stamped
-/// word; unlock FAA / publication chains: the version word; allocation
-/// FAA: the cursor) and only re-post when the read-back proved no effect.
-/// Budget exhaustion surfaces Status::TimedOut — distinct from the
-/// kUnavailable of a dead server (docs/fault_model.md §8).
+/// Byte-idempotent chains (READs, WRITEs of the same image) re-post under
+/// the bounded RetryPolicy::ForVerbs budget; non-idempotent atomics and
+/// publications resolve the ambiguity first with a witness read-back (lock
+/// CAS: the holder-stamped word; unlock FAA / publication chains: the
+/// version word; allocation FAA: the cursor) and only re-post when the
+/// read-back proved no effect. Budget exhaustion surfaces Status::TimedOut —
+/// distinct from the kUnavailable of a dead server (docs/fault_model.md §8).
 ///
 /// Crash-fault behavior: every op surfaces Status::Unavailable as soon as
 /// the owning client is dead (its verbs are dropped by the fabric).
@@ -79,14 +86,17 @@ struct RouteResult {
 /// server deterministically promotes the next replica; disciplined writers
 /// publish primary + backups in one doorbell chain, with backup WRITEs
 /// fenced on the locked primary so a late backup never clobbers a promoted
-/// replica. At R=1 a dead server simply surfaces kUnavailable. A
-/// publication whose locked primary died mid-chain returns kAborted (only
-/// at R>1): the op retries against the promoted replica.
+/// replica. At R=1 a dead server simply surfaces kUnavailable. A post
+/// whose watched server died under it returns kAborted at R>1: the op
+/// retries against the promoted replica (or, for allocation, the next live
+/// server).
 ///
 /// A RemoteOps instance is a thin, per-client facade over the fabric; it
 /// charges every verb to `ctx` for round-trip accounting.
 class RemoteOps {
  public:
+  using ChainOp = rdma::Fabric::ChainOp;
+
   explicit RemoteOps(nam::ClientContext& ctx) : ctx_(&ctx) {}
 
   nam::ClientContext& ctx() { return *ctx_; }
@@ -133,32 +143,28 @@ class RemoteOps {
   sim::Task<PageReadResult> LockPage(rdma::RemotePtr ptr, uint8_t* buf);
 
   /// remote_writeUnlock: installs the modified local image (which must
-  /// still carry the lock bit) and releases the lock, bumping the version.
-  /// With FabricConfig::verb_chaining (default) this is one doorbell-
-  /// batched {page WRITE, unlock WRITE} chain — one doorbell, one
-  /// completion; with chaining disabled it falls back to an individually
-  /// signaled RDMA WRITE followed by FETCH_AND_ADD(+1). Under replication
-  /// the chain grows backup-page WRITEs (clean unlocked word, fenced on
-  /// the locked primary) between the page WRITE and the unlock; a primary
-  /// that died mid-publication surfaces kAborted so the op retries against
-  /// the promoted replica.
+  /// still carry the lock bit) and releases the lock, bumping the version:
+  /// one doorbell chain {page WRITE, unlock WRITE}, the unlock WRITE
+  /// installing the clean `version + 2` word. Under replication the chain
+  /// grows backup-page WRITEs (clean unlocked word, fenced on the locked
+  /// primary) between the page WRITE and the unlock; a primary that died
+  /// mid-publication surfaces kAborted so the op retries against the
+  /// promoted replica. With FabricConfig::verb_chaining off the fabric
+  /// posts the same members as individually signaled verbs.
   sim::Task<Status> WriteUnlockPage(rdma::RemotePtr ptr, const uint8_t* buf);
 
-  /// B-link split publication with one doorbell: chains {new-sibling
-  /// WRITE, page WRITE, unlock WRITE}. Chain members take effect in
-  /// posting order, so a reader can never follow the freshly published
-  /// sibling pointer in `buf` to a not-yet-written `sibling` page. Falls
-  /// back to the signaled sibling WRITE + WriteUnlockPage sequence when
-  /// verb chaining is disabled. Under replication both pages' backups ride
-  /// the same chain (sibling backups unfenced — an orphaned sibling
-  /// replica is unreachable garbage; page backups fenced on the locked
-  /// primary).
+  /// B-link split publication with one doorbell: WriteUnlockPage's chain
+  /// led by the new-sibling WRITE. Chain members take effect in posting
+  /// order, so a reader can never follow the freshly published sibling
+  /// pointer in `buf` to a not-yet-written `sibling` page. Under
+  /// replication the sibling's backups ride the same chain unfenced (an
+  /// orphaned sibling replica is unreachable garbage).
   sim::Task<Status> WriteSiblingAndUnlockPage(rdma::RemotePtr sibling,
                                               const uint8_t* sibling_buf,
                                               rdma::RemotePtr ptr,
                                               const uint8_t* buf);
 
-  /// Releases a lock without content changes (FAA only). A lock whose
+  /// Releases a lock without content changes (FAA +1). A lock whose
   /// holding server died has evaporated with the server: OK at R>1.
   sim::Task<Status> UnlockPage(rdma::RemotePtr ptr);
 
@@ -169,8 +175,9 @@ class RemoteOps {
   sim::Task<Status> WriteFreshPage(rdma::RemotePtr ptr, const uint8_t* buf);
 
   /// RDMA_ALLOC on a specific server. Under replication a dead home
-  /// server's allocations move to the next live server; the stripe bound
-  /// surfaces kOutOfMemory and a dead fabric kUnavailable.
+  /// server's allocations — and those whose server dies mid-FAA — move to
+  /// the next live server; the stripe bound surfaces kOutOfMemory and a
+  /// dead fabric kUnavailable.
   sim::Task<AllocResult> AllocPage(uint32_t server);
 
   /// RDMA_ALLOC scattering allocations over all *live* memory servers
@@ -179,7 +186,7 @@ class RemoteOps {
   sim::Task<AllocResult> AllocPageRoundRobin();
 
   // ---- Counted raw-verb helpers -------------------------------------------
-  // The round-trip toll for client-visible verbs is paid here (or in
+  // The round-trip toll for client-visible verbs is paid in Post (or in
   // nam::ClientContext::Call for RPCs), never by hand at call sites, so
   // batched and combined paths cannot miscount.
 
@@ -200,14 +207,69 @@ class RemoteOps {
                              uint32_t len);
 
   /// One counted doorbell-batched READ-only chain (range-scan prefetch,
-  /// speculative path prefetch): all requests ride one doorbell — one
-  /// round trip regardless of the batch size. Buffers of requests whose
-  /// target server died mid-batch are unspecified; the caller re-checks
-  /// `alive()` and per-slot `ServerAlive` like any batch consumer.
-  sim::Task<Status> ReadPagesBatch(
-      std::vector<rdma::Fabric::ReadRequest> requests);
+  /// speculative path prefetch; build members with ChainOp::Read): all
+  /// requests ride one doorbell — one round trip regardless of the batch
+  /// size. Buffers of requests whose target server died mid-batch are
+  /// unspecified; the caller re-checks `alive()` and per-slot
+  /// `ServerAlive` like any batch consumer.
+  sim::Task<Status> ReadPagesBatch(std::vector<ChainOp> reads);
 
  private:
+  /// What a witness read-back proved about a post whose completion was lost.
+  enum class Witnessed : uint8_t {
+    kLanded,     ///< the effect is visible; only the completion was lost
+    kUntouched,  ///< provably no effect: re-posting cannot double-apply
+    kLostRace,   ///< another writer got there first: the post fails kAborted
+  };
+
+  /// RemoteOps::Post's rule for a lost (kLost) completion. Without a
+  /// witness the chain is byte-idempotent and re-posts as-is; with one, Post
+  /// reads that 8-byte word back and lets `judge` decide.
+  struct LostRule {
+    /// Non-owning `Witnessed(uint64_t)` callable. The referent must outlive
+    /// the post — keep it a named local of the posting coroutine.
+    class Judge {
+     public:
+      Judge() = default;
+      template <typename F>
+        requires(!std::is_same_v<F, Judge>)
+      Judge(const F& f)  // NOLINT(google-explicit-constructor)
+          : fn_(&f), call_([](const void* fn, uint64_t word) {
+              return (*static_cast<const F*>(fn))(word);
+            }) {}
+      Witnessed operator()(uint64_t word) const { return call_(fn_, word); }
+
+     private:
+      const void* fn_ = nullptr;
+      Witnessed (*call_)(const void*, uint64_t) = nullptr;
+    };
+
+    static LostRule Repost() { return {}; }
+    static LostRule ReadBack(rdma::RemotePtr word, Judge judge) {
+      return LostRule{word, judge};
+    }
+
+    rdma::RemotePtr witness;  ///< null = re-post as-is
+    Judge judge;
+  };
+
+  /// Post's `watched` argument when no server's death should fail the post.
+  static constexpr int32_t kNoWatch = -1;
+
+  /// The one verb-posting path: posts `chain` (a lone member as its plain
+  /// signaled verb, several as one doorbell chain — `posting` refines
+  /// this), re-posting after a lost completion as `rule` allows, with
+  /// capped backoff under the RetryPolicy::ForVerbs budget. Records one
+  /// trace event per member and counts round trips (or a combined READ).
+  /// Returns OK once the chain completed (or its witness proved it
+  /// landed); Unavailable when this client died; for a `watched` server
+  /// that died under the post, Aborted at R>1 and Unavailable at R=1;
+  /// Aborted when the witness shows a lost race; TimedOut when the budget
+  /// ran out. CAS / FAA pre-images arrive through ChainOp::result.
+  sim::Task<Status> Post(
+      std::span<const ChainOp> chain, int32_t watched, LostRule rule,
+      rdma::Fabric::Posting posting = rdma::Fabric::Posting::kVerbs);
+
   /// The lost-verb retry budget for this client's loops: ForVerbs on the
   /// static config, widened to the full budget when only runtime fault
   /// state (PartitionLink) makes the fabric lossy — the config predicate
@@ -222,28 +284,19 @@ class RemoteOps {
     return p;
   }
 
-  /// One full-page READ from exactly `at` (no failover), with liveness
-  /// checks. Unavailable covers both a dead client and `at`'s server dying
-  /// mid-read — ReadPage/ReadPageUnlocked disambiguate via ServerAlive.
-  sim::Task<Status> ReadPageFrom(rdma::RemotePtr at, uint8_t* buf);
-
-  // ---- Verb-event tracing --------------------------------------------------
-  // Every counted verb above records a metrics::TraceEvent into the owning
-  // client's OpTrace when a span is open (ClientContext::trace). TraceStart
-  // samples virtual time only inside an open span, so with tracing off (the
-  // default) the helpers are a branch and nothing else.
+  /// The publication chain behind WriteUnlockPage and
+  /// WriteSiblingAndUnlockPage: an optional `sibling` (null = none) with
+  /// its unfenced backups, the page, its backups fenced on the locked
+  /// primary, and the clean `version + 2` unlock WRITE.
+  sim::Task<Status> Publish(rdma::RemotePtr sibling,
+                            const uint8_t* sibling_buf, rdma::RemotePtr ptr,
+                            const uint8_t* buf);
 
   /// Virtual-time stamp taken just before posting a verb; 0 when no span is
-  /// open (the matching TraceVerbEvent is then dropped by the ring).
+  /// open (the matching trace event is then dropped by the ring). With
+  /// tracing off (the default) this is a branch and nothing else.
   SimTime TraceStart() const {
     return ctx_->trace().in_span() ? ctx_->fabric().simulator().now() : 0;
-  }
-
-  /// Records the completed verb `[t0, now]` against `server`; `chain` > 0
-  /// groups the members of one doorbell-batched chain.
-  void TraceVerbEvent(metrics::TraceVerb verb, uint32_t server, uint64_t chain,
-                      SimTime t0) {
-    ctx_->trace().Event(verb, server, chain, t0);
   }
 
   /// The replica this client locked for primary address `ptr`: the

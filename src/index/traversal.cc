@@ -144,17 +144,18 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
 
   // One doorbell: every missing/expired predicted page plus the leaf.
   spec->arena.resize(fresh_count * static_cast<size_t>(page));
-  std::vector<rdma::Fabric::ReadRequest> reqs;
+  std::vector<RemoteOps::ChainOp> reqs;
   reqs.reserve(fresh_count + 1);
   size_t slot = 0;
   for (const Hop& h : path) {
     if (!h.fresh) continue;
-    reqs.push_back(
-        {rdma::RemotePtr(h.raw), spec->arena.data() + slot * page, page});
+    reqs.push_back(RemoteOps::ChainOp::Read(
+        rdma::RemotePtr(h.raw), spec->arena.data() + slot * page, page));
     slot++;
   }
   if (want_leaf) {
-    reqs.push_back({spec->predicted_leaf, prefetch->leaf_buf, page});
+    reqs.push_back(RemoteOps::ChainOp::Read(spec->predicted_leaf,
+                                            prefetch->leaf_buf, page));
     spec->leaf_in_batch = true;
   }
   if (!(co_await ops.ReadPagesBatch(std::move(reqs))).ok()) co_return;

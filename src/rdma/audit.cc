@@ -365,6 +365,8 @@ void VerbAuditor::OnReadEffect(uint32_t client, RemotePtr src, uint32_t len,
           // that produced the observed value.
           client_vc_[client].Join(state.release_vc);
           state.extent = std::max(state.extent, hi - off);
+          // The read-back resolves any lost CAS of this client on the word.
+          std::erase(state.lost_cas_clients, client);
           // An exactly-word-sized read is a version probe: a pure
           // synchronization access.
           if (len == 8 && off == lo) return;
@@ -427,8 +429,10 @@ void VerbAuditor::OnCasEffect(uint32_t client, RemotePtr target,
     // execution landed: the sanctioned recovery reads the holder-stamped
     // word back instead of re-CASing (docs/fault_model.md §8). The spin
     // loop against someone else's lock never matches (holder differs).
+    const std::vector<uint32_t>& lost = state->lost_cas_clients;
     if (lock_acquire_shape && state->locked && state->holder == client &&
-        LockedWord(observed)) {
+        LockedWord(observed) &&
+        std::find(lost.begin(), lost.end(), client) != lost.end()) {
       Report(ViolationKind::kUnresolvedAmbiguousRetry, client, target,
              observed, desired, now);
     }
@@ -513,6 +517,16 @@ void VerbAuditor::OnFaaEffect(uint32_t client, RemotePtr target, uint64_t add,
   state->locked = LockedWord(updated);
   if (was_locked && !state->locked) {
     state->release_vc = client_vc_[client];
+  }
+}
+
+void VerbAuditor::OnCasLost(uint32_t client, RemotePtr target) {
+  if (!enabled_) return;
+  WordState* state = FindWord(target);
+  if (state == nullptr) return;  // never swapped: a re-CAS cannot misfire
+  std::vector<uint32_t>& lost = state->lost_cas_clients;
+  if (std::find(lost.begin(), lost.end(), client) == lost.end()) {
+    lost.push_back(client);
   }
 }
 

@@ -55,11 +55,15 @@ enum class ViolationKind {
   /// docs/static_analysis.md §Race detection.
   kRemoteRace,
   /// A client re-issued a lock-acquire CAS while it already held the lock
-  /// on that word: the signature of a raw, un-resolved retry of a
-  /// non-idempotent verb after an ambiguous (lost) completion. The
-  /// sanctioned recovery is a read-back of the holder-stamped word
-  /// (docs/fault_model.md §8) — blind re-CAS either deadlocks on its own
-  /// lock or, after an intervening release, double-acquires.
+  /// on that word, after the fabric had reported one of its CASes on that
+  /// word as lost and before it read the word back: the signature of a
+  /// raw, un-resolved retry of a non-idempotent verb after an ambiguous
+  /// (lost) completion. The sanctioned recovery is a read-back of the
+  /// holder-stamped word (docs/fault_model.md §8) — blind re-CAS either
+  /// deadlocks on its own lock or, after an intervening release,
+  /// double-acquires. Without a lost completion a failed acquire against
+  /// the client's own lock is a sibling pipelined lane contending for it
+  /// (the lanes of one client share its holder stamp), not a retry.
   kUnresolvedAmbiguousRetry,
 };
 
@@ -172,6 +176,11 @@ class VerbAuditor {
   /// A FETCH_AND_ADD executed: `prev` is the pre-image.
   void OnFaaEffect(uint32_t client, RemotePtr target, uint64_t add,
                    uint64_t prev, SimTime now);
+
+  /// The fabric reported `client`'s CAS on `target` as lost (kLost): until
+  /// the client reads the word back, a failed acquire CAS of it against
+  /// its own lock is an unresolved ambiguous retry.
+  void OnCasLost(uint32_t client, RemotePtr target);
 
   /// A posted WRITE was dropped in flight (its client crashed before the
   /// memory effect). Consumes the ticket without applying any checks.
@@ -321,6 +330,9 @@ class VerbAuditor {
     /// client count; superseded in place.
     std::unordered_map<uint32_t, Access> validated_reads;
     std::unordered_map<uint32_t, Access> elided_reads;
+    /// Clients whose CAS on this word completed kLost and that have not
+    /// read the word back since (kUnresolvedAmbiguousRetry arming).
+    std::vector<uint32_t> lost_cas_clients;
   };
 
   struct InflightWrite {

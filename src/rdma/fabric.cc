@@ -543,27 +543,73 @@ sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
   co_return CombinedReadResult{false, pending->completion};
 }
 
-sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
-                                            std::vector<ChainOp> ops) {
-  if (ops.empty()) co_return VerbCompletion::kOk;
+sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
+                                           std::span<const ChainOp> ops,
+                                           Posting posting) {
+  if (ops.size() != 1 || posting == Posting::kBatch) {
+    co_return co_await PostChain(client, {ops.begin(), ops.end()});
+  }
+  const ChainOp& op = ops.front();
+  switch (op.kind) {
+    case ChainOp::Kind::kRead: {
+      if (posting == Posting::kCombined) {
+        const CombinedReadResult r =
+            co_await CombinedRead(client, op.target, op.dst, op.len);
+        co_return PostResult{r.completion, r.combined ? 0u : 1u};
+      }
+      co_return PostResult{co_await Read(client, op.target, op.dst, op.len)};
+    }
+    case ChainOp::Kind::kWrite:
+      co_return PostResult{co_await Write(client, op.target, op.src, op.len,
+                                          op.fence_server)};
+    case ChainOp::Kind::kCas:
+    case ChainOp::Kind::kFaa: {
+      const AtomicResult r =
+          op.kind == ChainOp::Kind::kCas
+              ? co_await CompareAndSwap(client, op.target, op.expected,
+                                        op.desired)
+              : co_await FetchAndAdd(client, op.target, op.add);
+      if (r.ok() && op.result != nullptr) *op.result = r.value;
+      co_return PostResult{r.completion};
+    }
+  }
+  co_return PostResult{};
+}
+
+sim::Task<Fabric::PostResult> Fabric::PostChain(uint32_t client,
+                                                std::vector<ChainOp> ops) {
+  if (ops.empty()) co_return PostResult{};
+  // A READ-only chain (range-scan prefetch) has independent members; any
+  // WRITE or atomic makes the chain ordered — each member's effect waits
+  // for its predecessor, as the initiating NIC streams WQEs in posting
+  // order.
+  bool ordered = false;
+  for (const ChainOp& op : ops) {
+    if (op.kind != ChainOp::Kind::kRead) ordered = true;
+  }
+  if (ordered && !config_.verb_chaining) {
+    // Unchained posting mode: one signaled verb per member, in order.
+    PostResult unchained{VerbCompletion::kOk, 0};
+    for (const ChainOp& op : ops) {
+      const PostResult one = co_await Post(client, {&op, 1}, Posting::kVerbs);
+      unchained.round_trips++;
+      if (!one.ok()) {
+        unchained.completion = VerbCompletion::kLost;
+        break;
+      }
+    }
+    co_return unchained;
+  }
   // One doorbell, one crash-point tick for the whole chain.
   if (!CountVerbAndCheckAlive(client)) {
     dropped_verbs_.Inc();
     co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;
+    co_return PostResult{};
   }
   doorbells_.Inc();
   signaled_verbs_.Inc();  // the tail carries the chain's only completion
   unsignaled_verbs_.Inc(ops.size() - 1);
   const uint64_t chain_id = next_chain_id_++;
-
-  // A READ-only chain (range-scan prefetch) has independent members; any
-  // WRITE or CAS makes the chain ordered — each member's effect waits for
-  // its predecessor, as the initiating NIC streams WQEs in posting order.
-  bool ordered = false;
-  for (const ChainOp& op : ops) {
-    if (op.kind != ChainOp::Kind::kRead) ordered = true;
-  }
 
   // Network faults hit chain members individually (one fault draw per
   // member; an exact fault point matching the chain's verb index lands on
@@ -577,9 +623,8 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
   if (NetFaultsLive()) {
     member_faults.resize(ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
-      member_faults[i] = DrawNetFault(
-          client, ops[i].target.server_id(),
-          ops[i].kind == ChainOp::Kind::kCas);
+      member_faults[i] = DrawNetFault(client, ops[i].target.server_id(),
+                                      IsAtomic(ops[i].kind));
       if (member_faults[i].kind == NetFaultKind::kDropVerb) {
         if (ordered) net_drop_from = std::min(net_drop_from, i);
         completion_lost = true;
@@ -623,7 +668,7 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
       sim::Link& bus = LocalBus(config_.MemoryServerMachine(sid));
       SimTime start = simulator_.now() + config_.local_latency_ns;
       if (ordered) start = std::max(start, prev_effect);
-      if (op.kind == ChainOp::Kind::kCas) {
+      if (IsAtomic(op.kind)) {
         // Atomics serialize through the NIC even locally (loopback) so
         // that remote and local atomics remain mutually atomic; see §4.2.
         t_effect = server.engine.ReserveOccupancy(
@@ -669,7 +714,8 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
           done = t_effect + WireLatency();
           break;
         }
-        case ChainOp::Kind::kCas: {
+        case ChainOp::Kind::kCas:
+        case ChainOp::Kind::kFaa: {
           const SimTime t_out =
               compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
           SimTime t_arrive = t_out + WireLatency() + mf.extra_delay;
@@ -690,22 +736,14 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
       // (later) second slot in the effects loop below.
       net_duplicates_.Inc();
       t_effect = server.engine.ReserveOccupancy(
-          t_effect, op.kind == ChainOp::Kind::kCas
+          t_effect, IsAtomic(op.kind)
                         ? config_.atomic_engine_ns
                         : EngineCost(sid, config_.unsignaled_engine_ns));
     }
-    switch (op.kind) {
-      case ChainOp::Kind::kRead: server.reads++; break;
-      case ChainOp::Kind::kWrite: server.writes++; break;
-      case ChainOp::Kind::kCas: server.atomics++; break;
-    }
-    if (mf.kind == NetFaultKind::kDuplicate) {
-      switch (op.kind) {
-        case ChainOp::Kind::kRead: server.reads++; break;
-        case ChainOp::Kind::kWrite: server.writes++; break;
-        case ChainOp::Kind::kCas: server.atomics++; break;
-      }
-    }
+    uint64_t& executed = op.kind == ChainOp::Kind::kRead    ? server.reads
+                         : op.kind == ChainOp::Kind::kWrite ? server.writes
+                                                            : server.atomics;
+    executed += mf.kind == NetFaultKind::kDuplicate ? 2 : 1;
     prev_effect = t_effect;
     overall_done = std::max(overall_done, done);
     pending.push_back({t_effect, i, ticket});
@@ -730,7 +768,7 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
         }
       }
       dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
+      co_return PostResult{};
     }
     const ChainOp& op = ops[p.index];
     // Network fault domain: a member lost before the NIC drops here, and
@@ -751,10 +789,8 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
     // on exactly this effect), or whose fence server has died, drops
     // individually — members bound for live servers still land, so an
     // unlock aimed at a live primary is not lost to a dead backup.
-    const bool fenced_out =
-        op.fence_server >= 0 &&
-        !ServerAlive(static_cast<uint32_t>(op.fence_server));
-    if (fenced_out || !ServerVerbExecutes(op.target.server_id())) {
+    if (FencedOut(op.fence_server) ||
+        !ServerVerbExecutes(op.target.server_id())) {
       if (auditor_ && op.kind == ChainOp::Kind::kWrite) {
         auditor_->DropWrite(p.audit_ticket);
       }
@@ -801,32 +837,38 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
         }
         break;
       }
+      case ChainOp::Kind::kFaa: {
+        const bool twice =
+            !member_faults.empty() &&
+            member_faults[p.index].kind == NetFaultKind::kDuplicate;
+        const uint64_t current = ApplyFaa(client, op.target, op.add, twice);
+        if (op.result != nullptr) *op.result = current;
+        break;
+      }
     }
   }
   if (completion_lost) {
+    if (auditor_) {
+      for (const ChainOp& op : ops) {
+        if (op.kind == ChainOp::Kind::kCas) {
+          auditor_->OnCasLost(client, op.target);
+        }
+      }
+    }
     // The signaled tail's acknowledgement never arrives: whatever subset
     // of effects landed stays, but the poster learns nothing and gives up
     // after the retransmission budget.
     co_await sim::DelayUntil(simulator_,
                              overall_done + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
+    co_return PostResult{VerbCompletion::kLost};
   }
   co_await sim::DelayUntil(simulator_, overall_done);
-  co_return VerbCompletion::kOk;
-}
-
-sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
-                                            std::vector<ReadRequest> requests) {
-  std::vector<ChainOp> ops;
-  ops.reserve(requests.size());
-  for (const ReadRequest& r : requests) {
-    ops.push_back(ChainOp::Read(r.src, r.dst, r.len));
-  }
-  co_return co_await PostChain(client, std::move(ops));
+  co_return PostResult{};
 }
 
 sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
-                                        const void* src, uint32_t len) {
+                                        const void* src, uint32_t len,
+                                        int32_t fence_server) {
   if (!CountVerbAndCheckAlive(client)) {
     dropped_verbs_.Inc();
     co_await sim::Delay(simulator_, config_.nic_post_ns);
@@ -861,7 +903,7 @@ sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
       dropped_verbs_.Inc();
       co_return VerbCompletion::kOk;
     }
-    if (!ServerVerbExecutes(dst.server_id())) {  // target region is gone
+    if (FencedOut(fence_server) || !ServerVerbExecutes(dst.server_id())) {
       if (auditor_) auditor_->DropWrite(audit_ticket);
       dropped_verbs_.Inc();
       co_return VerbCompletion::kOk;
@@ -905,7 +947,8 @@ sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
     dropped_verbs_.Inc();
     co_return VerbCompletion::kOk;
   }
-  if (!ServerVerbExecutes(dst.server_id())) {  // target region is gone
+  // Target region gone, or the fence server died first.
+  if (FencedOut(fence_server) || !ServerVerbExecutes(dst.server_id())) {
     if (auditor_) auditor_->DropWrite(audit_ticket);
     dropped_verbs_.Inc();
     co_return VerbCompletion::kOk;
@@ -947,6 +990,7 @@ sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
     // caller) from a lost ack after a successful swap — resolved by
     // reading the word back.
     (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
+    if (auditor_) auditor_->OnCasLost(client, target);
     co_await sim::Delay(simulator_,
                         config_.nic_post_ns + config_.net_verb_timeout_ns);
     co_return AtomicResult{0, VerbCompletion::kLost};
@@ -1017,12 +1061,28 @@ sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
     // The swap (or its failure) happened; the response was lost. The
     // pre-image never reaches the caller — stamp read-back resolves it.
     net_dropped_completions_.Inc();
+    if (auditor_) auditor_->OnCasLost(client, target);
     co_await sim::DelayUntil(simulator_,
                              t_effect + config_.net_verb_timeout_ns);
     co_return AtomicResult{0, VerbCompletion::kLost};
   }
   co_await sim::DelayUntil(simulator_, done);
   co_return AtomicResult{current, VerbCompletion::kOk};
+}
+
+uint64_t Fabric::ApplyFaa(uint32_t client, RemotePtr target, uint64_t add,
+                          bool twice) {
+  uint8_t* remote = TargetAddress(target, 8);
+  uint64_t prev[2] = {0, 0};
+  for (int k = 0; k < (twice ? 2 : 1); ++k) {
+    std::memcpy(&prev[k], remote, 8);
+    const uint64_t updated = prev[k] + add;
+    std::memcpy(remote, &updated, 8);
+    if (auditor_) {
+      auditor_->OnFaaEffect(client, target, add, prev[k], simulator_.now());
+    }
+  }
+  return prev[0];
 }
 
 sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
@@ -1044,7 +1104,6 @@ sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
   }
   if (net.extra_delay > 0) net_delayed_verbs_.Inc();
   MemoryServerEndpoint& server = memory_servers_[target.server_id()];
-  uint8_t* remote = TargetAddress(target, 8);
 
   SimTime t_effect;
   SimTime done;
@@ -1089,22 +1148,8 @@ sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
     dropped_verbs_.Inc();
     co_return AtomicResult{};  // callers disambiguate via ServerAlive
   }
-  uint64_t current;
-  std::memcpy(&current, remote, 8);
-  const uint64_t updated = current + add;
-  std::memcpy(remote, &updated, 8);
-  if (auditor_) {
-    auditor_->OnFaaEffect(client, target, add, current, simulator_.now());
-  }
-  if (net.kind == NetFaultKind::kDuplicate) {
-    uint64_t again;
-    std::memcpy(&again, remote, 8);
-    const uint64_t twice = again + add;
-    std::memcpy(remote, &twice, 8);
-    if (auditor_) {
-      auditor_->OnFaaEffect(client, target, add, again, simulator_.now());
-    }
-  }
+  const uint64_t current = ApplyFaa(client, target, add,
+                                    net.kind == NetFaultKind::kDuplicate);
   if (net.kind == NetFaultKind::kDropCompletion) {
     // The add happened; the pre-image never came back.
     net_dropped_completions_.Inc();

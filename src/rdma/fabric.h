@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -260,15 +261,9 @@ class Fabric {
   sim::Task<CombinedReadResult> CombinedRead(uint32_t client, RemotePtr src,
                                              void* dst, uint32_t len);
 
-  struct ReadRequest {
-    RemotePtr src;
-    void* dst;
-    uint32_t len;
-  };
-
-  /// One element of a doorbell-batched verb chain (PostChain).
+  /// One element of a verb chain (PostChain / Post).
   struct ChainOp {
-    enum class Kind : uint8_t { kRead, kWrite, kCas };
+    enum class Kind : uint8_t { kRead, kWrite, kCas, kFaa };
 
     Kind kind = Kind::kRead;
     RemotePtr target;
@@ -277,7 +272,10 @@ class Fabric {
     uint32_t len = 0;
     uint64_t expected = 0;      ///< CAS compare value
     uint64_t desired = 0;       ///< CAS swap value
-    uint64_t* result = nullptr; ///< CAS pre-image sink (optional)
+    uint64_t add = 0;           ///< FETCH_AND_ADD addend
+    /// CAS / FAA pre-image sink (optional); written only when the verb's
+    /// completion arrives — a lost completion delivers no pre-image.
+    uint64_t* result = nullptr;
     /// Fence: drop this member at effect time if the named server is dead
     /// by then (-1 = unfenced). Replicated unlock chains fence backup
     /// WRITEs on the lock-holding primary: once the primary dies, a
@@ -314,37 +312,78 @@ class Fabric {
       op.result = result;
       return op;
     }
+    static ChainOp Faa(RemotePtr target, uint64_t add,
+                       uint64_t* result = nullptr) {
+      ChainOp op;
+      op.kind = Kind::kFaa;
+      op.target = target;
+      op.len = 8;
+      op.add = add;
+      op.result = result;
+      return op;
+    }
   };
 
-  /// Doorbell-batched chain of READ/WRITE/CAS verbs: all ops are posted
-  /// back-to-back with one doorbell and only the tail signaled, so each
-  /// member is charged the cheap unsignaled engine cost (atomics keep
+  /// How a post completed: the completion, and how many signaled round
+  /// trips the poster waited on in sequence (0 = a READ that rode another
+  /// lane's in-flight READ; 1 = one verb or one doorbell chain; one per
+  /// member for an ordered chain posted with verb chaining off).
+  struct PostResult {
+    VerbCompletion completion = VerbCompletion::kOk;
+    uint32_t round_trips = 1;
+    bool ok() const { return completion == VerbCompletion::kOk; }
+  };
+
+  /// How Post puts a chain on the wire.
+  enum class Posting : uint8_t {
+    /// A lone member goes out as its plain signaled verb; several members
+    /// ride one PostChain.
+    kVerbs,
+    /// kVerbs, and a lone READ may combine with an identical in-flight
+    /// READ of the same client (CombinedRead).
+    kCombined,
+    /// Always one PostChain, even for a lone member (READ-only prefetch
+    /// batches: selectively signaled, cheap unsignaled engine cost).
+    kBatch,
+  };
+
+  /// The one posting entry of the client protocol (RemoteOps::Post):
+  /// posts `ops` as `posting` says. A lone CAS / FAA delivers its
+  /// pre-image through `result`; a lone WRITE honours `fence_server`.
+  sim::Task<PostResult> Post(uint32_t client, std::span<const ChainOp> ops,
+                             Posting posting);
+
+  /// Doorbell-batched chain of READ/WRITE/CAS/FAA verbs: all ops are
+  /// posted back-to-back with one doorbell and only the tail signaled, so
+  /// each member is charged the cheap unsignaled engine cost (atomics keep
   /// their lock-unit cost). The whole chain counts as *one* verb against
   /// the poster's crash point; a client that dies mid-chain loses the
   /// not-yet-executed tail atomically.
   ///
   /// Ordering: a READ-only chain executes its members independently (the
   /// selectively-signaled prefetch of §4.3). As soon as the chain contains
-  /// a WRITE or CAS, members take effect strictly in posting order — the
+  /// a WRITE or atomic, members take effect strictly in posting order — the
   /// initiating NIC streams the WQEs sequentially — which is what makes
   /// the {page WRITE, unlock WRITE} and split chains safe to combine.
   /// Completes when the signaled tail's response has arrived. Under
   /// network faults a chain member can be dropped individually; the first
   /// dropped member also kills the not-yet-executed tail (the NIC stops
   /// streaming WQEs past a faulted one), and the chain completes kLost.
-  sim::Task<VerbCompletion> PostChain(uint32_t client,
-                                      std::vector<ChainOp> ops);
-
-  /// Selectively-signaled batch of READs (range-scan prefetch, §4.3): a
-  /// READ-only PostChain. Completes when the last read has arrived.
-  sim::Task<VerbCompletion> ReadBatch(uint32_t client,
-                                      std::vector<ReadRequest> requests);
+  ///
+  /// Posting mode: with FabricConfig::verb_chaining off, an ordered chain
+  /// instead posts each member as its own signaled verb, each after its
+  /// predecessor completed; the first lost member stops the rest, and the
+  /// chain completes kLost. READ-only chains are unaffected by the knob.
+  sim::Task<PostResult> PostChain(uint32_t client, std::vector<ChainOp> ops);
 
   /// RDMA WRITE: copies `len` bytes from `src` into remote memory. kLost
   /// when a network fault swallowed the verb or its completion; the bytes
-  /// may or may not have landed (idempotent re-post is safe).
+  /// may or may not have landed (idempotent re-post is safe). A
+  /// `fence_server` >= 0 drops the effect once that server is dead (see
+  /// ChainOp::fence_server).
   sim::Task<VerbCompletion> Write(uint32_t client, RemotePtr dst,
-                                  const void* src, uint32_t len);
+                                  const void* src, uint32_t len,
+                                  int32_t fence_server = -1);
 
   /// RDMA compare-and-swap on an 8-byte remote word. On kOk, `value` is
   /// the previous value (equal to `expected` iff the swap happened). On
@@ -544,6 +583,23 @@ class Fabric {
   /// Returns false when the client is (or just became) dead — the caller
   /// must drop the verb without a memory effect.
   bool CountVerbAndCheckAlive(uint32_t client);
+
+  static bool IsAtomic(ChainOp::Kind kind) {
+    return kind == ChainOp::Kind::kCas || kind == ChainOp::Kind::kFaa;
+  }
+
+  /// True when a WRITE fenced on `fence_server` (-1 = unfenced) must drop:
+  /// the fence server is dead at effect time.
+  bool FencedOut(int32_t fence_server) const {
+    return fence_server >= 0 &&
+           !ServerAlive(static_cast<uint32_t>(fence_server));
+  }
+
+  /// The memory effect of a FETCH_AND_ADD on `target` — twice for a forced
+  /// NIC duplicate, each execution reported to the auditor on its own so
+  /// an unsanctioned duplicate is caught. Returns the first pre-image.
+  uint64_t ApplyFaa(uint32_t client, RemotePtr target, uint64_t add,
+                    bool twice);
 
   /// Effect-time gate of the server fault domain: counts one verb effect
   /// against `server` and evaluates its crash point. Returns false when

@@ -121,7 +121,7 @@ struct FabricConfig {
   /// dropped in flight and returns without a memory effect, exactly as if
   /// the compute process died between two verb postings. The verb counter
   /// includes one-sided verbs, RPC send attempts, and liveness-registry
-  /// reads; a PostChain (and therefore a ReadBatch) counts as one verb —
+  /// reads; a PostChain (a READ-only batch too) counts as one verb —
   /// one doorbell. A client that dies while a chain is in flight loses the
   /// not-yet-executed tail of the chain atomically: verbs whose effect
   /// time has passed stay applied, everything after the death vanishes.
@@ -225,11 +225,12 @@ struct FabricConfig {
 
   // ---- Client-side protocol knobs ----------------------------------------
   /// Doorbell-batched verb chains (Fabric::PostChain) on the hot write
-  /// paths: WriteUnlockPage collapses {page WRITE, unlock WRITE} into one
-  /// chain, and B-link splits chain {new-sibling WRITE, page WRITE,
-  /// unlock WRITE}. Disabling falls back to individually signaled verbs
-  /// (WRITE + FAA unlock), bit-identical to the pre-chain protocol.
-  /// READ-only chains (range-scan prefetch) are unaffected by this knob.
+  /// paths: WriteUnlockPage posts {page WRITE, unlock WRITE} as one chain,
+  /// and B-link splits chain {new-sibling WRITE, page WRITE, unlock
+  /// WRITE}. A fabric posting mode: disabled, PostChain posts each member
+  /// of an ordered chain as its own signaled verb, in order — the client
+  /// protocol is unchanged. READ-only chains (range-scan prefetch) are
+  /// unaffected by this knob.
   bool verb_chaining = true;
   /// In-flight read combining: when several coroutines of one client
   /// (RunConfig::pipeline_depth lanes) await the same (server, offset,

@@ -23,7 +23,8 @@ using sim::Task;
 constexpr uint32_t kPage = 256;
 
 struct Rig {
-  Rig() : cluster(Config(), 1 << 20) {
+  explicit Rig(const FabricConfig& config = Config())
+      : cluster(config, 1 << 20) {
     cluster.fabric().SetNumClients(4);
     page = cluster.memory_server(0).region().AllocateLocal(kPage);
   }
@@ -150,6 +151,48 @@ TEST(AuditTest, UnlockByNonHolderIsFlagged) {
 
   EXPECT_EQ(rig.auditor()->CountOfKind(ViolationKind::kUnlockByNonHolder),
             1u);
+}
+
+TEST(AuditTest, SiblingLanesContendingForALockAuditClean) {
+  // Two pipelined lanes of one client CAS the same unlocked version: the
+  // first acquires, the second fails against its sibling's lock. The lanes
+  // share the client's holder stamp, but no completion was lost, so the
+  // failed CAS is contention — not an unresolved ambiguous retry.
+  Rig rig;
+  REQUIRE_AUDITOR(rig);
+  Spawn(rig.cluster.simulator(), rig.CleanCycle(0, 0xAA));
+  rig.cluster.simulator().Run();
+  Spawn(rig.cluster.simulator(), RawCas(rig.fabric(), 0, rig.page, 2, 3));
+  Spawn(rig.cluster.simulator(), RawCas(rig.fabric(), 0, rig.page, 2, 3));
+  rig.cluster.simulator().Run();
+  Spawn(rig.cluster.simulator(), RawFaa(rig.fabric(), 0, rig.page, 1));
+  rig.cluster.simulator().Run();
+
+  EXPECT_EQ(rig.auditor()->violation_count(), 0u)
+      << rig.fabric().CheckAuditClean().ToString();
+}
+
+TEST(AuditTest, BlindReCasAfterLostCompletionIsFlagged) {
+  // The acquire CAS (client 0's verb #3, after CleanCycle's CAS, WRITE and
+  // FAA) lands but its completion is dropped; re-posting it without
+  // reading the word back fails against the client's own lock.
+  FabricConfig config = Rig::Config();
+  config.verb_fault_points = {
+      {0, 3, FabricConfig::VerbFaultPoint::Kind::kDropCompletion}};
+  Rig rig(config);
+  REQUIRE_AUDITOR(rig);
+  Spawn(rig.cluster.simulator(), rig.CleanCycle(0, 0xAA));
+  rig.cluster.simulator().Run();
+  Spawn(rig.cluster.simulator(), RawCas(rig.fabric(), 0, rig.page, 2, 3));
+  rig.cluster.simulator().Run();
+  ASSERT_EQ(rig.fabric().metrics().Value("fabric.net.dropped_completions"),
+            1u);
+  Spawn(rig.cluster.simulator(), RawCas(rig.fabric(), 0, rig.page, 2, 3));
+  rig.cluster.simulator().Run();
+
+  EXPECT_EQ(
+      rig.auditor()->CountOfKind(ViolationKind::kUnresolvedAmbiguousRetry),
+      1u);
 }
 
 TEST(AuditTest, VersionRegressionIsFlagged) {

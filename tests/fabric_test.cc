@@ -272,10 +272,10 @@ TEST(RpcTest, RequestsToDistinctServersRunInParallel) {
 
 // ---- Batched (selectively signaled) reads -----------------------------------
 
-Task<> BatchRead(Fabric& fabric, std::vector<Fabric::ReadRequest> reqs,
+Task<> BatchRead(Fabric& fabric, std::vector<Fabric::ChainOp> reqs,
                  SimTime* latency) {
   const SimTime start = fabric.simulator().now();
-  co_await fabric.ReadBatch(0, std::move(reqs));
+  co_await fabric.PostChain(0, std::move(reqs));
   *latency = fabric.simulator().now() - start;
 }
 
@@ -283,12 +283,12 @@ TEST(FabricTest, BatchedReadsAreCheaperThanSequentialReads) {
   FabricConfig config = TestConfig();
   Cluster cluster(config, 1 << 20);
   auto& region = cluster.memory_server(0).region();
-  std::vector<Fabric::ReadRequest> reqs;
+  std::vector<Fabric::ChainOp> reqs;
   std::vector<std::vector<uint8_t>> bufs(8, std::vector<uint8_t>(1024));
   for (int i = 0; i < 8; ++i) {
     RemotePtr p = region.AllocateLocal(1024);
     region.WriteU64(p.offset(), 1000 + i);
-    reqs.push_back({p, bufs[i].data(), 1024});
+    reqs.push_back(Fabric::ChainOp::Read(p, bufs[i].data(), 1024));
   }
   SimTime batch_latency = 0;
   Spawn(cluster.simulator(),
@@ -305,6 +305,45 @@ TEST(FabricTest, BatchedReadsAreCheaperThanSequentialReads) {
                                   2 * config.wire_latency_ns +
                                   config.onesided_engine_ns);
   EXPECT_LT(batch_latency, sequential);
+}
+
+// ---- Posting: chains with atomics, the unchained mode -----------------------
+
+Task<> PostOrdered(Fabric& fabric, std::vector<Fabric::ChainOp> ops,
+                   Fabric::PostResult* out) {
+  *out = co_await fabric.PostChain(0, std::move(ops));
+}
+
+// An ordered chain {WRITE, FAA} with verb chaining on rides one doorbell:
+// the FAA adds on top of the WRITE's value and delivers that pre-image.
+// With chaining off the same chain posts one signaled verb per member, in
+// order, to the same memory effect.
+TEST(FabricTest, FaaChainMemberAndUnchainedPostingMode) {
+  for (const bool chaining : {true, false}) {
+    FabricConfig config = TestConfig();
+    config.verb_chaining = chaining;
+    Cluster cluster(config, 1 << 20);
+    auto& region = cluster.memory_server(0).region();
+    const RemotePtr word = region.AllocateLocal(8);
+    const uint64_t seed = 40;
+    uint64_t pre = 0;
+    Fabric::PostResult result;
+    Spawn(cluster.simulator(),
+          PostOrdered(cluster.fabric(),
+                      {Fabric::ChainOp::Write(word, &seed, 8),
+                       Fabric::ChainOp::Faa(word, 2, &pre)},
+                      &result));
+    cluster.simulator().Run();
+
+    EXPECT_TRUE(result.ok());
+    EXPECT_EQ(pre, 40u);
+    EXPECT_EQ(region.ReadU64(word.offset()), 42u);
+    const auto& m = cluster.fabric().metrics();
+    EXPECT_EQ(result.round_trips, chaining ? 1u : 2u);
+    EXPECT_EQ(m.Value("fabric.doorbells"), chaining ? 1u : 2u);
+    EXPECT_EQ(m.Value("fabric.signaled_verbs"), chaining ? 1u : 2u);
+    EXPECT_EQ(m.Value("fabric.unsignaled_verbs"), chaining ? 1u : 0u);
+  }
 }
 
 // ---- Co-location -------------------------------------------------------------

@@ -866,6 +866,38 @@ namespace {
 using btree::KV;
 using nam::Cluster;
 
+// The allocation FAA's target server dies under it (a crash point on its
+// first verb effect). At R=2 the allocation moves on to the next live
+// server, as an allocation aimed at an already-dead server does; at R=1
+// there is nowhere to go and the FAA surfaces kUnavailable.
+TEST(ServerLossTest, AllocFaaServerDeathMovesToNextLiveServer) {
+  for (const uint32_t replication : {1u, 2u}) {
+    rdma::FabricConfig fc;
+    fc.num_memory_servers = 2;
+    fc.replication_factor = replication;
+    fc.server_crash_points = {{0, 0}};
+    Cluster cluster(fc, 1 << 20);
+    cluster.fabric().SetNumClients(1);
+    nam::ClientContext ctx(0, cluster.fabric(), 256, 1);
+    struct Allocator {
+      static sim::Task<> Go(RemoteOps ops, AllocResult* out) {
+        *out = co_await ops.AllocPage(0);
+      }
+    };
+    AllocResult result;
+    sim::Spawn(cluster.simulator(), Allocator::Go(RemoteOps(ctx), &result));
+    cluster.simulator().Run();
+
+    EXPECT_FALSE(cluster.fabric().ServerAlive(0)) << "crash point not hit";
+    if (replication > 1) {
+      ASSERT_TRUE(result.ok()) << result.status.ToString();
+      EXPECT_EQ(result.ptr.server_id(), 1u);
+    } else {
+      EXPECT_TRUE(result.status.IsUnavailable()) << result.status.ToString();
+    }
+  }
+}
+
 // A reader whose page's primary server died is served from the rank-1
 // replica — same bytes, no auditor complaint. The R=1 control: the same
 // death makes the read fail with kUnavailable instead of hanging.

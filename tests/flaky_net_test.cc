@@ -274,10 +274,9 @@ using sim::Task;
 
 using Kind = rdma::FabricConfig::VerbFaultPoint::Kind;
 
-// One leaf page on server 0; verb post-order of the driver below:
+// One leaf page on server 0; verb post-order of LockInsertUnlock below:
 //   #0 READ (LockPage's unlocked read)   #1 CAS (lock acquire)
-//   unchained unlock: #2 page WRITE      #3 FAA (release)
-// chained unlock: #2 is the whole {page WRITE, unlock WRITE} doorbell.
+//   #2 the whole {page WRITE, unlock WRITE} doorbell.
 struct AmbiguityRig {
   explicit AmbiguityRig(rdma::FabricConfig fc) : cluster(fc, 1 << 20) {
     ptr = cluster.memory_server(0).region().AllocateLocal(kPage);
@@ -331,17 +330,30 @@ TEST(FlakyAmbiguityTest, LostButLandedLockCasClaimedViaStampReadBack) {
       << rig.cluster.fabric().CheckAuditClean().ToString();
 }
 
+// UnlockPage's FAA is the one release by FETCH_AND_ADD. Seeds the leaf
+// with one entry so a completed cycle leaves count 1 at version 2; verb
+// post-order: #0 READ, #1 CAS (lock acquire), #2 FAA (release).
+Task<> LockRelease(RemoteOps ops, rdma::RemotePtr ptr) {
+  uint8_t* buf = ops.ctx().page_a();
+  EXPECT_TRUE((co_await ops.LockPage(ptr, buf)).ok());
+  EXPECT_TRUE((co_await ops.UnlockPage(ptr)).ok());
+}
+
+void RunLockRelease(AmbiguityRig& rig, ClientContext& ctx) {
+  EXPECT_TRUE(rig.RemoteView().LeafInsert(7, 70));
+  Spawn(rig.cluster.simulator(), LockRelease(RemoteOps(ctx), rig.ptr));
+  rig.cluster.simulator().Run();
+}
+
 TEST(FlakyAmbiguityTest, LostUnlockFaaCompletionNotDoubleReleased) {
   // The release FAA lands but its pre-image is lost: the version-word
   // read-back shows the lock already released, so the client must NOT add
   // again (a second +1 would corrupt the version protocol).
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDropCompletion}};
+  fc.verb_fault_points = {{0, 2, Kind::kDropCompletion}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
-  rig.cluster.simulator().Run();
+  RunLockRelease(rig, ctx);
 
   PageView view = rig.RemoteView();
   EXPECT_FALSE(IsLocked(view.version_word()));
@@ -356,12 +368,10 @@ TEST(FlakyAmbiguityTest, DroppedUnlockFaaVerbIsRepostedAfterReadBack) {
   // The release FAA never reaches the NIC: the read-back shows the word
   // still locked by us, sanctioning exactly one re-post.
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDropVerb}};
+  fc.verb_fault_points = {{0, 2, Kind::kDropVerb}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
-  rig.cluster.simulator().Run();
+  RunLockRelease(rig, ctx);
 
   PageView view = rig.RemoteView();
   EXPECT_FALSE(IsLocked(view.version_word()));
@@ -378,12 +388,10 @@ TEST(FlakyAmbiguityTest, UnsanctionedDuplicateReleaseFaaTripsAuditor) {
   // it (FAA duplication is exactly what the retry discipline exists to
   // avoid — this pins the detector that keeps everyone honest).
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDuplicate}};
+  fc.verb_fault_points = {{0, 2, Kind::kDuplicate}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
-  rig.cluster.simulator().Run();
+  RunLockRelease(rig, ctx);
 
   EXPECT_EQ(rig.cluster.fabric().metrics().Value("fabric.net.duplicates"),
             1u);
