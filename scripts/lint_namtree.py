@@ -50,9 +50,8 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
    inconsistently — at every descent site. The predicate now lives in
    one place: `PageView::NeedsChase(key)` (src/btree/page.h), and whole
    descend/chase loops belong in the shared traversal engine
-   (src/index/traversal.cc). Exempt: traversal.cc itself and the
-   bulk-load path (tree_build.cc). Suppress an audited site with a
-   comment on (or directly above) the condition:
+   (src/index/traversal.cc). Exempt: traversal.cc itself. Suppress an
+   audited site with a comment on (or directly above) the condition:
        // namtree-lint: chase-ok(<why NeedsChase does not apply>)
 
 7. discarded-status (error)
@@ -130,9 +129,8 @@ SUPPRESS_RE = re.compile(
 REAL_THREAD_ALLOWED = {"btree"}
 
 # Files allowed to spell out fence/sibling chase decisions inline: the
-# shared traversal engine owns the descend/chase state machine, and the
-# bulk loader wires sibling chains while building them.
-CHASE_ALLOWED_FILES = {"traversal.cc", "tree_build.cc"}
+# shared traversal engine owns the descend/chase state machine.
+CHASE_ALLOWED_FILES = {"traversal.cc"}
 
 # An if/while header; the condition is paren-matched from the match end.
 CHASE_COND_RE = re.compile(r"\b(?:if|while)\s*\(")

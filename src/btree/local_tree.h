@@ -2,24 +2,51 @@
 #define NAMTREE_BTREE_LOCAL_TREE_H_
 
 #include <atomic>
+#include <coroutine>
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
-#include "btree/page.h"
+#include "btree/blink_tree.h"
 #include "btree/types.h"
 #include "common/status.h"
 
 namespace namtree::btree {
 
+/// The real-thread environment of BLinkTree: heap pages addressed by their
+/// memory address ("real memory pointers", paper §3.1), free CPU, and a
+/// yield per spin on a locked word. Nothing suspends.
+class ThreadEnv {
+ public:
+  ThreadEnv() = default;
+  ~ThreadEnv();
+  ThreadEnv(const ThreadEnv&) = delete;
+  ThreadEnv& operator=(const ThreadEnv&) = delete;
+
+  uint8_t* Page(uint64_t raw) const { return reinterpret_cast<uint8_t*>(raw); }
+  uint64_t AllocatePage(uint32_t bytes);
+  std::suspend_never Spin() const {
+    std::this_thread::yield();
+    return {};
+  }
+  std::suspend_never Cpu(SimTime /*base*/) const { return {}; }
+
+  std::atomic<uint64_t> root{0};
+
+ private:
+  std::mutex pages_mutex_;      // guards pages_ (allocation only)
+  std::vector<uint8_t*> pages_;  // owned allocations, freed in dtor
+};
+
 /// A thread-safe in-memory B-link tree with optimistic lock coupling.
 ///
 /// This is the tree a memory server builds over its partition in the
-/// coarse-grained design (paper §3): B-link sibling pointers [Lehman/Yao],
-/// real memory pointers instead of page ids, and the 8-byte
-/// (version, lock-bit) word per node driving the OLC protocol of
-/// Listing 1/3 [Leis et al., "The ART of practical synchronization"].
+/// coarse-grained design (paper §3): the same BLinkTree core that
+/// index::ServerTree runs in virtual time for the CG handlers, here on real
+/// threads with real std::atomic version words. The §7 shared-nothing
+/// baseline (shared_nothing.h) hosts one per node.
 ///
 /// Deletes set a per-entry tombstone bit; `GarbageCollect()` compacts leaf
 /// pages (epoch-style: pages are never freed or merged while the tree is
@@ -29,8 +56,9 @@ namespace namtree::btree {
 /// of threads. `BulkLoad` must run before concurrent access starts.
 class LocalBLinkTree {
  public:
+  using TreeStats = btree::TreeStats;
+
   explicit LocalBLinkTree(uint32_t page_size = 1024);
-  ~LocalBLinkTree();
 
   LocalBLinkTree(const LocalBLinkTree&) = delete;
   LocalBLinkTree& operator=(const LocalBLinkTree&) = delete;
@@ -39,134 +67,50 @@ class LocalBLinkTree {
   Result<Value> Lookup(Key key) const;
 
   /// Inserts (key, value); duplicate keys are allowed.
-  Status Insert(Key key, Value value);
+  Status Insert(Key key, Value value) {
+    return sim::RunInline(tree_.Insert(key, value));
+  }
 
   /// Overwrites the value of the first live entry with `key` in place.
-  Status Update(Key key, Value value);
+  Status Update(Key key, Value value) {
+    return sim::RunInline(tree_.Update(key, value));
+  }
 
   /// Appends the values of all live entries with `key` to `out` (may be
   /// null); returns the number found.
-  uint64_t LookupAll(Key key, std::vector<Value>* out) const;
+  uint64_t LookupAll(Key key, std::vector<Value>* out) const {
+    return sim::RunInline(tree_.LookupAll(key, out));
+  }
 
   /// Tombstones the first live entry with `key`.
-  Status Delete(Key key);
+  Status Delete(Key key) { return sim::RunInline(tree_.Delete(key)); }
 
   /// Collects live entries with lo <= key < hi into `out` (appended in key
   /// order). Returns the number of entries found.
-  uint64_t Scan(Key lo, Key hi, std::vector<KV>* out) const;
+  uint64_t Scan(Key lo, Key hi, std::vector<KV>* out) const {
+    return sim::RunInline(tree_.Scan(lo, hi, out));
+  }
 
-  /// A forward cursor over live entries, starting at the first key >= the
-  /// seek key. Reads one page at a time under optimistic validation, so a
-  /// cursor never blocks writers and always returns a per-page-consistent
-  /// stream (concurrent inserts/deletes may or may not be observed, as
-  /// with Scan). Cheap to copy around; keep the tree alive while using it.
-  class Cursor {
-   public:
-    /// True while the cursor points at a live entry.
-    bool Valid() const { return position_ < buffer_.size(); }
-    Key key() const { return buffer_[position_].key; }
-    Value value() const { return buffer_[position_].value; }
-    const KV& entry() const { return buffer_[position_]; }
-
-    /// Advances to the next live entry (fetches the next page as needed).
-    void Next();
-
-   private:
-    friend class LocalBLinkTree;
-    Cursor(const LocalBLinkTree* tree, Key seek);
-    void FetchFrom(Key lo);
-
-    const LocalBLinkTree* tree_;
-    std::vector<KV> buffer_;   // live entries of the current page
-    size_t position_ = 0;
-    Key resume_at_ = 0;        // first key of the next fetch
-    bool exhausted_ = false;
-  };
-
-  /// Positions a cursor at the first live entry with key >= `seek`.
-  Cursor Seek(Key seek) const { return Cursor(this, seek); }
-
-  /// Replaces the tree contents with `sorted` (ascending by key). Must not
-  /// race with other operations.
-  Status BulkLoad(std::span<const KV> sorted);
+  /// Replaces the tree contents with `sorted` (ascending by key), pages
+  /// ~90% full. Must not race with other operations.
+  Status BulkLoad(std::span<const KV> sorted) {
+    return tree_.Build(sorted, kFillPercent);
+  }
 
   /// Compacts tombstoned entries out of every leaf. Returns the number of
   /// entries reclaimed. Safe to run concurrently with readers/writers.
-  uint64_t GarbageCollect();
+  uint64_t GarbageCollect() { return sim::RunInline(tree_.Compact()); }
 
-  struct TreeStats {
-    uint64_t pages = 0;
-    uint64_t height = 0;  // number of levels (1 = a single leaf)
-    uint64_t live_entries = 0;
-    uint64_t tombstones = 0;
-  };
   /// Walks the tree (quiescent use only; concurrent writers may skew
   /// counts).
-  TreeStats GetStats() const;
+  TreeStats GetStats() const { return tree_.GetStats(); }
 
-  uint32_t page_size() const { return page_size_; }
+  uint32_t page_size() const { return tree_.page_size(); }
 
  private:
-  // Pages are addressed by their raw memory address stored in uint64_t
-  // child/sibling slots ("real memory pointers", paper §3.1).
-  static PageView View(uint64_t raw, uint32_t page_size) {
-    return PageView(reinterpret_cast<uint8_t*>(raw), page_size);
-  }
-  PageView View(uint64_t raw) const { return View(raw, page_size_); }
+  static constexpr uint32_t kFillPercent = 90;
 
-  uint64_t AllocatePage();
-
-  // ---- OLC primitives (Listing 3) ----------------------------------------
-  static std::atomic<uint64_t>& VersionWord(PageView page) {
-    // The version word is the first 8 bytes of the page; pages are 8-byte
-    // aligned, so treating it as an atomic is valid on all supported ABIs.
-    return *reinterpret_cast<std::atomic<uint64_t>*>(page.data());
-  }
-  /// Spins until the node is unlocked; returns the observed version word.
-  static uint64_t AwaitNodeUnlocked(PageView page);
-  /// True if the node's version word still equals `version`.
-  static bool CheckVersion(PageView page, uint64_t version) {
-#if !defined(__SANITIZE_THREAD__)
-    // Orders the speculative payload reads before the version re-load.
-    // TSan cannot instrument fences (GCC hard-errors under -Wtsan), so the
-    // sanitizer build relies on the acquire load alone; the OLC races it
-    // then reports are the by-design ones listed in tsan.supp.
-    std::atomic_thread_fence(std::memory_order_acquire);
-#endif
-    return VersionWord(page).load(std::memory_order_acquire) == version;
-  }
-  /// Tries to set the lock bit via CAS(version -> version|1).
-  static bool TryUpgradeToWriteLock(PageView page, uint64_t version);
-  /// Spin-acquires the write lock; returns the pre-lock version word.
-  static uint64_t WriteLock(PageView page);
-  /// Releases the lock and bumps the version (FAA +1 on the odd word).
-  static void WriteUnlock(PageView page) {
-    VersionWord(page).fetch_add(1, std::memory_order_release);
-  }
-
-  /// Descends to the leaf whose range contains `key`, chasing B-link
-  /// siblings as needed. On success returns the leaf raw pointer; `version`
-  /// receives its validated-unlocked version word.
-  uint64_t DescendToLeaf(Key key, uint64_t* version) const;
-
-  /// Descends to the *inner* node at `level` whose range contains `sep` and
-  /// write-locks it. Returns its raw pointer, or 0 if the root level is
-  /// below `level` (caller must grow the tree).
-  uint64_t DescendToLevelLocked(uint8_t level, Key sep);
-
-  /// Installs a separator produced by a split of a node at `level - 1`.
-  void InstallSeparator(uint8_t level, Key sep, uint64_t left_raw,
-                        uint64_t right_raw);
-
-  /// Attempts to replace the root with a new root over (left, right).
-  bool TryGrowRoot(uint8_t new_level, Key sep, uint64_t left_raw,
-                   uint64_t right_raw);
-
-  uint32_t page_size_;
-  std::atomic<uint64_t> root_;        // raw pointer of the root page
-  std::atomic<uint8_t> root_level_;   // level of the current root
-  mutable std::mutex pages_mutex_;    // guards pages_ (allocation only)
-  std::vector<uint8_t*> pages_;       // owned allocations, freed in dtor
+  BLinkTree<ThreadEnv> tree_;
 };
 
 }  // namespace namtree::btree

@@ -93,6 +93,19 @@ uint32_t PageView::LeafCollect(Key key, std::vector<Value>* out) const {
   return found;
 }
 
+uint32_t PageView::LeafCollectRange(Key lo, Key hi,
+                                    std::vector<KV>* out) const {
+  const KV* entries = leaf_entries();
+  const uint32_t n = count();
+  uint32_t found = 0;
+  for (uint32_t i = LeafLowerBound(lo); i < n && entries[i].key < hi; ++i) {
+    if (LeafIsTombstoned(i)) continue;
+    if (out != nullptr) out->push_back(entries[i]);
+    found++;
+  }
+  return found;
+}
+
 uint32_t PageView::LeafCompact() const {
   KV* entries = leaf_entries();
   const uint32_t n = count();

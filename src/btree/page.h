@@ -163,6 +163,10 @@ class PageView {
   /// the number appended. `out` may be null (count only).
   uint32_t LeafCollect(Key key, std::vector<Value>* out) const;
 
+  /// Appends the live entries with lo <= key < hi to `out` (may be null:
+  /// count only); returns the number appended.
+  uint32_t LeafCollectRange(Key lo, Key hi, std::vector<KV>* out) const;
+
   /// Physically removes tombstoned entries (epoch GC). Returns the number
   /// of entries reclaimed.
   uint32_t LeafCompact() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "btree/page.h"
-#include "index/tree_build.h"
 #include "rdma/memory_region.h"
 
 namespace namtree::index {
@@ -60,22 +59,16 @@ Status CoarseOneSidedIndex::BulkLoad(std::span<const KV> sorted) {
 
   first_leaves_.assign(servers, rdma::RemotePtr());
   for (uint32_t s = 0; s < servers; ++s) {
-    LeafLevel::BuildResult leaves;
-    Status status = LeafLevel::Build(cluster_.fabric(), slices[s], config_,
-                                     &leaves, static_cast<int32_t>(s));
+    LeafLevel::BuildResult tree;
+    const Status status =
+        LeafLevel::Build(cluster_.fabric(), slices[s], config_, &tree,
+                         static_cast<int32_t>(s), /*inner_levels=*/true);
     if (!status.ok()) return status;
-    first_leaves_[s] = leaves.first;
-    rdma::RemotePtr root;
-    uint8_t root_level = 0;
-    status = BuildUpperLevels(cluster_.fabric(),
-                              std::move(leaves.leaf_refs), config_.page_size,
-                              config_.leaf_fill_percent,
-                              static_cast<int32_t>(s), &root, &root_level);
-    if (!status.ok()) return status;
-    engine_.SetRoot(s, root, root_level);
+    first_leaves_[s] = tree.first;
+    engine_.SetRoot(s, tree.root, tree.root_level);
     // Publish each partition root in this index's catalog slot.
     cluster_.fabric().region(s)->WriteU64(
-        rdma::MemoryRegion::CatalogSlotOffset(catalog_slot_), root.raw());
+        rdma::MemoryRegion::CatalogSlotOffset(catalog_slot_), tree.root.raw());
   }
   // Seed backup replicas from the bulk-loaded primaries (no-op at R=1).
   cluster_.fabric().SyncReplicasFromPrimaries();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "btree/page.h"
-#include "index/tree_build.h"
 #include "rdma/memory_region.h"
 
 namespace namtree::index {
@@ -29,24 +28,18 @@ FineGrainedIndex::FineGrainedIndex(nam::Cluster& cluster, IndexConfig config)
               0, rdma::MemoryRegion::CatalogSlotOffset(catalog_slot_)))) {}
 
 Status FineGrainedIndex::BulkLoad(std::span<const KV> sorted) {
-  LeafLevel::BuildResult leaves;
-  Status status = LeafLevel::Build(cluster_.fabric(), sorted, config_,
-                                   &leaves);
+  LeafLevel::BuildResult tree;
+  const Status status = LeafLevel::Build(cluster_.fabric(), sorted, config_,
+                                         &tree, /*fixed_server=*/-1,
+                                         /*inner_levels=*/true);
   if (!status.ok()) return status;
-  first_leaf_ = leaves.first;
-
-  rdma::RemotePtr root;
-  uint8_t root_level = 0;
-  status = BuildUpperLevels(cluster_.fabric(), std::move(leaves.leaf_refs),
-                            config_.page_size, config_.leaf_fill_percent,
-                            /*fixed_server=*/-1, &root, &root_level);
-  if (!status.ok()) return status;
-  engine_.SetRoot(tree_, root, root_level);
+  first_leaf_ = tree.first;
+  engine_.SetRoot(tree_, tree.root, tree.root_level);
 
   // Publish the root in this index's catalog slot (server 0) for remote
   // bootstrap.
   cluster_.fabric().region(0)->WriteU64(
-      rdma::MemoryRegion::CatalogSlotOffset(catalog_slot_), root.raw());
+      rdma::MemoryRegion::CatalogSlotOffset(catalog_slot_), tree.root.raw());
   // Seed backup replicas from the bulk-loaded primaries (no-op at R=1).
   cluster_.fabric().SyncReplicasFromPrimaries();
   return Status::OK();

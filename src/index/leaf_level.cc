@@ -9,15 +9,32 @@ namespace namtree::index {
 using btree::IsLocked;
 using btree::Key;
 using btree::KV;
-using btree::kInfinityKey;
 using btree::PageView;
 using btree::Value;
 
 namespace {
 
-/// Writes `view`'s backing buffer directly into a region at setup time.
-uint8_t* RegionPage(rdma::Fabric& fabric, rdma::RemotePtr ptr) {
-  return fabric.region(ptr.server_id())->at(ptr.offset());
+/// The bulk loader's pages in memory-server regions: every page on
+/// `fixed_server` when >= 0, else round-robin over the servers starting at
+/// `first_server`, skipping exhausted regions.
+btree::PageAllocator RegionPages(rdma::Fabric& fabric, uint32_t page_size,
+                                 int32_t fixed_server, uint32_t first_server) {
+  return [&fabric, page_size, fixed_server,
+          rr = first_server]() mutable -> btree::NewPage {
+    rdma::RemotePtr ptr;
+    if (fixed_server >= 0) {
+      ptr = fabric.region(static_cast<uint32_t>(fixed_server))
+                ->AllocateLocal(page_size);
+    } else {
+      const uint32_t servers = fabric.num_memory_servers();
+      for (uint32_t attempt = 0; attempt < servers && ptr.is_null();
+           ++attempt) {
+        ptr = fabric.region(rr++ % servers)->AllocateLocal(page_size);
+      }
+    }
+    if (ptr.is_null()) return {};
+    return {ptr.raw(), fabric.region(ptr.server_id())->at(ptr.offset())};
+  };
 }
 
 }  // namespace
@@ -25,52 +42,21 @@ uint8_t* RegionPage(rdma::Fabric& fabric, rdma::RemotePtr ptr) {
 Status LeafLevel::Build(rdma::Fabric& fabric,
                         std::span<const btree::KV> sorted,
                         const IndexConfig& config, BuildResult* out,
-                        int32_t fixed_server) {
-  const uint32_t page_size = config.page_size;
-  const uint32_t servers = fabric.num_memory_servers();
-  const uint32_t fill = std::max<uint32_t>(
-      1, PageView::LeafCapacity(page_size) * config.leaf_fill_percent / 100);
-
-  out->leaf_refs.clear();
-
-  // Pass 1: allocate and fill the leaves, round-robin over servers.
-  std::vector<rdma::RemotePtr> leaves;
-  size_t i = 0;
-  uint32_t rr = 0;
-  do {
-    rdma::RemotePtr ptr;
-    if (fixed_server >= 0) {
-      ptr = fabric.region(static_cast<uint32_t>(fixed_server))
-                ->AllocateLocal(page_size);
-    } else {
-      for (uint32_t attempt = 0; attempt < servers; ++attempt) {
-        ptr = fabric.region(rr % servers)->AllocateLocal(page_size);
-        rr++;
-        if (!ptr.is_null()) break;
-      }
-    }
-    if (ptr.is_null()) return Status::OutOfMemory("leaf level build");
-    PageView leaf(RegionPage(fabric, ptr), page_size);
-    leaf.InitLeaf(kInfinityKey, 0);
-    const size_t take = std::min<size_t>(fill, sorted.size() - i);
-    for (size_t j = 0; j < take; ++j) leaf.leaf_entries()[j] = sorted[i + j];
-    leaf.header().count = static_cast<uint16_t>(take);
-    out->leaf_refs.push_back(
-        {take > 0 ? sorted[i].key : 0, ptr.raw()});
-    leaves.push_back(ptr);
-    i += take;
-  } while (i < sorted.size());
-
-  // Pass 2: link siblings and set fences (the rightmost leaf keeps the
-  // +inf fence and a null sibling).
-  for (size_t l = 0; l + 1 < leaves.size(); ++l) {
-    PageView leaf(RegionPage(fabric, leaves[l]), page_size);
-    leaf.header().high_key = out->leaf_refs[l + 1].low;
-    leaf.header().right_sibling = leaves[l + 1].raw();
-  }
-
-  out->first = leaves.front();
-  return Status::OK();
+                        int32_t fixed_server, bool inner_levels) {
+  Status status = btree::BuildLeafLevel(
+      sorted, config.page_size, config.leaf_fill_percent,
+      RegionPages(fabric, config.page_size, fixed_server, 0), &out->leaf_refs);
+  if (!status.ok()) return status;
+  out->first = rdma::RemotePtr(out->leaf_refs.front().raw_ptr);
+  if (!inner_levels) return Status::OK();
+  uint64_t root = 0;
+  status = btree::BuildInnerLevels(
+      out->leaf_refs, config.page_size, config.leaf_fill_percent,
+      /*at_least_one=*/false,
+      RegionPages(fabric, config.page_size, fixed_server, 1), &root,
+      &out->root_level);
+  out->root = rdma::RemotePtr(root);
+  return status;
 }
 
 sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
@@ -151,22 +137,6 @@ sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
 
 namespace {
 
-/// Collects live [lo, hi) entries from a consistent leaf image.
-uint64_t CollectFromImage(PageView view, Key lo, Key hi,
-                          std::vector<KV>* out) {
-  uint64_t found = 0;
-  const uint32_t n = view.count();
-  const KV* entries = view.leaf_entries();
-  for (uint32_t i = view.LeafLowerBound(lo); i < n; ++i) {
-    if (entries[i].key >= hi) break;
-    if (!view.LeafIsTombstoned(i)) {
-      if (out != nullptr) out->push_back(entries[i]);
-      found++;
-    }
-  }
-  return found;
-}
-
 /// Position of child pointer `raw` in inner image `node`, or -1.
 int32_t FindChild(PageView node, uint64_t raw) {
   const uint64_t* children = node.inner_children();
@@ -243,7 +213,7 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
   // Consumes the image of the leaf the chain names next; true once the
   // range ends within it.
   const auto consume = [&](PageView leaf) {
-    found += CollectFromImage(leaf, cursor, hi, out);
+    found += leaf.LeafCollectRange(cursor, hi, out);
     if (!leaf.is_drained()) {
       cursor = std::max(cursor, std::min(leaf.high_key(), hi));
     }

@@ -5,12 +5,12 @@
 #include <span>
 #include <vector>
 
+#include "btree/bulk_load.h"
 #include "btree/page.h"
 #include "btree/types.h"
 #include "common/status.h"
 #include "index/index.h"
 #include "index/remote_ops.h"
-#include "index/server_tree.h"
 #include "rdma/fabric.h"
 #include "rdma/remote_ptr.h"
 #include "sim/task.h"
@@ -87,17 +87,22 @@ class LeafLevel {
 
   struct BuildResult {
     /// (low key, pointer) of every leaf, for building upper levels.
-    std::vector<ServerTree::ChildRef> leaf_refs;
+    std::vector<btree::ChildRef> leaf_refs;
     /// First page of the chain (the leftmost leaf).
     rdma::RemotePtr first;
+    /// The tree's root and its level (with `inner_levels` only).
+    rdma::RemotePtr root;
+    uint8_t root_level = 0;
   };
 
   /// Builds the chain over `sorted` at setup time (direct region writes):
-  /// leaves round-robin across servers (or all on `fixed_server` when >= 0,
-  /// for coarse-grained one-sided partitions).
+  /// leaves round-robin across servers from server 0, or all on
+  /// `fixed_server` when >= 0 (coarse-grained one-sided partitions). With
+  /// `inner_levels`, also builds the inner levels above it, placed the same
+  /// way but round-robin from server 1 so the levels interleave.
   static Status Build(rdma::Fabric& fabric, std::span<const btree::KV> sorted,
                       const IndexConfig& config, BuildResult* out,
-                      int32_t fixed_server = -1);
+                      int32_t fixed_server = -1, bool inner_levels = false);
 
   /// Point search starting at the leaf that covers `key` (chases
   /// siblings). Listing 2's leaf phase. `preread`, when non-null,

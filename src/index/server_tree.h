@@ -1,150 +1,58 @@
 #ifndef NAMTREE_INDEX_SERVER_TREE_H_
 #define NAMTREE_INDEX_SERVER_TREE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "btree/page.h"
+#include "btree/blink_tree.h"
 #include "btree/types.h"
-#include "common/status.h"
 #include "index/index.h"
 #include "nam/memory_server.h"
 #include "sim/task.h"
 
 namespace namtree::index {
 
+/// The simulated environment of a memory server's tree: pages live in the
+/// server's region, and handler CPU (scaled for the QPI penalty) and lock
+/// spins are virtual-time delays of the handler coroutine.
+struct ServerEnv {
+  explicit ServerEnv(nam::MemoryServer& s) : server(s) {}
+
+  uint8_t* Page(uint64_t raw) const;
+  /// 0 = region exhausted (kResourceExhausted surfaces through the caller,
+  /// never an assert).
+  uint64_t AllocatePage(uint32_t bytes);
+  sim::Delay Spin() const {
+    return sim::Delay(server.fabric().simulator(),
+                      server.fabric().config().lock_retry_ns);
+  }
+  sim::Delay Cpu(SimTime base) const {
+    return sim::Delay(server.fabric().simulator(), server.ScaledCpu(base));
+  }
+
+  nam::MemoryServer& server;
+  std::atomic<uint64_t> root{0};
+};
+
 /// A B-link tree living inside one memory server's region, operated on by
-/// that server's RPC handler coroutines in simulated time.
-///
-/// This is the server side of the coarse-grained design (§3): optimistic
-/// lock coupling exactly as Listing 1/3 — handlers spin on the lock bit,
-/// validate versions after searching a node, and escalate to the write lock
-/// with a local CAS — with every node visit charged to the worker's CPU, so
+/// that server's RPC handler coroutines in simulated time: the OLC core of
+/// btree::BLinkTree with every node visit charged to the worker's CPU, so
 /// lock waits and CPU saturation shape throughput the way they do on real
 /// memory servers.
 ///
-/// Two modes:
-///   * local leaves  (CG): level 0 pages hold the data.
-///   * remote leaf children (hybrid, §5): the lowest *local* level is 1;
-///     its children are RemotePtrs to fine-grained leaves that live on any
-///     memory server and are accessed one-sided by clients.
-class ServerTree {
+/// This is the server side of the coarse-grained design (§3, local leaves:
+/// Build) and the upper levels of the hybrid (§5, remote leaf children:
+/// BuildOverChildren, FindLeafChild, InstallChildSeparator).
+class ServerTree : public btree::BLinkTree<ServerEnv> {
  public:
   /// A child reference used to build the hybrid upper levels.
-  struct ChildRef {
-    btree::Key low;    ///< smallest key reachable through the child
-    uint64_t raw_ptr;  ///< RemotePtr::raw() of the child page
-  };
+  using ChildRef = btree::ChildRef;
+  using TreeStats = btree::TreeStats;
 
-  struct TreeStats {
-    uint64_t pages = 0;
-    uint64_t height = 0;
-    uint64_t live_entries = 0;
-    uint64_t tombstones = 0;
-  };
+  ServerTree(nam::MemoryServer& server, uint32_t page_size);
 
-  ServerTree(nam::MemoryServer& server, uint32_t page_size)
-      : server_(server), page_size_(page_size) {}
-
-  ServerTree(const ServerTree&) = delete;
-  ServerTree& operator=(const ServerTree&) = delete;
-
-  uint32_t page_size() const { return page_size_; }
-  nam::MemoryServer& server() { return server_; }
-
-  // ---- Setup-time construction (no virtual time) --------------------------
-
-  /// CG mode: builds leaves + inner levels over `sorted` in this server's
-  /// region.
-  Status Build(std::span<const btree::KV> sorted, uint32_t fill_percent);
-
-  /// Hybrid mode: builds inner levels over remote leaf children. The tree
-  /// then ends at level 1; lookups return child pointers.
-  Status BuildOverChildren(std::span<const ChildRef> children,
-                           uint32_t fill_percent);
-
-  // ---- Handler-side operations (coroutines in virtual time) ----------------
-
+  /// CG lookup of the first live entry with `key`.
   sim::Task<LookupResult> Lookup(btree::Key key);
-
-  /// Collects live entries in [lo, hi) into `out` (CG mode only). `limit`
-  /// bounds the handler's work; kInfinity semantics when 0.
-  sim::Task<uint64_t> Scan(btree::Key lo, btree::Key hi,
-                           std::vector<btree::KV>* out);
-
-  sim::Task<Status> Insert(btree::Key key, btree::Value value);
-  sim::Task<Status> Update(btree::Key key, btree::Value value);
-  sim::Task<uint64_t> LookupAll(btree::Key key,
-                                std::vector<btree::Value>* out);
-  sim::Task<Status> Delete(btree::Key key);
-
-  /// Compacts tombstones out of all local leaves (CG epoch GC).
-  sim::Task<uint64_t> Compact();
-
-  /// Hybrid: raw RemotePtr of the leaf child whose range contains `key`.
-  /// Range form (`rest` non-null and `hi` > `key`): also appends to `rest`
-  /// the children that follow it in chain order and may hold keys below
-  /// `hi` — at most InnerKeyCapacity, walking into right-sibling nodes,
-  /// each visited node charged like the first.
-  sim::Task<uint64_t> FindLeafChild(btree::Key key, btree::Key hi = 0,
-                                    std::vector<uint64_t>* rest = nullptr);
-
-  /// Hybrid: installs a separator produced by a one-sided leaf split.
-  sim::Task<Status> InstallChildSeparator(btree::Key sep, uint64_t child_raw);
-
-  /// Host-side inspection (quiescent use).
-  TreeStats GetStats() const;
-
-  uint64_t root_raw() const { return root_raw_; }
-  uint8_t root_level() const { return root_level_; }
-  bool remote_leaves() const { return remote_leaves_; }
-
- private:
-  /// Outcome of a root-growth attempt (see TryGrowRoot).
-  enum class GrowResult { kDone, kLostRace, kExhausted };
-
-  btree::PageView View(uint64_t raw) const;
-  bool IsLocalPage(uint64_t raw) const;
-
-  /// Allocates one page from this server's region. 0 = region exhausted
-  /// (kResourceExhausted surfaces through the caller, never an assert).
-  uint64_t AllocatePage();
-
-  /// Charges handler CPU (scaled for the QPI penalty).
-  sim::Task<void> Cpu(SimTime base);
-  /// Awaits the node's lock bit, charging spin time. Returns the version.
-  sim::Task<uint64_t> AwaitUnlocked(uint64_t raw);
-
-  /// Descends to the lowest local level for `key` (level 0 in CG mode,
-  /// level 1 in hybrid mode), charging CPU per node. Returns the node's raw
-  /// pointer and its validated version in `*version`.
-  sim::Task<uint64_t> DescendToBottom(btree::Key key, uint64_t* version);
-
-  /// Descends to the node at `level`, locks it (chasing right as needed),
-  /// returns it; 0 when the root is below `level`.
-  sim::Task<uint64_t> DescendToLevelLocked(uint8_t level, btree::Key sep);
-
-  /// Installs a separator at `level` after a split of (left, right).
-  /// kResourceExhausted = the region ran out of pages mid-propagation; the
-  /// tree stays valid via the sibling chain (B-link), the separator is
-  /// simply not indexed yet.
-  sim::Task<Status> InstallSeparator(uint8_t level, btree::Key sep,
-                                     uint64_t left_raw, uint64_t right_raw);
-
-  GrowResult TryGrowRoot(uint8_t new_level, btree::Key sep, uint64_t left_raw,
-                         uint64_t right_raw);
-
-  /// Generic bottom-up builder over one prepared bottom level.
-  Status BuildUpper(std::vector<ChildRef> level_nodes, uint8_t bottom_level,
-                    uint32_t fill_percent);
-
-  nam::MemoryServer& server_;
-  uint32_t page_size_;
-  bool remote_leaves_ = false;
-  uint8_t bottom_level_ = 0;  ///< lowest level stored locally
-  uint64_t root_raw_ = 0;
-  uint8_t root_level_ = 0;
 };
 
 }  // namespace namtree::index

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -148,6 +149,24 @@ class [[nodiscard]] Task<void> {
 
   Handle handle_;
 };
+
+/// Runs `task` to completion on the calling thread and returns its value.
+/// Only for tasks that never suspend: every await completes inline, as in
+/// the real-thread environment of btree::LocalBLinkTree, so no simulator
+/// is involved.
+template <typename T>
+T RunInline(Task<T> task) {
+  auto h = task.Release();
+  h.resume();
+  assert(h.done() && "RunInline: the task suspended");
+  if constexpr (std::is_void_v<T>) {
+    h.destroy();
+  } else {
+    T value = std::move(h.promise().value);
+    h.destroy();
+    return value;
+  }
+}
 
 /// Detaches `task` as a root coroutine: it starts at the current virtual
 /// time and frees its own frame when it completes.

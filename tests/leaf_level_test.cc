@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "index/leaf_level.h"
-#include "index/tree_build.h"
 #include "nam/cluster.h"
 
 namespace namtree::index {
@@ -156,19 +155,13 @@ TEST(LeafLevelTest, InsertSplitReportsSeparator) {
 }
 
 /// A leaf chain with bulk-loaded inner levels above it.
-struct Tree {
-  LeafLevel::BuildResult leaves;
-  rdma::RemotePtr root;
-  uint8_t root_level = 0;
-};
+using Tree = LeafLevel::BuildResult;
 
 Tree BuildTree(Cluster& cluster, const std::vector<KV>& data) {
   Tree tree;
   EXPECT_TRUE(LeafLevel::Build(cluster.fabric(), data, MakeIndexConfig(),
-                               &tree.leaves)
-                  .ok());
-  EXPECT_TRUE(BuildUpperLevels(cluster.fabric(), tree.leaves.leaf_refs, kPage,
-                               90, -1, &tree.root, &tree.root_level)
+                               &tree, /*fixed_server=*/-1,
+                               /*inner_levels=*/true)
                   .ok());
   return tree;
 }
@@ -292,7 +285,7 @@ TEST(LeafLevelTest, ScanFallsBackOnSplitsTheParentMissed) {
       }
     }
   };
-  Spawn(cluster.simulator(), Churn::Go(RemoteOps(ctx), tree.leaves.first));
+  Spawn(cluster.simulator(), Churn::Go(RemoteOps(ctx), tree.first));
   cluster.simulator().Run();
 
   ClientContext reader(1, cluster.fabric(), kPage, 2);
@@ -329,7 +322,7 @@ TEST(LeafLevelTest, ScanHandlesDrainedLeavesInTheBatch) {
   };
   uint64_t merged = 0;
   Spawn(cluster.simulator(),
-        Shrink::Go(RemoteOps(ctx), tree.leaves.first, &merged));
+        Shrink::Go(RemoteOps(ctx), tree.first, &merged));
   cluster.simulator().Run();
   ASSERT_GT(merged, 0u);
 

@@ -1,7 +1,9 @@
-// Tests for the standalone thread-safe local B-link tree (the memory-server
-// substrate of the coarse-grained design): single-threaded correctness
+// Tests for LocalBLinkTree, the real-thread instantiation of the OLC B-link
+// core (btree::BLinkTree) whose virtual-time instantiation is the memory
+// server's tree in the coarse-grained design: single-threaded correctness
 // against a reference model, duplicates, deletes + GC, scans, bulk load, and
-// real multi-threaded stress with std::thread.
+// real multi-threaded stress with std::thread over the same protocol the CG
+// handlers run.
 
 #include <gtest/gtest.h>
 
@@ -171,51 +173,6 @@ TEST(LocalTreeTest, BulkLoadMatchesIncrementalContent) {
   // Bulk-loaded trees accept further inserts.
   EXPECT_TRUE(tree.Insert(1, 999).ok());
   EXPECT_EQ(tree.Lookup(1).value_or(0), 999u);
-}
-
-TEST(LocalTreeCursorTest, IteratesInOrderFromSeek) {
-  LocalBLinkTree tree(256);
-  for (Key k = 0; k < 3000; ++k) (void)tree.Insert(k * 3, k);
-  auto cursor = tree.Seek(1500);
-  Key previous = 0;
-  uint64_t seen = 0;
-  for (; cursor.Valid(); cursor.Next()) {
-    EXPECT_GE(cursor.key(), 1500u);
-    if (seen > 0) {
-      EXPECT_GT(cursor.key(), previous);
-    }
-    EXPECT_EQ(cursor.value(), cursor.key() / 3);
-    previous = cursor.key();
-    seen++;
-  }
-  EXPECT_EQ(seen, 3000u - 500u);  // keys 1500..8997 step 3
-  cursor.Next();                  // Next past the end is a no-op
-  EXPECT_FALSE(cursor.Valid());
-}
-
-TEST(LocalTreeCursorTest, SkipsTombstonesAndEmptyRegions) {
-  LocalBLinkTree tree(256);
-  for (Key k = 0; k < 1000; ++k) (void)tree.Insert(k, k);
-  // Tombstone a broad band in the middle (spanning many pages).
-  for (Key k = 200; k < 800; ++k) (void)tree.Delete(k);
-  auto cursor = tree.Seek(150);
-  std::vector<Key> keys;
-  for (; cursor.Valid(); cursor.Next()) keys.push_back(cursor.key());
-  ASSERT_FALSE(keys.empty());
-  EXPECT_EQ(keys.front(), 150u);
-  // The band is absent, the tail resumes at 800.
-  auto it = std::lower_bound(keys.begin(), keys.end(), 200u);
-  ASSERT_NE(it, keys.end());
-  EXPECT_EQ(*it, 800u);
-  EXPECT_EQ(keys.size(), 50u + 200u);
-}
-
-TEST(LocalTreeCursorTest, SeekPastEndIsInvalid) {
-  LocalBLinkTree tree(256);
-  for (Key k = 0; k < 100; ++k) (void)tree.Insert(k, k);
-  EXPECT_FALSE(tree.Seek(1000).Valid());
-  LocalBLinkTree empty(256);
-  EXPECT_FALSE(empty.Seek(0).Valid());
 }
 
 class LocalTreeRandomTest : public ::testing::TestWithParam<uint64_t> {};

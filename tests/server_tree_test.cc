@@ -1,12 +1,14 @@
 // Direct tests of the server-side B-link tree (the coarse-grained memory
 // server component and the hybrid upper levels): coroutine OLC in virtual
-// time, handler lock spins, hybrid FindLeafChild / InstallChildSeparator.
+// time, handler lock spins, hybrid FindLeafChild / InstallChildSeparator,
+// and parity with the real-thread instantiation of the same core.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "btree/local_tree.h"
 #include "index/server_tree.h"
 #include "nam/cluster.h"
 #include "rdma/remote_ptr.h"
@@ -231,6 +233,130 @@ TEST(ServerTreeTest, EmptyBuild) {
   Spawn(cluster.simulator(), DoLookups(tree, {7}, &results));
   cluster.simulator().Run();
   EXPECT_FALSE(results[0].found);
+}
+
+// ---- Env parity: one algorithm in two environments -------------------------
+
+struct ParityOp {
+  enum Kind { kInsert, kUpdate, kDelete, kLookup, kLookupAll, kCompact };
+  Kind kind;
+  Key key = 0;
+  Value value = 0;
+};
+
+/// Bulk-loaded keys are multiples of 4 below 2400. The inserts fill every
+/// gap (leaf splits, inner splits, root growth at P=256), then come
+/// duplicates, updates, deletes (hits and misses) and an epoch compaction.
+std::vector<ParityOp> ParityScript() {
+  std::vector<ParityOp> ops;
+  for (Key offset = 1; offset <= 3; ++offset) {
+    for (Key k = offset; k < 2400; k += 4) {
+      ops.push_back({ParityOp::kInsert, k, k * 10});
+    }
+  }
+  for (Value i = 0; i < 30; ++i) {
+    ops.push_back({ParityOp::kInsert, 1000, 50000 + i});
+  }
+  ops.push_back({ParityOp::kLookupAll, 1000});
+  for (Key k = 0; k < 2600; k += 7) {
+    ops.push_back({ParityOp::kUpdate, k, k + 7});
+  }
+  for (Key k = 0; k < 2600; k += 5) ops.push_back({ParityOp::kDelete, k});
+  for (int i = 0; i < 20; ++i) ops.push_back({ParityOp::kDelete, 1000});
+  ops.push_back({ParityOp::kLookupAll, 1000});
+  for (Key k = 0; k < 2600; k += 3) ops.push_back({ParityOp::kLookup, k});
+  ops.push_back({ParityOp::kCompact});
+  return ops;
+}
+
+/// One op's outcome as a number: the status code, the value found + 1
+/// (0 = miss), or the count returned.
+uint64_t Encode(const Status& s) { return static_cast<uint64_t>(s.code()); }
+
+TEST(BLinkEnvParityTest, SimulatedAndThreadEnvsAgree) {
+  const auto data = MakeData(600, 4);
+  const auto script = ParityScript();
+
+  btree::LocalBLinkTree local(256);
+  ASSERT_TRUE(local.BulkLoad(data).ok());
+  std::vector<uint64_t> local_results;
+  for (const ParityOp& op : script) {
+    switch (op.kind) {
+      case ParityOp::kInsert:
+        local_results.push_back(Encode(local.Insert(op.key, op.value)));
+        break;
+      case ParityOp::kUpdate:
+        local_results.push_back(Encode(local.Update(op.key, op.value)));
+        break;
+      case ParityOp::kDelete:
+        local_results.push_back(Encode(local.Delete(op.key)));
+        break;
+      case ParityOp::kLookup: {
+        const Result<Value> r = local.Lookup(op.key);
+        local_results.push_back(r.ok() ? r.value() + 1 : 0);
+        break;
+      }
+      case ParityOp::kLookupAll:
+        local_results.push_back(local.LookupAll(op.key, nullptr));
+        break;
+      case ParityOp::kCompact:
+        local_results.push_back(local.GarbageCollect());
+        break;
+    }
+  }
+  std::vector<KV> local_scan;
+  local.Scan(0, btree::kInfinityKey, &local_scan);
+
+  Cluster cluster(Config(), 64 << 20);
+  ServerTree tree(cluster.memory_server(0), 256);
+  ASSERT_TRUE(tree.Build(data, 90).ok());
+  struct Driver {
+    static Task<> Go(ServerTree& tree, const std::vector<ParityOp>& script,
+                     std::vector<uint64_t>* results, std::vector<KV>* scan) {
+      for (const ParityOp& op : script) {
+        switch (op.kind) {
+          case ParityOp::kInsert:
+            results->push_back(Encode(co_await tree.Insert(op.key, op.value)));
+            break;
+          case ParityOp::kUpdate:
+            results->push_back(Encode(co_await tree.Update(op.key, op.value)));
+            break;
+          case ParityOp::kDelete:
+            results->push_back(Encode(co_await tree.Delete(op.key)));
+            break;
+          case ParityOp::kLookup: {
+            const LookupResult r = co_await tree.Lookup(op.key);
+            results->push_back(r.found ? r.value + 1 : 0);
+            break;
+          }
+          case ParityOp::kLookupAll:
+            results->push_back(co_await tree.LookupAll(op.key, nullptr));
+            break;
+          case ParityOp::kCompact:
+            results->push_back(co_await tree.Compact());
+            break;
+        }
+      }
+      (void)co_await tree.Scan(0, btree::kInfinityKey, scan);
+    }
+  };
+  std::vector<uint64_t> sim_results;
+  std::vector<KV> sim_scan;
+  Spawn(cluster.simulator(),
+        Driver::Go(tree, script, &sim_results, &sim_scan));
+  cluster.simulator().Run();
+
+  EXPECT_EQ(sim_results, local_results);
+  EXPECT_EQ(sim_scan, local_scan);
+  const auto sim_stats = tree.GetStats();
+  const auto local_stats = local.GetStats();
+  EXPECT_EQ(sim_stats.pages, local_stats.pages);
+  EXPECT_EQ(sim_stats.height, local_stats.height);
+  EXPECT_EQ(sim_stats.live_entries, local_stats.live_entries);
+  EXPECT_EQ(sim_stats.tombstones, local_stats.tombstones);
+  // The script did grow the root above the bulk-loaded height of 3.
+  EXPECT_GE(sim_stats.height, 4u);
+  EXPECT_EQ(sim_stats.tombstones, 0u);
 }
 
 }  // namespace
