@@ -1,11 +1,12 @@
 // Ablation for the one-RTT lookup fast path: (1) speculative descent —
-// round trips per uniform lookup on a height>=3 fine-grained tree whose
-// cached inner images are TTL-expired (the cold-path regime the predictor
-// targets), speculation off vs on; (2) in-flight read combining — duplicate
-// in-flight READs under a pipelined Zipf workload, combining off vs on;
-// (3) batched MultiGet — round trips per key for a dense batch, single
-// lookups vs one grouped chain walk. `--json <path>` writes the
-// machine-readable report the CI smoke-bench gates on (BENCH_pr8.json).
+// round trips per uniform lookup on a height>=3 fine-grained tree with a
+// warm inner-image cache while an inserter on another compute machine
+// splits leaves under the reader, speculation off vs on; (2) in-flight read
+// combining — duplicate in-flight READs under a pipelined Zipf workload,
+// combining off vs on; (3) batched MultiGet — round trips per key for a
+// dense batch, single lookups vs one grouped chain walk. `--json <path>`
+// writes the machine-readable report the CI smoke-bench gates on
+// (BENCH_pr8.json).
 
 #include <cstdio>
 
@@ -27,6 +28,9 @@ namespace {
 using namtree::btree::Key;
 using namtree::index::LookupResult;
 
+/// The spec phase's insert rate: one insert per this many lookups.
+constexpr uint64_t kLookupsPerInsert = 3;
+
 // namtree-lint: safe-coro-ref(referents live in the measuring function's frame, which blocks on simulator.Run() until this task finishes)
 namtree::sim::Task<> UniformLookups(namtree::index::DistributedIndex& index,
                                     namtree::nam::ClientContext& ctx,
@@ -39,18 +43,41 @@ namtree::sim::Task<> UniformLookups(namtree::index::DistributedIndex& index,
   }
 }
 
+// namtree-lint: safe-coro-ref(referents live in RunSpecPhase's frame, which blocks on simulator.Run() until this task finishes)
+namtree::sim::Task<> LookupsUnderSplits(
+    namtree::index::DistributedIndex& index,
+    namtree::nam::ClientContext& reader,
+    namtree::nam::ClientContext& inserter, uint64_t rounds, uint64_t keys,
+    uint64_t* found, uint64_t* inserted) {
+  for (uint64_t i = 0; i < rounds; ++i) {
+    if (i % kLookupsPerInsert == 0) {
+      // Odd keys fall between the loaded (stride-aligned) ones.
+      const Key k =
+          inserter.rng().NextBelow(keys) * namtree::ycsb::kKeyStride + 1;
+      if ((co_await index.Insert(inserter, k, k)).ok()) (*inserted)++;
+    }
+    const Key k = reader.rng().NextBelow(keys) * namtree::ycsb::kKeyStride;
+    if ((co_await index.Lookup(reader, k)).found) (*found)++;
+  }
+}
+
 struct SpecPhaseResult {
   double round_trips_per_op = 0;
   uint64_t speculative_hits = 0;
   uint64_t mispredicts = 0;
   uint64_t found = 0;
+  uint64_t inserts = 0;
   uint8_t root_level = 0;
 };
 
-/// Uniform single-client lookups on a fine-grained tree with every inner
-/// image cached but TTL-expired at reuse time: the plain loop pays one RTT
-/// per level, the speculative loop predicts through the expired images and
-/// refreshes path + leaf in one doorbell-batched READ.
+/// Uniform lookups by one reader on a fine-grained tree whose inner images
+/// its machine has all cached, interleaved op by op with the inserts of one
+/// inserter on another compute machine (a cache of its own). The
+/// interleaving is fixed, so both arms see the same tree at every lookup.
+/// The reader's cached level-1 images go stale under the inserter's splits:
+/// a lookup routed to a split leaf chases right and drops the image, and
+/// the next descent through it re-reads that page — with a remote READ in
+/// the plain loop, or as the one batched READ of a speculative descent.
 SpecPhaseResult RunSpecPhase(bool speculative, uint64_t keys,
                              uint64_t rounds) {
   ExperimentConfig config;
@@ -58,16 +85,18 @@ SpecPhaseResult RunSpecPhase(bool speculative, uint64_t keys,
   config.num_keys = keys;
   config.page_size = 256;  // small pages: height >= 3 at bench scale
   config.client_cache_pages = 4096;
-  config.client_cache_ttl = 30 * namtree::kMicrosecond;
   config.speculative_descent = speculative;
   namtree::bench::Experiment exp = MakeExperiment(config);
   namtree::sim::Simulator& simulator = exp.cluster->simulator();
-  exp.cluster->fabric().SetNumClients(1);
-  namtree::nam::ClientContext ctx(0, exp.cluster->fabric(),
-                                  exp.index->page_size(), 7);
+  namtree::rdma::Fabric& fabric = exp.cluster->fabric();
+  fabric.SetNumClients(2);
+  namtree::nam::ClientContext ctx(0, fabric, exp.index->page_size(), 7);
+  // The first client of the next compute machine.
+  namtree::nam::ClientContext inserter(
+      fabric.config().clients_per_compute_machine, fabric,
+      exp.index->page_size(), 13);
 
-  // Warm pass: touch every leaf so all inner images are cached (they will
-  // be expired, not evicted, by measurement time).
+  // Warm pass: touch every leaf so all inner images are cached.
   uint64_t warm_found = 0;
   namtree::sim::Spawn(simulator, UniformLookups(*exp.index, ctx, 3 * keys / 4,
                                                 keys, &warm_found));
@@ -76,7 +105,8 @@ SpecPhaseResult RunSpecPhase(bool speculative, uint64_t keys,
   const uint64_t before = ctx.round_trips;
   SpecPhaseResult r;
   namtree::sim::Spawn(simulator,
-                      UniformLookups(*exp.index, ctx, rounds, keys, &r.found));
+                      LookupsUnderSplits(*exp.index, ctx, inserter, rounds,
+                                         keys, &r.found, &r.inserts));
   simulator.Run();
 
   r.round_trips_per_op = static_cast<double>(ctx.round_trips - before) /
@@ -175,7 +205,6 @@ MultiGetPhaseResult RunMultiGetPhase(uint64_t keys) {
   config.num_keys = keys;
   config.page_size = 256;
   config.client_cache_pages = 4096;
-  config.client_cache_ttl = 0;  // NodeCache treats 0 as no expiry
   namtree::bench::Experiment exp = MakeExperiment(config);
   exp.cluster->fabric().SetNumClients(1);
   namtree::nam::ClientContext ctx(0, exp.cluster->fabric(),
@@ -200,7 +229,8 @@ int main(int argc, char** argv) {
       "Ablation: speculative descent / read combining / MultiGet",
       "One-RTT lookup fast paths on the fine-grained design",
       Num(static_cast<double>(keys)) + " keys, page=256; spec phase: 1 "
-          "client, uniform, TTL-expired inner cache; combining phase: " +
+          "reader, uniform, warm inner cache, 1 inserter on another "
+          "compute machine; combining phase: " +
           Num(clients) + " clients x depth " + Num(depth) + ", Zipf 0.99");
 
   std::printf("\n# subplot: round_trips_per_lookup\n");
@@ -220,9 +250,11 @@ int main(int argc, char** argv) {
                 (1.0 - spec_on.round_trips_per_op /
                            spec_base.round_trips_per_op)
           : 0;
-  std::printf("# round trips per lookup: %.3f -> %.3f (-%.1f%%)\n",
+  std::printf("# round trips per lookup: %.3f -> %.3f (-%.1f%%) under %llu "
+              "inserts\n",
               spec_base.round_trips_per_op, spec_on.round_trips_per_op,
-              rtt_reduction);
+              rtt_reduction,
+              static_cast<unsigned long long>(spec_on.inserts));
 
   std::printf("\n# subplot: duplicate_inflight_reads\n");
   PrintRow({"mode", "duplicates", "combined_reads", "ops_per_s"});
@@ -259,6 +291,7 @@ int main(int argc, char** argv) {
              spec_on.round_trips_per_op);
   report.Set("spec.speculative.hits", spec_on.speculative_hits);
   report.Set("spec.speculative.mispredicts", spec_on.mispredicts);
+  report.Set("spec.inserts", spec_on.inserts);
   report.Set("spec.round_trip_reduction_percent", rtt_reduction);
   report.Set("combining.base.duplicate_inflight_reads",
              comb_base.duplicate_inflight_reads);

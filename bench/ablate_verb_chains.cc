@@ -51,7 +51,6 @@ VerbPhaseResult RunVerbPhase(bool chained, uint64_t keys, uint64_t inserts,
   config.page_size = page_size;
   config.verb_chaining = chained;
   config.client_cache_pages = cache_pages;
-  config.client_cache_ttl = 0;  // NodeCache treats 0 as no expiry
   namtree::bench::Experiment exp = MakeExperiment(config);
   namtree::rdma::Fabric& fabric = exp.cluster->fabric();
   namtree::sim::Simulator& simulator = exp.cluster->simulator();

@@ -80,7 +80,6 @@ Experiment MakeExperiment(const ExperimentConfig& config) {
   index_config.page_size = config.page_size;
   index_config.partition = config.partition;
   index_config.client_cache_pages = config.client_cache_pages;
-  index_config.client_cache_ttl = config.client_cache_ttl;
   index_config.speculative_descent = config.speculative_descent;
   if (config.skewed_data) {
     index_config.partition_weights = SkewWeights(config.num_memory_servers);

@@ -56,9 +56,8 @@ struct ExperimentConfig {
   /// Doorbell-batched verb chains on the one-sided write paths
   /// (FabricConfig::verb_chaining); false = individually signaled verbs.
   bool verb_chaining = true;
-  /// Per-client inner-node cache (IndexConfig::client_cache_pages / _ttl).
+  /// Per-compute-machine node cache (IndexConfig::client_cache_pages).
   uint32_t client_cache_pages = 0;
-  SimTime client_cache_ttl = 2 * kMillisecond;
   /// One-RTT speculative descent (IndexConfig::speculative_descent;
   /// one-sided designs, needs client_cache_pages > 0).
   bool speculative_descent = false;

@@ -17,13 +17,13 @@ CoarseOneSidedIndex::CoarseOneSidedIndex(nam::Cluster& cluster,
       config_(config),
       partitioner_(config.partition, cluster.num_memory_servers()),
       catalog_slot_(cluster.AllocateCatalogSlot()),
-      engine_(TraversalEngine::Options{
-          config.page_size,
-          config.client_cache_pages > 0
-              ? TraversalEngine::CacheMode::kInnerImages
-              : TraversalEngine::CacheMode::kNone,
-          config.client_cache_pages, config.client_cache_ttl,
-          config.speculative_descent}) {
+      engine_(cluster.fabric(),
+              TraversalEngine::Options{
+                  config.page_size,
+                  config.client_cache_pages > 0
+                      ? TraversalEngine::CacheMode::kInnerImages
+                      : TraversalEngine::CacheMode::kNone,
+                  config.client_cache_pages, config.speculative_descent}) {
   // One engine tree per partition: splits allocate on the partition's
   // server and the root is published in that server's catalog slot.
   for (uint32_t s = 0; s < cluster.num_memory_servers(); ++s) {
@@ -82,15 +82,19 @@ sim::Task<LookupResult> CoarseOneSidedIndex::Lookup(nam::ClientContext& ctx,
   const uint32_t server = partitioner_.ServerFor(key);
   // As in FG: the predicted leaf rides the speculative-descent batch into
   // page_b and feeds SearchChain's first iteration when confirmed.
-  TraversalEngine::DescentPrefetch prefetch;
-  prefetch.leaf_buf = ctx.page_b();
+  TraversalEngine::DescentPrefetch descent;
+  descent.leaf_buf = ctx.page_b();
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key, &prefetch);
+      co_await engine_.DescendToLeaf(ops, server, key, &descent);
   if (leaf.is_null()) {
     co_return LookupResult{false, 0, Status::Unavailable("client crashed")};
   }
-  co_return co_await LeafLevel::SearchChain(
-      ops, leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr);
+  rdma::RemotePtr landed;
+  const LookupResult result = co_await LeafLevel::SearchChain(
+      ops, leaf, key, descent.leaf_image_valid ? ctx.page_b() : nullptr,
+      &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return result;
 }
 
 sim::Task<void> CoarseOneSidedIndex::MultiGet(nam::ClientContext& ctx,
@@ -107,18 +111,17 @@ sim::Task<void> CoarseOneSidedIndex::MultiGet(nam::ClientContext& ctx,
   std::stable_sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
     return keys[a] < keys[b];
   });
-  const SimTime now = ctx.fabric().simulator().now();
   size_t i = 0;
   while (i < order.size()) {
     const uint32_t server = partitioner_.ServerFor(keys[order[i]]);
     const rdma::RemotePtr predicted =
-        engine_.PredictLeaf(ctx.client_id(), server, keys[order[i]], now);
+        engine_.PredictLeaf(ctx.client_id(), server, keys[order[i]]);
     size_t j = i + 1;
     if (!predicted.is_null()) {
       while (j < order.size() &&
              partitioner_.ServerFor(keys[order[j]]) == server &&
-             engine_.PredictLeaf(ctx.client_id(), server, keys[order[j]],
-                                 now) == predicted) {
+             engine_.PredictLeaf(ctx.client_id(), server, keys[order[j]]) ==
+                 predicted) {
         j++;
       }
     }
@@ -187,12 +190,16 @@ sim::Task<Status> CoarseOneSidedIndex::Insert(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "insert");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
+  TraversalEngine::DescentPrefetch descent;
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
+      co_await engine_.DescendToLeaf(ops, server, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
   LeafLevel::SplitInfo split;
+  rdma::RemotePtr landed;
   const Status status = co_await LeafLevel::InsertAt(
-      ops, leaf, key, value, &split, static_cast<int32_t>(server));
+      ops, leaf, key, value, &split, static_cast<int32_t>(server), &landed);
+  // Before the separator install, which seeds the level-1 image it writes.
+  engine_.RepairRoute(ops, descent, leaf, landed);
   if (!status.ok()) co_return status;
   if (split.split) {
     co_return co_await engine_.InstallSeparator(ops, server, 1,
@@ -207,10 +214,15 @@ sim::Task<Status> CoarseOneSidedIndex::Update(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "update");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
+  TraversalEngine::DescentPrefetch descent;
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
+      co_await engine_.DescendToLeaf(ops, server, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::UpdateAt(ops, leaf, key, value);
+  rdma::RemotePtr landed;
+  const Status status =
+      co_await LeafLevel::UpdateAt(ops, leaf, key, value, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> CoarseOneSidedIndex::LookupAll(nam::ClientContext& ctx,
@@ -219,10 +231,15 @@ sim::Task<uint64_t> CoarseOneSidedIndex::LookupAll(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "lookup_all");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
+  TraversalEngine::DescentPrefetch descent;
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
+      co_await engine_.DescendToLeaf(ops, server, key, &descent);
   if (leaf.is_null()) co_return 0;
-  co_return co_await LeafLevel::CollectAt(ops, leaf, key, out);
+  rdma::RemotePtr landed;
+  const uint64_t found =
+      co_await LeafLevel::CollectAt(ops, leaf, key, out, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return found;
 }
 
 sim::Task<Status> CoarseOneSidedIndex::Delete(nam::ClientContext& ctx,
@@ -230,10 +247,14 @@ sim::Task<Status> CoarseOneSidedIndex::Delete(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "delete");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
+  TraversalEngine::DescentPrefetch descent;
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
+      co_await engine_.DescendToLeaf(ops, server, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::DeleteAt(ops, leaf, key);
+  rdma::RemotePtr landed;
+  const Status status = co_await LeafLevel::DeleteAt(ops, leaf, key, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> CoarseOneSidedIndex::GarbageCollect(

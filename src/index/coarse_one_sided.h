@@ -79,14 +79,12 @@ class CoarseOneSidedIndex : public DistributedIndex {
     return first_leaves_[server];
   }
 
-  /// The client's inner-node cache (shared with the fine-grained design
-  /// through the engine's cache policy), or nullptr when disabled.
+  /// The inner-node cache of the client's compute machine (the same cache
+  /// policy as the fine-grained design, through the engine), or nullptr
+  /// when disabled.
   NodeCache* CacheFor(uint32_t client_id) {
     return engine_.CacheFor(client_id);
   }
-
-  using CacheStats = TraversalEngine::CacheStats;
-  CacheStats GetCacheStats() const { return engine_.GetCacheStats(); }
 
  private:
   nam::Cluster& cluster_;

@@ -15,13 +15,13 @@ FineGrainedIndex::FineGrainedIndex(nam::Cluster& cluster, IndexConfig config)
     : cluster_(cluster),
       config_(config),
       catalog_slot_(cluster.AllocateCatalogSlot()),
-      engine_(TraversalEngine::Options{
-          config.page_size,
-          config.client_cache_pages > 0
-              ? TraversalEngine::CacheMode::kInnerImages
-              : TraversalEngine::CacheMode::kNone,
-          config.client_cache_pages, config.client_cache_ttl,
-          config.speculative_descent}),
+      engine_(cluster.fabric(),
+              TraversalEngine::Options{
+                  config.page_size,
+                  config.client_cache_pages > 0
+                      ? TraversalEngine::CacheMode::kInnerImages
+                      : TraversalEngine::CacheMode::kNone,
+                  config.client_cache_pages, config.speculative_descent}),
       tree_(engine_.AddTree(
           /*alloc_server=*/-1,
           rdma::RemotePtr::Make(
@@ -52,15 +52,19 @@ sim::Task<LookupResult> FineGrainedIndex::Lookup(nam::ClientContext& ctx,
   // Under speculative descent the predicted leaf's image rides the descent
   // batch into page_b (free on this read-only path) and, when confirmed,
   // feeds SearchChain's first iteration — the one-RTT lookup.
-  TraversalEngine::DescentPrefetch prefetch;
-  prefetch.leaf_buf = ctx.page_b();
+  TraversalEngine::DescentPrefetch descent;
+  descent.leaf_buf = ctx.page_b();
   const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, tree_, key, &prefetch);
+      co_await engine_.DescendToLeaf(ops, tree_, key, &descent);
   if (leaf.is_null()) {
     co_return LookupResult{false, 0, Status::Unavailable("client crashed")};
   }
-  co_return co_await LeafLevel::SearchChain(
-      ops, leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr);
+  rdma::RemotePtr landed;
+  const LookupResult result = co_await LeafLevel::SearchChain(
+      ops, leaf, key, descent.leaf_image_valid ? ctx.page_b() : nullptr,
+      &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return result;
 }
 
 sim::Task<void> FineGrainedIndex::MultiGet(nam::ClientContext& ctx,
@@ -77,16 +81,15 @@ sim::Task<void> FineGrainedIndex::MultiGet(nam::ClientContext& ctx,
   std::stable_sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
     return keys[a] < keys[b];
   });
-  const SimTime now = ctx.fabric().simulator().now();
   size_t i = 0;
   while (i < order.size()) {
     const rdma::RemotePtr predicted =
-        engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[i]], now);
+        engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[i]]);
     size_t j = i + 1;
     if (!predicted.is_null()) {
       while (j < order.size() &&
-             engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[j]],
-                                 now) == predicted) {
+             engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[j]]) ==
+                 predicted) {
         j++;
       }
     }
@@ -135,11 +138,16 @@ sim::Task<Status> FineGrainedIndex::Insert(nam::ClientContext& ctx, Key key,
                                            Value value) {
   metrics::OpSpan span(ctx.trace(), "insert");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
+  TraversalEngine::DescentPrefetch descent;
+  const rdma::RemotePtr leaf =
+      co_await engine_.DescendToLeaf(ops, tree_, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
   LeafLevel::SplitInfo split;
-  const Status status =
-      co_await LeafLevel::InsertAt(ops, leaf, key, value, &split);
+  rdma::RemotePtr landed;
+  const Status status = co_await LeafLevel::InsertAt(
+      ops, leaf, key, value, &split, /*alloc_server=*/-1, &landed);
+  // Before the separator install, which seeds the level-1 image it writes.
+  engine_.RepairRoute(ops, descent, leaf, landed);
   if (!status.ok()) co_return status;
   if (split.split) {
     // The left page of the split is the page InsertAt actually modified;
@@ -156,9 +164,15 @@ sim::Task<Status> FineGrainedIndex::Update(nam::ClientContext& ctx, Key key,
                                            Value value) {
   metrics::OpSpan span(ctx.trace(), "update");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
+  TraversalEngine::DescentPrefetch descent;
+  const rdma::RemotePtr leaf =
+      co_await engine_.DescendToLeaf(ops, tree_, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::UpdateAt(ops, leaf, key, value);
+  rdma::RemotePtr landed;
+  const Status status =
+      co_await LeafLevel::UpdateAt(ops, leaf, key, value, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> FineGrainedIndex::LookupAll(nam::ClientContext& ctx,
@@ -166,17 +180,28 @@ sim::Task<uint64_t> FineGrainedIndex::LookupAll(nam::ClientContext& ctx,
                                                 std::vector<Value>* out) {
   metrics::OpSpan span(ctx.trace(), "lookup_all");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
+  TraversalEngine::DescentPrefetch descent;
+  const rdma::RemotePtr leaf =
+      co_await engine_.DescendToLeaf(ops, tree_, key, &descent);
   if (leaf.is_null()) co_return 0;
-  co_return co_await LeafLevel::CollectAt(ops, leaf, key, out);
+  rdma::RemotePtr landed;
+  const uint64_t found =
+      co_await LeafLevel::CollectAt(ops, leaf, key, out, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return found;
 }
 
 sim::Task<Status> FineGrainedIndex::Delete(nam::ClientContext& ctx, Key key) {
   metrics::OpSpan span(ctx.trace(), "delete");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
+  TraversalEngine::DescentPrefetch descent;
+  const rdma::RemotePtr leaf =
+      co_await engine_.DescendToLeaf(ops, tree_, key, &descent);
   if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::DeleteAt(ops, leaf, key);
+  rdma::RemotePtr landed;
+  const Status status = co_await LeafLevel::DeleteAt(ops, leaf, key, &landed);
+  engine_.RepairRoute(ops, descent, leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> FineGrainedIndex::GarbageCollect(nam::ClientContext& ctx) {

@@ -68,15 +68,11 @@ class FineGrainedIndex : public DistributedIndex {
   /// refreshes the cached root level from the page header.
   sim::Task<Status> BootstrapFromCatalog(nam::ClientContext& ctx);
 
-  /// The client's inner-node cache (Appendix A.4), or nullptr when caching
-  /// is disabled. Created lazily per client id.
+  /// The inner-node cache (Appendix A.4) of the client's compute machine,
+  /// or nullptr when caching is disabled. Created lazily per machine.
   NodeCache* CacheFor(uint32_t client_id) {
     return engine_.CacheFor(client_id);
   }
-
-  /// Aggregate cache statistics over all clients.
-  using CacheStats = TraversalEngine::CacheStats;
-  CacheStats GetCacheStats() const { return engine_.GetCacheStats(); }
 
  private:
   nam::Cluster& cluster_;

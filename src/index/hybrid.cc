@@ -14,12 +14,13 @@ HybridIndex::HybridIndex(nam::Cluster& cluster, IndexConfig config)
       config_(config),
       partitioner_(PartitionKind::kRange, cluster.num_memory_servers()),
       rpc_service_(cluster.AllocateRpcService()),
-      engine_(TraversalEngine::Options{
-          config.page_size,
-          config.client_cache_pages > 0
-              ? TraversalEngine::CacheMode::kLeafRoutes
-              : TraversalEngine::CacheMode::kNone,
-          config.client_cache_pages, config.client_cache_ttl}) {}
+      engine_(cluster.fabric(),
+              TraversalEngine::Options{
+                  config.page_size,
+                  config.client_cache_pages > 0
+                      ? TraversalEngine::CacheMode::kLeafRoutes
+                      : TraversalEngine::CacheMode::kNone,
+                  config.client_cache_pages}) {}
 
 Status HybridIndex::BulkLoad(std::span<const KV> sorted) {
   if (config_.partition == PartitionKind::kHash) {
@@ -197,7 +198,11 @@ sim::Task<LookupResult> HybridIndex::Lookup(nam::ClientContext& ctx,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return LookupResult{false, 0, fl.status};
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::SearchChain(ops, fl.leaf, key);
+  rdma::RemotePtr landed;
+  const LookupResult result = co_await LeafLevel::SearchChain(
+      ops, fl.leaf, key, /*preread=*/nullptr, &landed);
+  engine_.RepairRoute(ctx, key, fl.leaf, landed);
+  co_return result;
 }
 
 sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
@@ -207,7 +212,7 @@ sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
   RemoteOps ops(ctx);
   // Sort, then group consecutive keys sharing a *cached* route (Peek — no
   // find-leaf RPC, no cache-stat skew): each group is one chain walk from
-  // that route. Keys without a fresh cached route go through Lookup, which
+  // that route. Keys without a cached route go through Lookup, which
   // resolves and seeds the route cache as usual. Stale routes only point
   // too far left in the global chain; the chase recovers.
   std::vector<size_t> order(keys.size());
@@ -216,12 +221,10 @@ sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
     return keys[a] < keys[b];
   });
   NodeCache* cache = engine_.CacheFor(ctx.client_id());
-  const SimTime now = ctx.fabric().simulator().now();
   const auto cached_route = [&](Key key) {
     if (cache == nullptr) return rdma::RemotePtr::Null();
-    bool expired = false;
-    const uint8_t* image = cache->Peek(key, now, &expired);
-    if (image == nullptr || expired) return rdma::RemotePtr::Null();
+    const uint8_t* image = cache->Peek(key);
+    if (image == nullptr) return rdma::RemotePtr::Null();
     uint64_t raw;
     std::memcpy(&raw, image, 8);
     return rdma::RemotePtr(raw);
@@ -270,14 +273,18 @@ sim::Task<Status> HybridIndex::Insert(nam::ClientContext& ctx, Key key,
   if (!fl.ok()) co_return fl.status;
   RemoteOps ops(ctx);
   LeafLevel::SplitInfo split;
-  const Status status =
-      co_await LeafLevel::InsertAt(ops, fl.leaf, key, value, &split);
+  rdma::RemotePtr landed;
+  const Status status = co_await LeafLevel::InsertAt(
+      ops, fl.leaf, key, value, &split, /*alloc_server=*/-1, &landed);
   if (!status.ok()) co_return status;
+  // After a split, keys strictly above the separator live in the right
+  // half; a key equal to it stays routed left, where the left half may keep
+  // duplicates of its fence (PageView::SplitLeafInto). The route is seeded
+  // before the split is announced.
+  engine_.RepairRoute(
+      ctx, key, fl.leaf,
+      split.split && key > split.separator ? split.right : landed);
   if (split.split) {
-    // This client just learned where keys at/above the separator live;
-    // seed its route cache before announcing the split.
-    engine_.SeedRoute(ctx, key,
-                      key >= split.separator ? split.right : fl.leaf);
     // Announce the new leaf to the memory server owning the separator's
     // range (§5.2): it installs the key into its upper levels itself.
     rdma::RpcRequest req;
@@ -303,7 +310,11 @@ sim::Task<Status> HybridIndex::Update(nam::ClientContext& ctx, Key key,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return fl.status;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::UpdateAt(ops, fl.leaf, key, value);
+  rdma::RemotePtr landed;
+  const Status status =
+      co_await LeafLevel::UpdateAt(ops, fl.leaf, key, value, &landed);
+  engine_.RepairRoute(ctx, key, fl.leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> HybridIndex::LookupAll(nam::ClientContext& ctx, Key key,
@@ -312,7 +323,11 @@ sim::Task<uint64_t> HybridIndex::LookupAll(nam::ClientContext& ctx, Key key,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return 0;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::CollectAt(ops, fl.leaf, key, out);
+  rdma::RemotePtr landed;
+  const uint64_t found =
+      co_await LeafLevel::CollectAt(ops, fl.leaf, key, out, &landed);
+  engine_.RepairRoute(ctx, key, fl.leaf, landed);
+  co_return found;
 }
 
 sim::Task<Status> HybridIndex::Delete(nam::ClientContext& ctx, Key key) {
@@ -320,7 +335,11 @@ sim::Task<Status> HybridIndex::Delete(nam::ClientContext& ctx, Key key) {
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return fl.status;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::DeleteAt(ops, fl.leaf, key);
+  rdma::RemotePtr landed;
+  const Status status =
+      co_await LeafLevel::DeleteAt(ops, fl.leaf, key, &landed);
+  engine_.RepairRoute(ctx, key, fl.leaf, landed);
+  co_return status;
 }
 
 sim::Task<uint64_t> HybridIndex::GarbageCollect(nam::ClientContext& ctx) {

@@ -29,9 +29,10 @@ namespace namtree::index {
 ///
 /// Leaf resolution goes through TraversalEngine's RPC root policy
 /// (docs/traversal.md): the engine fronts the find-leaf RPC with a
-/// per-client leaf-route cache (key -> leaf pointer). A stale route is
-/// B-link safe — leaf coverage only ever moves right (splits,
-/// drain-merges), so the leaf-chain chase recovers.
+/// leaf-route cache (key -> leaf pointer) per compute machine. A stale
+/// route is B-link safe — leaf coverage only ever moves right (splits,
+/// drain-merges), so the leaf-chain chase recovers, and the walk re-seeds
+/// the route where it landed.
 class HybridIndex : public DistributedIndex,
                     private TraversalEngine::LeafResolver {
  public:
@@ -58,7 +59,7 @@ class HybridIndex : public DistributedIndex,
   sim::Task<Status> Delete(nam::ClientContext& ctx, btree::Key key) override;
   sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) override;
 
-  /// Sorts the keys and groups consecutive ones sharing a fresh cached
+  /// Sorts the keys and groups consecutive ones sharing a cached
   /// route (no find-leaf RPC per grouped key); each group is one chain
   /// walk, uncached keys fall back to Lookup (which seeds the cache).
   sim::Task<void> MultiGet(nam::ClientContext& ctx,
@@ -72,13 +73,11 @@ class HybridIndex : public DistributedIndex,
   rdma::RemotePtr first_leaf() const { return first_leaf_; }
   ServerTree& tree(uint32_t server) { return *trees_[server]; }
 
-  /// The client's leaf-route cache, or nullptr when caching is disabled.
+  /// The leaf-route cache of the client's compute machine, or nullptr when
+  /// caching is disabled.
   NodeCache* CacheFor(uint32_t client_id) {
     return engine_.CacheFor(client_id);
   }
-
-  using CacheStats = TraversalEngine::CacheStats;
-  CacheStats GetCacheStats() const { return engine_.GetCacheStats(); }
 
  private:
   /// Range scans' prefetch directory: the range form of the find-leaf RPC.

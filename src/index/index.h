@@ -42,23 +42,25 @@ struct IndexConfig {
   /// entries fit within this percentage of a page (0 disables).
   uint32_t gc_merge_fill_percent = 70;
 
-  /// Appendix A.4 extension: per-client cache budget (entries) for the
-  /// traversal engine's cache policy (0 = disabled). The fine-grained and
+  /// Appendix A.4 extension: per-compute-machine cache budget (entries) for
+  /// the traversal engine's cache policy (0 = disabled). The client threads
+  /// of one compute machine share one cache. The fine-grained and
   /// coarse-one-sided designs cache inner-node images to skip remote reads
   /// during descent; the hybrid design caches resolved leaf routes
-  /// (key -> leaf pointer) to skip find-leaf RPCs. Stale entries are safe
-  /// (the B-link sibling chase recovers — see docs/traversal.md);
-  /// `client_cache_ttl` bounds the staleness window.
+  /// (key -> leaf pointer) to skip find-leaf RPCs. An entry stays until a
+  /// fence check proves it stale: a leaf walk that has to chase right drops
+  /// the inner image that routed it, or re-seeds the route (see
+  /// docs/traversal.md). Stale entries are safe: the B-link sibling chase
+  /// recovers.
   uint32_t client_cache_pages = 0;
-  SimTime client_cache_ttl = 2 * kMillisecond;
 
   /// One-RTT speculative descent for the one-sided designs (FG,
   /// CG-one-sided; requires client_cache_pages > 0). Predict the full
-  /// root→leaf path from cached inner images — including TTL-expired ones —
-  /// and fetch every missing/expired predicted page plus the leaf in a
-  /// single doorbell-batched READ, validating top-down with fallback to the
-  /// level-by-level descent. Default off: bit-identical behavior to the
-  /// plain loop (see docs/traversal.md, "Speculative descent").
+  /// root→leaf path from cached inner images and fetch every missing
+  /// predicted page plus the leaf in a single doorbell-batched READ,
+  /// validating top-down with fallback to the level-by-level descent.
+  /// Default off: bit-identical behavior to the plain loop (see
+  /// docs/traversal.md, "Speculative descent").
   bool speculative_descent = false;
 };
 

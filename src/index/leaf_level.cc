@@ -37,6 +37,18 @@ btree::PageAllocator RegionPages(rdma::Fabric& fabric, uint32_t page_size,
   };
 }
 
+/// Follows `view`'s (the page at `ptr`) right sibling for `key`, and moves a
+/// walk's landing page past it when its high fence is strictly below `key`
+/// (see LeafLevel::SearchChain).
+rdma::RemotePtr Chase(PageView view, rdma::RemotePtr ptr, Key key,
+                      rdma::RemotePtr* landed) {
+  const rdma::RemotePtr next(view.right_sibling());
+  if (landed != nullptr && *landed == ptr && view.high_key() < key) {
+    *landed = next;
+  }
+  return next;
+}
+
 }  // namespace
 
 Status LeafLevel::Build(rdma::Fabric& fabric,
@@ -62,9 +74,11 @@ Status LeafLevel::Build(rdma::Fabric& fabric,
 sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
                                                rdma::RemotePtr start,
                                                Key key,
-                                               const uint8_t* preread) {
+                                               const uint8_t* preread,
+                                               rdma::RemotePtr* landed) {
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
+  if (landed != nullptr) *landed = start;
   // namtree-lint: bounded-loop(chain-chase: every step moves right along ascending fences and stops at the first fence above key; read failures exit)
   for (;;) {
     const uint8_t* image;
@@ -85,7 +99,7 @@ sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
                              Status::OK()};
     }
     if (view.NeedsChase(key)) {
-      ptr = rdma::RemotePtr(view.right_sibling());
+      ptr = Chase(view, ptr, key, landed);
       continue;
     }
     co_return LookupResult{false, 0, Status::OK()};
@@ -315,11 +329,13 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
 sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                       Key key, Value value,
                                       SplitInfo* split,
-                                      int32_t alloc_server) {
+                                      int32_t alloc_server,
+                                      rdma::RemotePtr* landed) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
   split->split = false;
+  if (landed != nullptr) *landed = start;
 
   for (;;) {
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
@@ -327,7 +343,7 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
     const uint64_t version = read.version;
     PageView view(buf, page_size);
     if (view.NeedsChase(key)) {
-      ptr = rdma::RemotePtr(view.right_sibling());
+      ptr = Chase(view, ptr, key, landed);
       continue;
     }
     const Status lock = co_await ops.TryLockPage(ptr, version);
@@ -399,17 +415,19 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
 }
 
 sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, Value value) {
+                                      Key key, Value value,
+                                      rdma::RemotePtr* landed) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
+  if (landed != nullptr) *landed = start;
   for (;;) {
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
     if (view.LeafFindLive(key) < 0) {
       if (view.NeedsChase(key)) {
-        ptr = rdma::RemotePtr(view.right_sibling());
+        ptr = Chase(view, ptr, key, landed);
         continue;
       }
       co_return Status::NotFound();
@@ -437,10 +455,12 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
 
 sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
                                          Key key,
-                                         std::vector<Value>* out) {
+                                         std::vector<Value>* out,
+                                         rdma::RemotePtr* landed) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
+  if (landed != nullptr) *landed = start;
   uint64_t found = 0;
   // Chasing stops at the first fence above `key`; epoch merges never
   // straddle a duplicate run, so a fence above `key` guarantees no copies
@@ -451,7 +471,7 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
     PageView view(buf, page_size);
     found += view.LeafCollect(key, out);
     if (view.NeedsChase(key)) {
-      ptr = rdma::RemotePtr(view.right_sibling());
+      ptr = Chase(view, ptr, key, landed);
       continue;
     }
     co_return found;
@@ -459,17 +479,18 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
 }
 
 sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key) {
+                                      Key key, rdma::RemotePtr* landed) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
+  if (landed != nullptr) *landed = start;
   for (;;) {
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
     if (view.LeafFindLive(key) < 0) {
       if (view.NeedsChase(key)) {
-        ptr = rdma::RemotePtr(view.right_sibling());
+        ptr = Chase(view, ptr, key, landed);
         continue;
       }
       co_return Status::NotFound();

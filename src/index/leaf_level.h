@@ -109,10 +109,16 @@ class LeafLevel {
   /// is a consistent (unlocked) image of the page at `start` the caller
   /// already holds — a speculative-descent prefetch — consumed in place of
   /// the first remote read; chases past it read remotely as usual.
-  static sim::Task<LookupResult> SearchChain(RemoteOps ops,
-                                             rdma::RemotePtr start,
-                                             btree::Key key,
-                                             const uint8_t* preread = nullptr);
+  ///
+  /// `landed`, here and in the other single-key walks, when non-null
+  /// receives where the walk landed: the leftmost visited leaf that may
+  /// still hold `key`. That is `start` unless the walk chased past leaves
+  /// whose high fence is strictly below `key` (a fence equal to `key` may
+  /// keep duplicates of it, see PageView::SplitLeafInto). Any other landing
+  /// proves the route to `start` stale (TraversalEngine::RepairRoute).
+  static sim::Task<LookupResult> SearchChain(
+      RemoteOps ops, rdma::RemotePtr start, btree::Key key,
+      const uint8_t* preread = nullptr, rdma::RemotePtr* landed = nullptr);
 
   /// Multi-point search (Index::MultiGet): serves `keys` — ascending, all
   /// routed to the chain position at `start` by the caller's grouping —
@@ -151,21 +157,25 @@ class LeafLevel {
   static sim::Task<Status> InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                     btree::Key key, btree::Value value,
                                     SplitInfo* split,
-                                    int32_t alloc_server = -1);
+                                    int32_t alloc_server = -1,
+                                    rdma::RemotePtr* landed = nullptr);
 
   /// One-sided in-place value update of the first live entry with `key`.
   static sim::Task<Status> UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key, btree::Value value);
+                                    btree::Key key, btree::Value value,
+                                    rdma::RemotePtr* landed = nullptr);
 
   /// Collects the values of all live entries with `key`, chasing the chain
   /// across duplicate runs. Returns the number found.
   static sim::Task<uint64_t> CollectAt(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key key,
-                                       std::vector<btree::Value>* out);
+                                       std::vector<btree::Value>* out,
+                                       rdma::RemotePtr* landed = nullptr);
 
   /// One-sided tombstone delete at the leaf covering `key`.
   static sim::Task<Status> DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key);
+                                    btree::Key key,
+                                    rdma::RemotePtr* landed = nullptr);
 
   /// Epoch-GC pass run from a compute server: compacts tombstoned entries
   /// out of every leaf using the one-sided lock protocol. Returns the

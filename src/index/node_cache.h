@@ -7,69 +7,70 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/units.h"
+#include "common/metrics.h"
 
 namespace namtree::index {
 
-/// Client-side cache of (inner) index-node images, the Appendix A.4
-/// extension: compute servers keep copies of hot index nodes to skip remote
-/// reads during traversal.
+/// A compute server's cache of hot index-node images (or leaf routes), the
+/// Appendix A.4 extension: compute servers keep copies of hot index nodes
+/// to skip remote reads during traversal. One cache serves every client
+/// thread of a compute machine (TraversalEngine::CacheFor).
 ///
-/// Invalidation is epoch-based: an entry older than `ttl` is discarded on
-/// access (the appendix observes that precise invalidation is the hard
-/// problem; a TTL bounds the staleness window instead). Stale images are
-/// *safe* in a B-link tree — they can only route a traversal to a node
-/// whose key range has since shrunk, and the sibling chase recovers — so
-/// staleness costs extra hops, never correctness.
+/// An entry stays valid until a fence check proves it stale: there is no
+/// age limit. Stale images are *safe* in a B-link tree — they can only
+/// route a traversal to a node whose key range has since shrunk, and the
+/// sibling chase recovers — so staleness costs extra hops, never
+/// correctness. The walk that had to chase drops (or re-seeds) exactly the
+/// entry that routed it (TraversalEngine::RepairRoute), the FaRM-style rule
+/// of refreshing a cached path once its leaf fails the fence check.
 ///
 /// Eviction is LRU over a fixed page budget.
 class NodeCache {
  public:
-  NodeCache(uint32_t page_size, size_t capacity_pages, SimTime ttl)
-      : page_size_(page_size), capacity_(capacity_pages), ttl_(ttl) {}
+  NodeCache(uint32_t page_size, size_t capacity_pages)
+      : page_size_(page_size), capacity_(capacity_pages) {}
 
-  uint32_t page_size() const { return page_size_; }
-  size_t capacity() const { return capacity_; }
-  SimTime ttl() const { return ttl_; }
+  NodeCache(const NodeCache&) = delete;
+  NodeCache& operator=(const NodeCache&) = delete;
+
+  /// Registers the hit/miss/invalidation counters as `client.cache.*`
+  /// cells labeled `labels`.
+  void RegisterMetrics(metrics::MetricRegistry& registry,
+                       const metrics::LabelSet& labels) {
+    registry.RegisterCounter(hits_, "client.cache.hits", labels,
+                             "node-cache lookups served locally");
+    registry.RegisterCounter(misses_, "client.cache.misses", labels,
+                             "node-cache lookups that went remote");
+    registry.RegisterCounter(invalidations_, "client.cache.invalidations",
+                             labels,
+                             "cached entries dropped after a fence check "
+                             "proved them stale");
+  }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  uint64_t expirations() const { return expirations_; }
+  uint64_t invalidations() const { return invalidations_; }
   size_t size() const { return entries_.size(); }
 
-  /// Returns the cached image for `ptr_raw` (valid until the next cache
-  /// mutation) or nullptr on miss/expiry.
-  const uint8_t* Get(uint64_t ptr_raw, SimTime now) {
+  /// Returns the cached image for `ptr_raw` or nullptr on a miss. The
+  /// pointer is valid until the next cache mutation — by any client of the
+  /// machine — so it must not be held across an await.
+  const uint8_t* Get(uint64_t ptr_raw) {
     auto it = entries_.find(ptr_raw);
     if (it == entries_.end()) {
-      misses_++;
+      misses_.Inc();
       return nullptr;
     }
-    if (ttl_ > 0 && now - it->second.loaded_at > ttl_) {
-      expirations_++;
-      misses_++;
-      lru_.erase(it->second.lru_pos);
-      entries_.erase(it);
-      return nullptr;
-    }
-    hits_++;
+    hits_.Inc();
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.image.data();
   }
 
-  /// Non-mutating lookup for the speculative path predictor: no LRU touch,
-  /// no hit/miss/expiration accounting, and — unlike Get — TTL-expired
-  /// entries are neither erased nor hidden: the image is returned with
-  /// `*expired = true` so the predictor can route through it locally (a
-  /// stale inner image only routes too far left) while scheduling a fresh
-  /// batched read for it. The pointer is valid until the next cache
-  /// mutation; prediction must not await between Peek and use.
-  const uint8_t* Peek(uint64_t ptr_raw, SimTime now, bool* expired) const {
-    *expired = false;
+  /// Non-mutating lookup for the speculative path predictor: no LRU touch
+  /// and no hit/miss accounting. Same lifetime rule as Get.
+  const uint8_t* Peek(uint64_t ptr_raw) const {
     auto it = entries_.find(ptr_raw);
-    if (it == entries_.end()) return nullptr;
-    if (ttl_ > 0 && now - it->second.loaded_at > ttl_) *expired = true;
-    return it->second.image.data();
+    return it == entries_.end() ? nullptr : it->second.image.data();
   }
 
   /// Debug/test introspection: cached keys in LRU order (most recent
@@ -81,12 +82,11 @@ class NodeCache {
 
   /// Inserts/overwrites the image for `ptr_raw`, evicting the LRU entry
   /// when over budget.
-  void Put(uint64_t ptr_raw, const uint8_t* image, SimTime now) {
+  void Put(uint64_t ptr_raw, const uint8_t* image) {
     if (capacity_ == 0) return;
     auto it = entries_.find(ptr_raw);
     if (it != entries_.end()) {
       std::memcpy(it->second.image.data(), image, page_size_);
-      it->second.loaded_at = now;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       return;
     }
@@ -97,42 +97,34 @@ class NodeCache {
     }
     Entry entry;
     entry.image.assign(image, image + page_size_);
-    entry.loaded_at = now;
     lru_.push_front(ptr_raw);
     entry.lru_pos = lru_.begin();
     entries_.emplace(ptr_raw, std::move(entry));
   }
 
-  /// Drops one entry (e.g. after this client split that node itself).
+  /// Drops one entry that a fence check proved stale (counted when it was
+  /// cached).
   void Invalidate(uint64_t ptr_raw) {
     auto it = entries_.find(ptr_raw);
     if (it == entries_.end()) return;
+    invalidations_.Inc();
     lru_.erase(it->second.lru_pos);
     entries_.erase(it);
-  }
-
-  void Clear() {
-    entries_.clear();
-    lru_.clear();
   }
 
  private:
   struct Entry {
     std::vector<uint8_t> image;
-    SimTime loaded_at = 0;
     std::list<uint64_t>::iterator lru_pos;
   };
 
   uint32_t page_size_;
   size_t capacity_;
-  SimTime ttl_;
   std::unordered_map<uint64_t, Entry> entries_;
   std::list<uint64_t> lru_;
-  // namtree-lint: metric-ok(cache-local accounting surfaced through CacheStats; the cache is a value type created per context, not a registry owner)
-  uint64_t hits_ = 0;
-  // namtree-lint: metric-ok(see hits_)
-  uint64_t misses_ = 0;
-  uint64_t expirations_ = 0;
+  metrics::Counter hits_;
+  metrics::Counter misses_;
+  metrics::Counter invalidations_;
 };
 
 }  // namespace namtree::index

@@ -28,29 +28,18 @@ NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
   if (opts_.cache_mode == CacheMode::kNone || opts_.cache_pages == 0) {
     return nullptr;
   }
-  auto it = caches_.find(client_id);
+  const uint32_t machine = fabric_.ClientMachine(client_id);
+  auto it = caches_.find(machine);
   if (it == caches_.end()) {
     // Route entries are one 8-byte leaf pointer, not a page image.
     const uint32_t entry_size =
         opts_.cache_mode == CacheMode::kLeafRoutes ? 8 : opts_.page_size;
-    it = caches_
-             .emplace(client_id,
-                      std::make_unique<NodeCache>(entry_size,
-                                                  opts_.cache_pages,
-                                                  opts_.cache_ttl))
-             .first;
+    auto cache = std::make_unique<NodeCache>(entry_size, opts_.cache_pages);
+    cache->RegisterMetrics(fabric_.metrics(),
+                           {{"machine", std::to_string(machine)}});
+    it = caches_.emplace(machine, std::move(cache)).first;
   }
   return it->second.get();
-}
-
-TraversalEngine::CacheStats TraversalEngine::GetCacheStats() const {
-  CacheStats stats;
-  for (const auto& [id, cache] : caches_) {
-    stats.hits += cache->hits();
-    stats.misses += cache->misses();
-    stats.expirations += cache->expirations();
-  }
-  return stats;
 }
 
 sim::Task<AllocResult> TraversalEngine::AllocFor(RemoteOps& ops,
@@ -63,8 +52,7 @@ sim::Task<AllocResult> TraversalEngine::AllocFor(RemoteOps& ops,
 }
 
 void TraversalEngine::SeedPublishedImage(NodeCache* cache,
-                                         rdma::RemotePtr ptr, uint8_t* buf,
-                                         SimTime now) {
+                                         rdma::RemotePtr ptr, uint8_t* buf) {
   // The local image still carries the locked word this client stamped;
   // patch it to the post-release version (unlock adds 2) so the cached
   // copy matches what the next remote read would observe.
@@ -72,14 +60,13 @@ void TraversalEngine::SeedPublishedImage(NodeCache* cache,
   std::memcpy(&word, buf + btree::kVersionOffset, 8);
   const uint64_t unlocked = btree::VersionOf(word) + 2;
   std::memcpy(buf + btree::kVersionOffset, &unlocked, 8);
-  cache->Put(ptr.raw(), buf, now);
+  cache->Put(ptr.raw(), buf);
 }
 
 sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
                                                Key key, NodeCache* cache,
                                                DescentPrefetch* prefetch,
                                                SpecState* spec) {
-  const SimTime now = ops.fabric().simulator().now();
   const uint32_t page = opts_.page_size;
   rdma::RemotePtr ptr = trees_[tree].root;
   // Hop budget: a healthy path is root_level hops and staleness adds a few
@@ -87,33 +74,26 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   // speculation entirely (the plain loop then runs untouched).
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
-  struct Hop {
-    uint64_t raw = 0;
-    bool fresh = false;  ///< missing or TTL-expired: ride the batch
-  };
-  std::vector<Hop> path;
-  // Local prediction: no awaits, so Peek pointers stay valid throughout.
-  // A TTL-expired image still routes the prediction (stale = too far
-  // left, recoverable) while scheduling its refresh in the batch.
+  size_t hops = 0;
+  // Local prediction: no awaits, so Peek pointers stay valid throughout
+  // (other clients of the machine mutate the cache only while this one
+  // is suspended).
   // namtree-lint: bounded-loop(speculative prediction: hop budget max_hops)
-  while (path.size() < max_hops) {
+  while (hops < max_hops) {
     if (ptr.is_null()) co_return;  // garbage route: abandon speculation
-    bool expired = false;
-    const uint8_t* img = cache->Peek(ptr.raw(), now, &expired);
-    if (img == nullptr) {
+    hops++;
+    spec->predicted.insert(ptr.raw());
+    const uint8_t* img = cache->Peek(ptr.raw());
+    // A leaf image under an inner-path pointer (stale root metadata) is a
+    // frontier too: validation sorts it out.
+    if (img == nullptr ||
+        PageView(const_cast<uint8_t*>(img), page).level() == 0) {
       // Frontier: the pointer is known but its image is not. Batch the
       // page itself; prediction cannot see below it.
-      path.push_back({ptr.raw(), true});
+      spec->frontier = ptr;
       break;
     }
     PageView v(const_cast<uint8_t*>(img), page);
-    if (v.level() == 0) {
-      // A leaf image under an inner-path pointer (stale root metadata):
-      // treat as frontier and let validation sort it out.
-      path.push_back({ptr.raw(), true});
-      break;
-    }
-    path.push_back({ptr.raw(), expired});
     if (v.NeedsChase(key)) {
       ptr = rdma::RemotePtr(v.right_sibling());
       continue;
@@ -122,70 +102,52 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
     if (v.level() == 1) {
       if (child.is_null()) co_return;  // hybrid sentinel / garbage entry
       spec->predicted_leaf = child;
+      spec->predicted.insert(child.raw());
       spec->complete = true;
       break;
     }
     ptr = child;
   }
-  if (!spec->complete && path.size() >= max_hops) co_return;  // cycle trip
+  if (!spec->complete && spec->frontier.is_null()) co_return;  // cycle trip
 
-  size_t fresh_count = 0;
-  for (const Hop& h : path) {
-    if (h.fresh) fresh_count++;
-  }
+  spec->attempted = true;
   const bool want_leaf =
       spec->complete && prefetch != nullptr && prefetch->leaf_buf != nullptr;
-  spec->attempted = spec->complete || fresh_count > 0;
-  for (const Hop& h : path) spec->predicted.emplace(h.raw, true);
-  if (spec->complete) {
-    spec->predicted.emplace(spec->predicted_leaf.raw(), true);
-  }
-  if (fresh_count == 0 && !want_leaf) co_return;  // pure warm-cache path
+  if (spec->frontier.is_null() && !want_leaf) co_return;  // warm-cache path
 
-  // One doorbell: every missing/expired predicted page plus the leaf.
-  spec->arena.resize(fresh_count * static_cast<size_t>(page));
+  // One doorbell: the first predicted page missing from the cache, or the
+  // leaf of a complete prediction.
   std::vector<RemoteOps::ChainOp> reqs;
-  reqs.reserve(fresh_count + 1);
-  size_t slot = 0;
-  for (const Hop& h : path) {
-    if (!h.fresh) continue;
-    reqs.push_back(RemoteOps::ChainOp::Read(
-        rdma::RemotePtr(h.raw), spec->arena.data() + slot * page, page));
-    slot++;
-  }
   if (want_leaf) {
     reqs.push_back(RemoteOps::ChainOp::Read(spec->predicted_leaf,
                                             prefetch->leaf_buf, page));
     spec->leaf_in_batch = true;
+  } else {
+    spec->frontier_image.resize(page);
+    reqs.push_back(RemoteOps::ChainOp::Read(
+        spec->frontier, spec->frontier_image.data(), page));
   }
   if (!(co_await ops.ReadPagesBatch(std::move(reqs))).ok()) co_return;
 
-  // Accept only usable slots: live target server, unlocked image. A
-  // locked or dropped slot simply never enters `fresh` — validation falls
-  // back to a real read there, which fails over under replication.
-  slot = 0;
-  for (const Hop& h : path) {
-    if (!h.fresh) continue;
-    uint8_t* img = spec->arena.data() + slot * page;
-    slot++;
-    if (!ops.fabric().ServerAlive(rdma::RemotePtr(h.raw).server_id())) {
-      continue;
-    }
+  // Accept the frontier only from a live target server, unlocked. A locked
+  // or dropped image is simply not used — validation falls back to a real
+  // read there, which fails over under replication.
+  if (!spec->frontier.is_null() &&
+      ops.fabric().ServerAlive(spec->frontier.server_id())) {
     uint64_t word;
-    std::memcpy(&word, img + btree::kVersionOffset, 8);
-    if (btree::IsLocked(word)) continue;
-    spec->fresh.emplace(h.raw, img);
+    std::memcpy(&word, spec->frontier_image.data() + btree::kVersionOffset,
+                8);
+    spec->frontier_valid = !btree::IsLocked(word);
   }
 }
 
 rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
-                                             uint32_t tree, Key key,
-                                             SimTime now) const {
+                                             uint32_t tree, Key key) const {
   if (opts_.cache_mode != CacheMode::kInnerImages) {
     return rdma::RemotePtr::Null();
   }
   if (trees_[tree].root_level == 0) return trees_[tree].root;
-  auto it = caches_.find(client_id);
+  auto it = caches_.find(fabric_.ClientMachine(client_id));
   if (it == caches_.end()) return rdma::RemotePtr::Null();
   const NodeCache& cache = *it->second;
   rdma::RemotePtr ptr = trees_[tree].root;
@@ -194,8 +156,7 @@ rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
   // namtree-lint: bounded-loop(local cache walk: hop budget max_hops)
   for (size_t hop = 0; hop < max_hops; ++hop) {
     if (ptr.is_null()) return rdma::RemotePtr::Null();
-    bool expired = false;
-    const uint8_t* img = cache.Peek(ptr.raw(), now, &expired);
+    const uint8_t* img = cache.Peek(ptr.raw());
     if (img == nullptr) return rdma::RemotePtr::Null();
     PageView v(const_cast<uint8_t*>(img), opts_.page_size);
     if (v.level() == 0) return rdma::RemotePtr::Null();
@@ -215,6 +176,7 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   if (prefetch != nullptr) {
     prefetch->leaf_image_valid = false;
     prefetch->parent_valid = false;
+    prefetch->parent = rdma::RemotePtr::Null();
   }
   rdma::RemotePtr ptr = trees_[tree].root;
   if (trees_[tree].root_level == 0) co_return ptr;  // single-leaf tree
@@ -222,10 +184,11 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   NodeCache* cache = CacheFor(ops.ctx().client_id());
 
   // Speculative path prefetch (Options::speculative_descent): predict the
-  // whole path from cached images, batch the missing/expired prefix in one
-  // RTT, then let the loop below validate top-down — it consumes batch
-  // images in place of remote reads and degrades to the plain
-  // level-by-level descent from the first hop speculation cannot serve.
+  // whole path from cached images, batch the first missing page (or the
+  // leaf) in one RTT, then let the loop below validate top-down — it
+  // consumes the batch image in place of a remote read and degrades to the
+  // plain level-by-level descent from the first hop speculation cannot
+  // serve.
   SpecState spec;
   if (opts_.speculative_descent &&
       opts_.cache_mode == CacheMode::kInnerImages && cache != nullptr) {
@@ -234,26 +197,25 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   }
 
   rdma::RemotePtr leaf;
+  // The inner page whose image routed the descent down to `ptr` (null at
+  // the root and after a chase).
+  rdma::RemotePtr chose;
   bool fallback_read = false;  // a predicted hop needed a real read
   // namtree-lint: bounded-loop(blink-descent: every step moves down a level or right along ascending fences; read failures exit)
   for (;;) {
-    // A.4 caching: inner-node images may come from the client cache; a
+    // A.4 caching: inner-node images may come from the machine's cache; a
     // stale image can only route us too far left, which the B-link chase
     // at the next level (or leaf chain) corrects. The cache is consulted
     // *before* the speculative batch — the exact order of the plain loop,
-    // so hit/miss/expiration accounting and LRU motion are bit-identical
-    // with speculation on (pinned by the Peek regression test).
+    // so hit/miss accounting and LRU motion are bit-identical with
+    // speculation on (pinned by the Peek regression test). No image
+    // pointer outlives its iteration: the only await is the remote read.
     const uint8_t* image = nullptr;
     bool fresh_from_batch = false;
-    if (cache != nullptr) {
-      image = cache->Get(ptr.raw(), ops.fabric().simulator().now());
-    }
-    if (image == nullptr && spec.attempted) {
-      auto it = spec.fresh.find(ptr.raw());
-      if (it != spec.fresh.end()) {
-        image = it->second;
-        fresh_from_batch = true;
-      }
+    if (cache != nullptr) image = cache->Get(ptr.raw());
+    if (image == nullptr && spec.frontier_valid && ptr == spec.frontier) {
+      image = spec.frontier_image.data();
+      fresh_from_batch = true;
     }
     if (image == nullptr) {
       const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
@@ -266,17 +228,14 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
         // complete prediction) they mean speculation failed here.
         fallback_read = true;
       }
-      if (cache != nullptr && PageView(buf, ops.page_size()).level() >= 1) {
-        cache->Put(ptr.raw(), buf, ops.fabric().simulator().now());
-      }
-    } else if (fresh_from_batch && cache != nullptr &&
-               PageView(const_cast<uint8_t*>(image), ops.page_size())
-                       .level() >= 1) {
-      // The batched read substitutes for the remote read the plain loop
-      // would have issued at this hop; seed the cache the same way.
-      cache->Put(ptr.raw(), image, ops.fabric().simulator().now());
     }
     PageView view(const_cast<uint8_t*>(image), ops.page_size());
+    if (cache != nullptr && (image == buf || fresh_from_batch) &&
+        view.level() >= 1) {
+      // A remote read (or the batched read substituting for it) seeds the
+      // cache.
+      cache->Put(ptr.raw(), image);
+    }
     if (view.level() == 0) {
       // Stale root metadata can land us on a leaf; hand it to the caller.
       leaf = ptr;
@@ -284,17 +243,25 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     }
     if (view.NeedsChase(key)) {
       ptr = rdma::RemotePtr(view.right_sibling());
+      // The image that routed us here predates a split of this node: drop
+      // it so the next descent for these keys re-reads that page.
+      if (cache != nullptr && !chose.is_null()) cache->Invalidate(chose.raw());
+      chose = rdma::RemotePtr::Null();
       continue;
     }
     const rdma::RemotePtr child(view.InnerChildFor(key));
     if (view.level() == 1) {
       leaf = child;
-      if (prefetch != nullptr && prefetch->parent_buf != nullptr) {
-        std::memcpy(prefetch->parent_buf, image, ops.page_size());
-        prefetch->parent_valid = true;
+      if (prefetch != nullptr) {
+        prefetch->parent = ptr;
+        if (prefetch->parent_buf != nullptr) {
+          std::memcpy(prefetch->parent_buf, image, ops.page_size());
+          prefetch->parent_valid = true;
+        }
       }
       break;
     }
+    chose = ptr;
     ptr = child;
   }
 
@@ -317,6 +284,15 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     if (leaf_usable) prefetch->leaf_image_valid = true;
   }
   co_return leaf;
+}
+
+void TraversalEngine::RepairRoute(RemoteOps& ops,
+                                  const DescentPrefetch& descent,
+                                  rdma::RemotePtr leaf,
+                                  rdma::RemotePtr landed) {
+  if (landed == leaf || descent.parent.is_null()) return;
+  NodeCache* cache = CacheFor(ops.ctx().client_id());
+  if (cache != nullptr) cache->Invalidate(descent.parent.raw());
 }
 
 sim::Task<bool> TraversalEngine::TryGrowRoot(RemoteOps& ops, uint32_t tree,
@@ -374,12 +350,12 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
     // namtree-lint: bounded-loop(blink-descent)
     for (;;) {
       // A.4 caching on the install descent: hops *above* the target level
-      // may come from the client cache (a stale image only routes too far
-      // left, and the B-link chase corrects that). The target node itself
-      // always takes a fresh read — its version word seeds the lock CAS.
+      // may come from the machine's cache (a stale image only routes too
+      // far left, and the B-link chase corrects that). The target node
+      // itself always takes a fresh read — its version word seeds the lock
+      // CAS.
       if (cache != nullptr) {
-        const uint8_t* image =
-            cache->Get(ptr.raw(), ops.fabric().simulator().now());
+        const uint8_t* image = cache->Get(ptr.raw());
         if (image != nullptr) {
           PageView cview(const_cast<uint8_t*>(image), ops.page_size());
           if (cview.level() > level) {
@@ -402,7 +378,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
       }
       if (view.level() > level) {
         if (cache != nullptr) {
-          cache->Put(ptr.raw(), buf, ops.fabric().simulator().now());
+          cache->Put(ptr.raw(), buf);
         }
         if (view.NeedsChase(sep)) {
           ptr = rdma::RemotePtr(view.right_sibling());
@@ -437,8 +413,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
         if (cache != nullptr) {
           // Seed the cache with the image we just published: the next
           // descent routes through this node with zero remote reads.
-          SeedPublishedImage(cache, ptr, buf,
-                             ops.fabric().simulator().now());
+          SeedPublishedImage(cache, ptr, buf);
         }
         co_return Status::OK();
       }
@@ -476,9 +451,8 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
       if (cache != nullptr) {
         // Seed both halves of the split with their freshly published
         // images (left patched to the post-release version word).
-        const SimTime now = ops.fabric().simulator().now();
-        SeedPublishedImage(cache, ptr, buf, now);
-        cache->Put(new_right.raw(), rimage.data(), now);
+        SeedPublishedImage(cache, ptr, buf);
+        cache->Put(new_right.raw(), rimage.data());
       }
       co_return co_await InstallSeparator(
           ops, tree, static_cast<uint8_t>(level + 1), promoted, ptr,
@@ -516,8 +490,7 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
                                                       Key key) {
   NodeCache* cache = CacheFor(ctx.client_id());
   if (cache != nullptr) {
-    const uint8_t* image =
-        cache->Get(key, ctx.fabric().simulator().now());
+    const uint8_t* image = cache->Get(key);
     if (image != nullptr) {
       uint64_t raw;
       std::memcpy(&raw, image, 8);
@@ -527,19 +500,19 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
   DescentResult result = co_await resolver.ResolveLeaf(ctx, key);
   if (result.ok() && cache != nullptr) {
     const uint64_t raw = result.leaf.raw();
-    cache->Put(key, reinterpret_cast<const uint8_t*>(&raw),
-               ctx.fabric().simulator().now());
+    cache->Put(key, reinterpret_cast<const uint8_t*>(&raw));
   }
   co_return result;
 }
 
-void TraversalEngine::SeedRoute(nam::ClientContext& ctx, Key key,
-                                rdma::RemotePtr leaf) {
+void TraversalEngine::RepairRoute(nam::ClientContext& ctx, Key key,
+                                  rdma::RemotePtr route,
+                                  rdma::RemotePtr landed) {
+  if (landed == route) return;
   NodeCache* cache = CacheFor(ctx.client_id());
   if (cache == nullptr) return;
-  const uint64_t raw = leaf.raw();
-  cache->Put(key, reinterpret_cast<const uint8_t*>(&raw),
-             ctx.fabric().simulator().now());
+  const uint64_t raw = landed.raw();
+  cache->Put(key, reinterpret_cast<const uint8_t*>(&raw));
 }
 
 }  // namespace namtree::index

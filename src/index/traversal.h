@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "btree/page.h"
@@ -39,11 +40,13 @@ struct DescentResult {
 ///                  (fixed-server allocation, catalog slot on server s);
 ///                  hybrid registers none and resolves leaves through a
 ///                  LeafResolver RPC hook instead.
-///   cache policy - CacheMode: no cache, per-client inner-node image cache
+///   cache policy - CacheMode: no cache, an inner-node image cache
 ///                  (Appendix A.4; descents and separator installs consult
-///                  and seed it, splits seed both halves), or a per-client
-///                  leaf-route cache for RPC designs (key -> leaf pointer,
-///                  seeded from resolver results).
+///                  and seed it, splits seed both halves), or a leaf-route
+///                  cache for RPC designs (key -> leaf pointer, seeded from
+///                  resolver results). One cache per compute machine,
+///                  shared by its client threads; an entry is dropped or
+///                  re-seeded when a walk it routed has to chase right.
 ///   lock policy  - the RemoteOps facade passed into every call: OLC
 ///                  version validation, CAS lock acquire with capped
 ///                  backoff and lease-based steal from dead holders, and
@@ -62,29 +65,32 @@ class TraversalEngine {
   enum class CacheMode {
     kNone,
     /// Cache full inner-node images keyed by remote pointer (one-sided
-    /// descents). Stale images only route too far left; the chase recovers.
+    /// descents). Stale images only route too far left; the chase recovers
+    /// and RepairRoute drops the image that routed it.
     kInnerImages,
     /// Cache resolved leaf pointers keyed by the exact lookup key (RPC
     /// designs). Stale routes only point too far left in the leaf chain
     /// (leaf coverage moves right under splits and drain-merges, never
-    /// left), so the chain chase recovers.
+    /// left), so the chain chase recovers and the caller re-seeds the
+    /// route where the walk landed (RepairRoute).
     kLeafRoutes,
   };
 
   struct Options {
     uint32_t page_size = 0;
     CacheMode cache_mode = CacheMode::kNone;
+    /// Page budget of each compute machine's cache.
     size_t cache_pages = 0;
-    SimTime cache_ttl = 0;
     /// One-RTT speculative descent (kInnerImages only; default off —
     /// bit-identical to the level-by-level loop). Before awaiting
     /// anything, DescendToLeaf walks the cached inner images locally —
-    /// including TTL-expired ones and the sibling-chase hops their fences
-    /// imply — to predict the full root→leaf path, issues a single
-    /// doorbell-batched READ covering every predicted page that is missing
-    /// or expired (plus the leaf itself when the caller passes a
-    /// DescentPrefetch), and then validates top-down, falling back to the
-    /// level-by-level loop from the first mispredicted hop. Staleness
+    /// including the sibling-chase hops their fences imply — to predict
+    /// the root→leaf path. It issues one doorbell-batched READ: the first
+    /// predicted page missing from the cache or, when the cache resolves
+    /// the whole path and the caller passes a DescentPrefetch with a leaf
+    /// buffer, the predicted leaf itself. It then validates top-down,
+    /// falling back to the level-by-level loop from the first mispredicted
+    /// hop. Staleness
     /// degrades exactly as in the plain loop: a stale image routes too far
     /// left and the chase recovers — speculation can waste batched reads,
     /// never correctness.
@@ -105,20 +111,16 @@ class TraversalEngine {
   /// (LeafLevel::ParentDirectory). `parent_valid` says the copy was made;
   /// it is false when the descent ended without a level-1 hop (single-leaf
   /// tree, stale root metadata landing on a leaf).
+  ///
+  /// Always, `parent` receives the level-1 page the descent chose the leaf
+  /// from (null without a level-1 hop): the entry RepairRoute drops when
+  /// the leaf walk has to chase right.
   struct DescentPrefetch {
     uint8_t* leaf_buf = nullptr;
     bool leaf_image_valid = false;
     uint8_t* parent_buf = nullptr;
     bool parent_valid = false;
-  };
-
-  /// Aggregate per-client cache statistics.
-  struct CacheStats {
-    // namtree-lint: metric-ok(aggregated copy of NodeCache's local counts, returned by value to callers; not a live counter)
-    uint64_t hits = 0;
-    // namtree-lint: metric-ok(see hits)
-    uint64_t misses = 0;
-    uint64_t expirations = 0;
+    rdma::RemotePtr parent;
   };
 
   /// Root-policy hook for RPC designs: resolves a starting leaf for `key`
@@ -131,7 +133,10 @@ class TraversalEngine {
                                                  btree::Key key) = 0;
   };
 
-  explicit TraversalEngine(Options opts) : opts_(opts) {}
+  /// `fabric` maps clients to compute machines and hosts the caches'
+  /// `client.cache.*` counters.
+  TraversalEngine(rdma::Fabric& fabric, Options opts)
+      : fabric_(fabric), opts_(opts) {}
 
   // ---- Root policy: the tree table ----------------------------------------
 
@@ -157,18 +162,27 @@ class TraversalEngine {
   /// Options::speculative_descent the descent is prefixed by the
   /// predict→batch→validate pass (see Options); `prefetch`, when non-null,
   /// additionally requests the predicted leaf's image in the same batch
-  /// and/or the level-1 image (see DescentPrefetch).
+  /// and/or the level-1 image (see DescentPrefetch). A chase past an inner
+  /// node drops the cached image that routed the descent down to it.
   sim::Task<rdma::RemotePtr> DescendToLeaf(RemoteOps& ops, uint32_t tree,
                                            btree::Key key,
                                            DescentPrefetch* prefetch = nullptr);
 
-  /// Locally predicts the leaf for `key` from this client's cached inner
-  /// images alone — Peek only: no verbs, no LRU touch, no stat skew.
-  /// Null when the cache cannot resolve a complete path. Stale predictions
-  /// are safe for grouping (MultiGet): they can only name a leaf too far
-  /// left, and the chain chase recovers.
+  /// Route repair after a leaf walk from `leaf`, the descent's answer: when
+  /// the walk `landed` on another page (LeafLevel walks report it), the
+  /// level-1 image `descent.parent` routed it to a leaf whose range has
+  /// since shrunk. That image is dropped from the client's machine cache,
+  /// so the next descent through it re-reads only that page.
+  void RepairRoute(RemoteOps& ops, const DescentPrefetch& descent,
+                   rdma::RemotePtr leaf, rdma::RemotePtr landed);
+
+  /// Locally predicts the leaf for `key` from the cached inner images of
+  /// the client's machine alone — Peek only: no verbs, no LRU touch, no
+  /// stat skew. Null when the cache cannot resolve a complete path. Stale
+  /// predictions are safe for grouping (MultiGet): they can only name a
+  /// leaf too far left, and the chain chase recovers.
   rdma::RemotePtr PredictLeaf(uint32_t client_id, uint32_t tree,
-                              btree::Key key, SimTime now) const;
+                              btree::Key key) const;
 
   /// Installs separator `sep` / right child `right` at inner `level` of
   /// tree `tree` after a split of `left`, growing the root through the
@@ -187,23 +201,25 @@ class TraversalEngine {
   // ---- RPC leaf resolution (hybrid root policy) ----------------------------
 
   /// Resolves a starting leaf for `key` through `resolver`, consulting and
-  /// seeding the per-client leaf-route cache (CacheMode::kLeafRoutes).
+  /// seeding the machine's leaf-route cache (CacheMode::kLeafRoutes).
   sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
                                        LeafResolver& resolver,
                                        btree::Key key);
 
-  /// Seeds the route cache after a leaf split this client performed: keys
-  /// at or above the separator now live in `right`.
-  void SeedRoute(nam::ClientContext& ctx, btree::Key key,
-                 rdma::RemotePtr leaf);
+  /// Route repair for the leaf-route cache: re-seeds `key`'s route to
+  /// `landed` when a walk from `route` landed elsewhere (or a split moved
+  /// the key). `landed` must be the leftmost leaf that may still hold
+  /// `key`, as LeafLevel walks report it.
+  void RepairRoute(nam::ClientContext& ctx, btree::Key key,
+                   rdma::RemotePtr route, rdma::RemotePtr landed);
 
   // ---- Cache policy --------------------------------------------------------
 
-  /// The client's cache (inner images or leaf routes, per CacheMode), or
-  /// nullptr when caching is disabled. Created lazily per client id.
+  /// The cache of `client_id`'s compute machine (inner images or leaf
+  /// routes, per CacheMode), or nullptr when caching is disabled. Created
+  /// lazily per machine; its counters are registered as `client.cache.*`
+  /// labeled {machine}.
   NodeCache* CacheFor(uint32_t client_id);
-
-  CacheStats GetCacheStats() const;
 
  private:
   struct Tree {
@@ -227,17 +243,19 @@ class TraversalEngine {
   /// Seeds `cache` with a just-published image, patched from the locked
   /// word to the post-release version so later descents validate cleanly.
   void SeedPublishedImage(NodeCache* cache, rdma::RemotePtr ptr,
-                          uint8_t* buf, SimTime now);
+                          uint8_t* buf);
 
-  /// Images fetched by one speculative batch, plus what was predicted.
+  /// What one speculative prediction walked through, plus the image its
+  /// batch fetched.
   struct SpecState {
-    /// Batch landing area (page-granular slots into `arena`), keyed by the
-    /// page's primary pointer. Slots whose target died mid-batch or whose
-    /// image arrived locked are dropped at validation time.
-    std::unordered_map<uint64_t, uint8_t*> fresh;
     /// Every page pointer the local prediction walked through.
-    std::unordered_map<uint64_t, bool> predicted;
-    std::vector<uint8_t> arena;
+    std::unordered_set<uint64_t> predicted;
+    /// First predicted page without a cached image (null when the cache
+    /// resolved the whole path); its image rides the batch.
+    rdma::RemotePtr frontier;
+    std::vector<uint8_t> frontier_image;
+    /// The frontier image arrived unlocked from a live server.
+    bool frontier_valid = false;
     bool attempted = false;       ///< a prediction (with or w/o batch) ran
     bool complete = false;        ///< prediction reached a leaf pointer
     bool leaf_in_batch = false;   ///< predicted leaf rode the batch
@@ -246,13 +264,15 @@ class TraversalEngine {
 
   /// The predict→batch half of a speculative descent: walks cached images
   /// locally (Peek — no cache mutation), then issues one doorbell-batched
-  /// READ for the missing/expired prefix plus (optionally) the leaf.
+  /// READ for the first missing page or (optionally) the predicted leaf.
   sim::Task<void> SpeculatePath(RemoteOps& ops, uint32_t tree,
                                 btree::Key key, NodeCache* cache,
                                 DescentPrefetch* prefetch, SpecState* spec);
 
+  rdma::Fabric& fabric_;
   Options opts_;
   std::vector<Tree> trees_;
+  /// Keyed by compute machine (Fabric::ClientMachine).
   std::unordered_map<uint32_t, std::unique_ptr<NodeCache>> caches_;
 };
 

@@ -1,11 +1,14 @@
-// Tests for the Appendix A.4 client-side node cache: LRU eviction, TTL
-// expiry, and correctness of the cached index designs under
-// cache-invalidating writes. The traversal engine gives every one-sided
-// design a cache policy (FG / CG1S: inner-node images; hybrid: leaf
-// routes), so each design gets its own hit-rate and staleness coverage.
+// Tests for the Appendix A.4 node cache: LRU eviction, one cache per
+// compute machine, fence-check repair of stale entries, and correctness of
+// the cached index designs under cache-invalidating writes. The traversal
+// engine gives every one-sided design a cache policy (FG / CG1S: inner-node
+// images; hybrid: leaf routes), so each design gets its own hit-rate and
+// staleness coverage. Tests whose writers must leave a reader's cache stale
+// put every client on its own compute machine.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "index/fine_grained.h"
 #include "index/hybrid.h"
 #include "index/node_cache.h"
+#include "rdma/memory_region.h"
 #include "nam/cluster.h"
 
 namespace namtree::index {
@@ -25,12 +29,17 @@ using nam::Cluster;
 using sim::Spawn;
 using sim::Task;
 
+/// Sum of a `client.cache.*` family over every machine's cache.
+uint64_t CacheCount(Cluster& cluster, const char* family) {
+  return cluster.fabric().metrics().Value(family);
+}
+
 TEST(NodeCacheTest, HitAfterPut) {
-  NodeCache cache(64, 4, 0);
+  NodeCache cache(64, 4);
   std::vector<uint8_t> image(64, 0xAB);
-  EXPECT_EQ(cache.Get(1, 0), nullptr);
-  cache.Put(1, image.data(), 0);
-  const uint8_t* hit = cache.Get(1, 100);
+  EXPECT_EQ(cache.Get(1), nullptr);
+  cache.Put(1, image.data());
+  const uint8_t* hit = cache.Get(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit[0], 0xAB);
   EXPECT_EQ(cache.hits(), 1u);
@@ -38,93 +47,85 @@ TEST(NodeCacheTest, HitAfterPut) {
 }
 
 TEST(NodeCacheTest, LruEviction) {
-  NodeCache cache(8, 2, 0);
+  NodeCache cache(8, 2);
   std::vector<uint8_t> image(8, 1);
-  cache.Put(1, image.data(), 0);
-  cache.Put(2, image.data(), 0);
-  EXPECT_NE(cache.Get(1, 0), nullptr);  // 1 becomes MRU
-  cache.Put(3, image.data(), 0);        // evicts 2
-  EXPECT_NE(cache.Get(1, 0), nullptr);
-  EXPECT_EQ(cache.Get(2, 0), nullptr);
-  EXPECT_NE(cache.Get(3, 0), nullptr);
+  cache.Put(1, image.data());
+  cache.Put(2, image.data());
+  EXPECT_NE(cache.Get(1), nullptr);  // 1 becomes MRU
+  cache.Put(3, image.data());        // evicts 2
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(NodeCacheTest, TtlExpiry) {
-  NodeCache cache(8, 4, 1000);
-  std::vector<uint8_t> image(8, 1);
-  cache.Put(1, image.data(), 0);
-  EXPECT_NE(cache.Get(1, 999), nullptr);
-  EXPECT_EQ(cache.Get(1, 1001), nullptr);
-  EXPECT_EQ(cache.expirations(), 1u);
-  // Re-put refreshes the epoch.
-  cache.Put(1, image.data(), 2000);
-  EXPECT_NE(cache.Get(1, 2500), nullptr);
-}
-
 TEST(NodeCacheTest, PutOverwritesInPlace) {
-  NodeCache cache(8, 2, 0);
+  NodeCache cache(8, 2);
   std::vector<uint8_t> a(8, 1);
   std::vector<uint8_t> b(8, 2);
-  cache.Put(1, a.data(), 0);
-  cache.Put(1, b.data(), 50);
-  const uint8_t* hit = cache.Get(1, 60);
+  cache.Put(1, a.data());
+  cache.Put(1, b.data());
+  const uint8_t* hit = cache.Get(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit[0], 2);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(NodeCacheTest, InvalidateDrops) {
-  NodeCache cache(8, 2, 0);
+  NodeCache cache(8, 2);
   std::vector<uint8_t> image(8, 1);
-  cache.Put(1, image.data(), 0);
+  cache.Put(1, image.data());
   cache.Invalidate(1);
-  EXPECT_EQ(cache.Get(1, 0), nullptr);
-  cache.Invalidate(42);  // no-op
+  EXPECT_EQ(cache.Get(1), nullptr);
+  cache.Invalidate(42);  // no-op, not counted
+  EXPECT_EQ(cache.invalidations(), 1u);
 }
 
 TEST(NodeCacheTest, PeekDoesNotMutate) {
-  // Peek is the speculative predictor's read path: it must leave hit/miss/
-  // expiration counters and the LRU order exactly as they were, and it
-  // must return TTL-expired images (flagged) instead of erasing them.
-  NodeCache cache(8, 3, 1000);
+  // Peek is the speculative predictor's read path: it must leave the
+  // hit/miss counters and the LRU order exactly as they were.
+  NodeCache cache(8, 3);
   std::vector<uint8_t> image(8, 7);
-  cache.Put(1, image.data(), 0);
-  cache.Put(2, image.data(), 0);
-  cache.Put(3, image.data(), 0);
+  cache.Put(1, image.data());
+  cache.Put(2, image.data());
+  cache.Put(3, image.data());
   const std::vector<uint64_t> lru_before = cache.LruKeys();
 
-  bool expired = true;
-  const uint8_t* hit = cache.Peek(2, 500, &expired);
+  const uint8_t* hit = cache.Peek(2);
   ASSERT_NE(hit, nullptr);
-  EXPECT_FALSE(expired);
   EXPECT_EQ(hit[0], 7);
-  EXPECT_EQ(cache.Peek(42, 500, &expired), nullptr);
-
-  // A TTL-expired entry is still visible to Peek — and still in the cache.
-  hit = cache.Peek(1, 2000, &expired);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(expired);
+  EXPECT_EQ(cache.Peek(42), nullptr);
   EXPECT_EQ(cache.size(), 3u);
 
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(cache.expirations(), 0u);
   EXPECT_EQ(cache.LruKeys(), lru_before) << "Peek must not touch the LRU";
 
   // Get after the Peeks behaves as if they never happened.
-  EXPECT_NE(cache.Get(2, 500), nullptr);
+  EXPECT_NE(cache.Get(2), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.Get(1, 2000), nullptr);  // now it expires and erases
-  EXPECT_EQ(cache.expirations(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(NodeCacheTest, ZeroCapacityDisables) {
-  NodeCache cache(8, 0, 0);
+  NodeCache cache(8, 0);
   std::vector<uint8_t> image(8, 1);
-  cache.Put(1, image.data(), 0);
-  EXPECT_EQ(cache.Get(1, 0), nullptr);
+  cache.Put(1, image.data());
+  EXPECT_EQ(cache.Get(1), nullptr);
+}
+
+TEST(NodeCacheTest, CountersReachTheRegistry) {
+  metrics::MetricRegistry registry;
+  NodeCache cache(8, 2);
+  cache.RegisterMetrics(registry, {{"machine", "3"}});
+  std::vector<uint8_t> image(8, 1);
+  cache.Put(1, image.data());
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  cache.Invalidate(1);
+  EXPECT_EQ(registry.Value("client.cache.hits", "machine", "3"), 1u);
+  EXPECT_EQ(registry.Value("client.cache.misses", "machine", "3"), 1u);
+  EXPECT_EQ(registry.Value("client.cache.invalidations", "machine", "3"),
+            1u);
 }
 
 // ---- Cached fine-grained index ----------------------------------------------
@@ -145,7 +146,6 @@ TEST(CachedFineGrainedTest, CacheCutsRoundTripsWithoutMisses) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   FineGrainedIndex index(cluster, ic);
   const uint64_t keys = 20000;
   std::vector<KV> data;
@@ -158,8 +158,8 @@ TEST(CachedFineGrainedTest, CacheCutsRoundTripsWithoutMisses) {
   cluster.simulator().Run();
   EXPECT_EQ(found, 2000u);
 
-  const auto stats = index.GetCacheStats();
-  EXPECT_GT(stats.hits, stats.misses)
+  EXPECT_GT(CacheCount(cluster, "client.cache.hits"),
+            CacheCount(cluster, "client.cache.misses"))
       << "a warmed cache must serve most inner reads";
   // With all inner levels cached, steady-state lookups need ~1 read each.
   EXPECT_LT(static_cast<double>(ctx.round_trips), 2000 * 2.2);
@@ -168,11 +168,11 @@ TEST(CachedFineGrainedTest, CacheCutsRoundTripsWithoutMisses) {
 TEST(CachedFineGrainedTest, StaleCacheStaysCorrectUnderInserts) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 4;
+  fc.clients_per_compute_machine = 1;  // writers leave the reader stale
   Cluster cluster(fc, 64 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = 10 * kSecond;  // effectively never expires
   FineGrainedIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 3000; ++i) data.push_back({i * 4, i});
@@ -225,12 +225,12 @@ TEST(CachedFineGrainedTest, StaleCacheStaysCorrectUnderInserts) {
 uint64_t StaleReaderMisses(bool verb_chaining) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 2;
+  fc.clients_per_compute_machine = 1;  // writers leave the reader stale
   fc.verb_chaining = verb_chaining;
   Cluster cluster(fc, 32 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 2048;
-  ic.client_cache_ttl = 10 * kSecond;  // effectively never expires
   FineGrainedIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 2000; ++i) data.push_back({i * 4, i});
@@ -292,7 +292,6 @@ TEST(CachedFineGrainedTest, SplitSeedsWriterCacheWithPublishedParent) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 1024;
-  ic.client_cache_ttl = 0;  // no expiry
   FineGrainedIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 60; ++i) data.push_back({i * 2, i});
@@ -332,7 +331,6 @@ TEST(CachedCoarseOneSidedTest, CacheServesInnerReadsAcrossPartitions) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   CoarseOneSidedIndex index(cluster, ic);
   const uint64_t keys = 20000;
   std::vector<KV> data;
@@ -345,9 +343,9 @@ TEST(CachedCoarseOneSidedTest, CacheServesInnerReadsAcrossPartitions) {
   cluster.simulator().Run();
   EXPECT_EQ(found, 2000u);
 
-  const auto stats = index.GetCacheStats();
-  EXPECT_GT(stats.hits, 0u) << "CG1S descents never hit the inner cache";
-  EXPECT_GT(stats.hits, stats.misses)
+  const uint64_t hits = CacheCount(cluster, "client.cache.hits");
+  EXPECT_GT(hits, 0u) << "CG1S descents never hit the inner cache";
+  EXPECT_GT(hits, CacheCount(cluster, "client.cache.misses"))
       << "a warmed cache must serve most inner reads";
   // With every partition's inner levels cached, steady-state lookups need
   // ~1 leaf read each.
@@ -357,11 +355,11 @@ TEST(CachedCoarseOneSidedTest, CacheServesInnerReadsAcrossPartitions) {
 TEST(CachedCoarseOneSidedTest, StaleCacheStaysCorrectUnderInserts) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 4;
+  fc.clients_per_compute_machine = 1;  // writers leave the reader stale
   Cluster cluster(fc, 64 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = 10 * kSecond;  // effectively never expires
   CoarseOneSidedIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 3000; ++i) data.push_back({i * 4, i});
@@ -405,7 +403,7 @@ TEST(CachedCoarseOneSidedTest, StaleCacheStaysCorrectUnderInserts) {
   Spawn(cluster.simulator(), Verify::Go(index, reader, &missing));
   cluster.simulator().Run();
   EXPECT_EQ(missing, 0u) << "stale cached routing lost keys";
-  EXPECT_GT(index.GetCacheStats().hits, 0u);
+  EXPECT_GT(CacheCount(cluster, "client.cache.hits"), 0u);
 }
 
 // ---- Cached hybrid index ----------------------------------------------------
@@ -421,7 +419,6 @@ TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   HybridIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 5000; ++i) data.push_back({i * 2, i});
@@ -443,9 +440,9 @@ TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
   Spawn(cluster.simulator(), Driver::Go(index, ctx));
   cluster.simulator().Run();
 
-  const auto stats = index.GetCacheStats();
-  EXPECT_EQ(stats.hits, 9u * 100u) << "every repeat lookup must hit a route";
-  EXPECT_EQ(stats.misses, 100u);
+  EXPECT_EQ(CacheCount(cluster, "client.cache.hits"), 9u * 100u)
+      << "every repeat lookup must hit a route";
+  EXPECT_EQ(CacheCount(cluster, "client.cache.misses"), 100u);
   // Cold lookups pay RPC + leaf read; warm ones skip the RPC. The total
   // must beat the all-RPC cost of 2 round trips per lookup.
   EXPECT_LT(ctx.round_trips, 1000u * 2);
@@ -455,11 +452,11 @@ TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
 TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 2;
+  fc.clients_per_compute_machine = 1;  // writers leave the reader stale
   Cluster cluster(fc, 32 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = 10 * kSecond;  // effectively never expires
   HybridIndex index(cluster, ic);
   std::vector<KV> data;
   for (uint64_t i = 0; i < 2000; ++i) data.push_back({i * 4, i});
@@ -496,24 +493,230 @@ TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   // sibling chase must recover each one.
   struct Verify {
     static Task<> Go(HybridIndex& index, ClientContext& ctx,
-                     uint64_t* missing, uint64_t* route_hits) {
-      const uint64_t hits_before = index.GetCacheStats().hits;
+                     uint64_t* missing) {
       for (Key k = 0; k < 8000; ++k) {
         if (k % 4 == 2) continue;  // even but not a bulk-loaded multiple of 4
         const LookupResult r = co_await index.Lookup(ctx, k);
         if (!r.found) (*missing)++;
       }
-      *route_hits = index.GetCacheStats().hits - hits_before;
     }
   };
+  const uint64_t hits_before = CacheCount(cluster, "client.cache.hits");
   uint64_t missing = 0;
-  uint64_t route_hits = 0;
-  Spawn(cluster.simulator(), Verify::Go(index, reader, &missing, &route_hits));
+  Spawn(cluster.simulator(), Verify::Go(index, reader, &missing));
   cluster.simulator().Run();
+  const uint64_t route_hits =
+      CacheCount(cluster, "client.cache.hits") - hits_before;
   EXPECT_EQ(missing, 0u) << "a stale route lost keys";
   EXPECT_GT(route_hits, 0u) << "the verify pass never exercised the cache";
   EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
       << cluster.fabric().CheckAuditClean().ToString();
+}
+
+// ---- One cache per compute machine, repaired on the chase ------------------
+
+/// The leaf page image at `ptr`, read straight from its memory region.
+btree::PageView LeafAt(Cluster& cluster, rdma::RemotePtr ptr,
+                       uint32_t page_size) {
+  return btree::PageView(
+      cluster.fabric().region(ptr.server_id())->at(ptr.offset()), page_size);
+}
+
+TEST(MachineCacheTest, ClientsOfOneMachineShareImages) {
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 4;
+  fc.clients_per_compute_machine = 40;
+  Cluster cluster(fc, 64 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 4096;
+  FineGrainedIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 20000; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  ASSERT_GE(index.root_level(), 2u);
+  cluster.fabric().SetNumClients(41);
+
+  // Clients 0 and 39 share machine 0; client 40 is on machine 1.
+  ClientContext first(0, cluster.fabric(), ic.page_size, 1);
+  ClientContext neighbour(39, cluster.fabric(), ic.page_size, 2);
+  ClientContext remote(40, cluster.fabric(), ic.page_size, 3);
+  EXPECT_EQ(index.CacheFor(0), index.CacheFor(39));
+  EXPECT_NE(index.CacheFor(0), index.CacheFor(40));
+
+  struct Driver {
+    static Task<> Go(FineGrainedIndex& index, ClientContext& first,
+                     ClientContext& neighbour, ClientContext& remote) {
+      const uint64_t cold = index.root_level() + 1u;  // every level + leaf
+      EXPECT_TRUE((co_await index.Lookup(first, 7000)).found);
+      EXPECT_EQ(first.round_trips, cold);
+      // The neighbour's first lookup descends through the images the first
+      // client cached: the leaf READ is its only round trip.
+      EXPECT_TRUE((co_await index.Lookup(neighbour, 7000)).found);
+      EXPECT_EQ(neighbour.round_trips, 1u);
+      // Another machine's client starts cold.
+      EXPECT_TRUE((co_await index.Lookup(remote, 7000)).found);
+      EXPECT_EQ(remote.round_trips, cold);
+    }
+  };
+  Spawn(cluster.simulator(), Driver::Go(index, first, neighbour, remote));
+  cluster.simulator().Run();
+  const auto& registry = cluster.fabric().metrics();
+  EXPECT_EQ(registry.Value("client.cache.hits", "machine", "0"),
+            index.root_level());
+  EXPECT_EQ(registry.Value("client.cache.hits", "machine", "1"), 0u);
+}
+
+TEST(RouteRepairTest, ChasePastStaleLevelOneImageDropsIt) {
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 2;
+  fc.clients_per_compute_machine = 1;  // the writer leaves the reader stale
+  Cluster cluster(fc, 32 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 1024;
+  FineGrainedIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 2000; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  ASSERT_GE(index.root_level(), 2u);
+  cluster.fabric().SetNumClients(2);
+
+  // A leaf in the middle of the chain; `key` is its largest entry, so any
+  // split of the leaf moves `key` into the right half.
+  rdma::RemotePtr leaf = index.first_leaf();
+  for (int i = 0; i < 50; ++i) {
+    leaf =
+        rdma::RemotePtr(LeafAt(cluster, leaf, ic.page_size).right_sibling());
+  }
+  const btree::PageView before = LeafAt(cluster, leaf, ic.page_size);
+  ASSERT_GE(before.count(), 4u);
+  const Key key = before.leaf_entries()[before.count() - 1].key;
+
+  ClientContext reader(0, cluster.fabric(), ic.page_size, 1);
+  ClientContext writer(1, cluster.fabric(), ic.page_size, 2);
+  struct Driver {
+    static Task<> Go(Cluster& cluster, FineGrainedIndex& index,
+                     ClientContext& reader, ClientContext& writer,
+                     rdma::RemotePtr leaf, Key key) {
+      const uint32_t page = index.page_size();
+      EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
+      // Odd keys inside the leaf's range split it (writer's own machine
+      // cache; the separator install rewrites the reader's cached parent
+      // remotely).
+      for (Key k = key - 1; k + 6 > key; k -= 2) {
+        EXPECT_TRUE((co_await index.Insert(writer, k, k)).ok());
+      }
+      EXPECT_LE(LeafAt(cluster, leaf, page).high_key(), key)
+          << "the inserts did not split the key out of its leaf";
+
+      const auto invalidations = [&cluster] {
+        return cluster.fabric().metrics().Value(
+            "client.cache.invalidations", "machine", "0");
+      };
+      // Stale parent: the leaf READ, then the chase to the right half.
+      uint64_t rtt = reader.round_trips;
+      EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
+      EXPECT_EQ(reader.round_trips - rtt, 2u);
+      EXPECT_EQ(invalidations(), 1u) << "the chase kept the stale parent";
+      // The parent is re-read once and routes straight to the right half.
+      rtt = reader.round_trips;
+      EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
+      EXPECT_EQ(reader.round_trips - rtt, 2u);
+      // Warm again: one RTT, no chase.
+      rtt = reader.round_trips;
+      EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
+      EXPECT_EQ(reader.round_trips - rtt, 1u);
+      EXPECT_EQ(invalidations(), 1u);
+    }
+  };
+  Spawn(cluster.simulator(),
+        Driver::Go(cluster, index, reader, writer, leaf, key));
+  cluster.simulator().Run();
+  EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
+      << cluster.fabric().CheckAuditClean().ToString();
+}
+
+TEST(CachedHybridTest, KeyEqualToSplitSeparatorKeepsItsLeftRoute) {
+  // A run of duplicates splits its leaf at a separator equal to the key;
+  // the left half keeps duplicates of its fence. The inserting client's
+  // route for the key must stay on the left half, or its LookupAll misses
+  // them.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 2;
+  Cluster cluster(fc, 16 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 1024;
+  HybridIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 200; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+
+  ClientContext ctx(0, cluster.fabric(), ic.page_size, 1);
+  struct Driver {
+    static Task<> Go(HybridIndex& index, ClientContext& ctx) {
+      const Key key = 100;
+      for (uint64_t i = 0; i < 40; ++i) {
+        EXPECT_TRUE((co_await index.Insert(ctx, key, 1000 + i)).ok());
+      }
+      std::vector<btree::Value> values;
+      EXPECT_EQ(co_await index.LookupAll(ctx, key, &values), 41u);
+    }
+  };
+  Spawn(cluster.simulator(), Driver::Go(index, ctx));
+  cluster.simulator().Run();
+}
+
+TEST(CachedHybridTest, RouteNeverMovesPastAFenceEqualToTheKey) {
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 2;
+  fc.clients_per_compute_machine = 1;  // the writer leaves the reader stale
+  Cluster cluster(fc, 16 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 1024;
+  HybridIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 200; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  cluster.fabric().SetNumClients(2);
+
+  const Key key = 100;
+  ClientContext reader(0, cluster.fabric(), ic.page_size, 1);
+  ClientContext writer(1, cluster.fabric(), ic.page_size, 2);
+  struct Driver {
+    static Task<> Go(HybridIndex& index, ClientContext& reader,
+                     ClientContext& writer, Key key) {
+      // The reader caches a route to the key's leaf; the writer's run of
+      // duplicates then splits it into leaves fenced at the key.
+      EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
+      for (uint64_t i = 0; i < 40; ++i) {
+        EXPECT_TRUE((co_await index.Insert(writer, key, 1000 + i)).ok());
+      }
+      std::vector<btree::Value> values;
+      EXPECT_EQ(co_await index.LookupAll(reader, key, &values), 41u);
+    }
+  };
+  Spawn(cluster.simulator(), Driver::Go(index, reader, writer, key));
+  cluster.simulator().Run();
+
+  // The leftmost leaf that may still hold the key: the first whose high
+  // fence is not strictly below it.
+  rdma::RemotePtr target = index.first_leaf();
+  for (;;) {
+    const btree::PageView v = LeafAt(cluster, target, ic.page_size);
+    if (!v.NeedsChase(key) || v.high_key() >= key) break;
+    target = rdma::RemotePtr(v.right_sibling());
+  }
+  ASSERT_EQ(LeafAt(cluster, target, ic.page_size).high_key(), key)
+      << "no leaf is fenced at the key: the test lost its premise";
+  const uint8_t* route = index.CacheFor(0)->Peek(key);
+  ASSERT_NE(route, nullptr);
+  uint64_t raw;
+  std::memcpy(&raw, route, 8);
+  EXPECT_EQ(raw, target.raw())
+      << "the route is not the leftmost leaf that may hold the key";
 }
 
 TEST(CatalogBootstrapTest, FreshClientLearnsTheRootRemotely) {

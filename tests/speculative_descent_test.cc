@@ -57,21 +57,21 @@ struct SpecRunStats {
   uint64_t round_trips = 0;
   uint64_t speculative_hits = 0;
   uint64_t mispredicts = 0;
-  FineGrainedIndex::CacheStats cache;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
   std::vector<uint64_t> lru;
 };
 
 /// One deterministic single-client run: warm with `rounds` random lookups,
-/// TTL `ttl`, speculation per `speculative`. Everything about the two runs
-/// is identical except the knob.
-SpecRunStats RunSpecLookups(bool speculative, SimTime ttl, int rounds) {
+/// speculation per `speculative`. Everything about the two runs is
+/// identical except the knob.
+SpecRunStats RunSpecLookups(bool speculative, int rounds) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 4;
   Cluster cluster(fc, 64 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = ttl;
   ic.speculative_descent = speculative;
   FineGrainedIndex index(cluster, ic);
   const uint64_t keys = 20000;
@@ -99,67 +99,47 @@ SpecRunStats RunSpecLookups(bool speculative, SimTime ttl, int rounds) {
   stats.round_trips = ctx.round_trips;
   stats.speculative_hits = ctx.speculative_hits;
   stats.mispredicts = ctx.mispredicts;
-  stats.cache = index.GetCacheStats();
+  stats.cache_hits = registry.Value("client.cache.hits");
+  stats.cache_misses = registry.Value("client.cache.misses");
   if (NodeCache* cache = index.CacheFor(0)) stats.lru = cache->LruKeys();
   return stats;
 }
 
 TEST(SpeculativeDescentTest, FindsEverythingWithSameCacheBehavior) {
-  // Long TTL: nothing expires, so the two runs must agree not only on every
-  // result but on every cache counter and the exact LRU order — the
-  // validation loop consults the cache in the plain loop's order.
-  const SpecRunStats plain = RunSpecLookups(false, kSecond, 2000);
-  const SpecRunStats spec = RunSpecLookups(true, kSecond, 2000);
+  // The two runs must agree not only on every result but on every cache
+  // counter and the exact LRU order — the validation loop consults the
+  // cache in the plain loop's order.
+  const SpecRunStats plain = RunSpecLookups(false, 2000);
+  const SpecRunStats spec = RunSpecLookups(true, 2000);
   EXPECT_EQ(plain.found, 2000u);
   EXPECT_EQ(spec.found, 2000u);
-  EXPECT_EQ(spec.cache.hits, plain.cache.hits);
-  EXPECT_EQ(spec.cache.misses, plain.cache.misses);
-  EXPECT_EQ(spec.cache.expirations, plain.cache.expirations);
+  EXPECT_EQ(spec.cache_hits, plain.cache_hits);
+  EXPECT_EQ(spec.cache_misses, plain.cache_misses);
   EXPECT_EQ(spec.lru, plain.lru) << "speculation skewed the LRU order";
   EXPECT_EQ(plain.speculative_hits, 0u);
   EXPECT_EQ(plain.mispredicts, 0u);
-}
-
-TEST(SpeculativeDescentTest, ExpiredImagesStillDriveOneRttDescents) {
-  // A TTL short enough that inner images are expired by the time they are
-  // reused: the plain loop re-reads the path level by level (one RTT per
-  // level) while speculation predicts through the expired images and
-  // refreshes the whole path in one batched RTT.
-  const SimTime ttl = 30 * kMicrosecond;
-  const SpecRunStats plain = RunSpecLookups(false, ttl, 2000);
-  const SpecRunStats spec = RunSpecLookups(true, ttl, 2000);
-  EXPECT_EQ(plain.found, 2000u);
-  EXPECT_EQ(spec.found, 2000u);
   EXPECT_GT(spec.speculative_hits, 0u);
-  EXPECT_LT(spec.round_trips, plain.round_trips)
-      << "speculation must strictly reduce round trips under TTL churn";
-  // The descent itself collapses to one RTT: with a height >= 3 tree the
-  // per-op saving must be large, not marginal.
-  EXPECT_LT(static_cast<double>(spec.round_trips),
-            0.6 * static_cast<double>(plain.round_trips));
 }
 
 TEST(SpeculativeDescentTest, MispredictFallbackRecoversMovedKeys) {
-  // Note the TTL: with a never-expiring cache, validation would consult the
-  // same stale images prediction used and the two always agree (the leaf
-  // chain's chase absorbs the staleness — a speculative *hit*). A short TTL
-  // makes prediction run on expired images while validation sees the fresh
-  // batched ones; after the writer's splits those route differently, which
-  // is exactly the mispredict → fallback path under test.
+  // The reader's machine caches every inner image, then a writer on another
+  // compute machine (a cache of its own) splits leaves and inner nodes
+  // while the reader keeps looking up the keys it inserts. The reader's
+  // batches then meet pages the writer holds locked, or a cached parent
+  // that a chase has just dropped: the mispredict -> fallback path under
+  // test.
   rdma::FabricConfig fc;
   fc.num_memory_servers = 2;
+  fc.clients_per_compute_machine = 1;
   Cluster cluster(fc, 32 << 20);
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = 50 * kMicrosecond;
   ic.speculative_descent = true;
   FineGrainedIndex index(cluster, ic);
   EXPECT_TRUE(index.BulkLoad(EvenKeys(2000)).ok());
   cluster.fabric().SetNumClients(2);
 
-  // Reader warms its cache, then a writer splits many leaves (and inner
-  // nodes), leaving the reader's cached images stale.
   ClientContext reader(0, cluster.fabric(), ic.page_size, 1);
   uint64_t found = 0;
   Spawn(cluster.simulator(),
@@ -168,32 +148,49 @@ TEST(SpeculativeDescentTest, MispredictFallbackRecoversMovedKeys) {
 
   ClientContext writer(1, cluster.fabric(), ic.page_size, 2);
   struct Writer {
-    static Task<> Go(FineGrainedIndex& index, ClientContext& ctx) {
+    static Task<> Go(FineGrainedIndex& index, ClientContext& ctx,
+                     Key* progress) {
       for (Key k = 1; k < 8000; k += 2) {
         EXPECT_TRUE((co_await index.Insert(ctx, k, k)).ok());
+        *progress = k;
       }
     }
   };
-  Spawn(cluster.simulator(), Writer::Go(index, writer));
+  struct Chaser {
+    // Looks up the writer's latest keys while it is still splitting.
+    static Task<> Go(FineGrainedIndex& index, ClientContext& ctx,
+                     const Key* progress, uint64_t* missing) {
+      while (*progress + 2 < 8000) {
+        const Key k = *progress;
+        if (k > 0 && !(co_await index.Lookup(ctx, k)).found) (*missing)++;
+        (void)(co_await index.Lookup(ctx, ctx.rng().NextBelow(4000) * 2))
+            .status;
+      }
+    }
+  };
+  Key progress = 0;
+  uint64_t missing = 0;
+  Spawn(cluster.simulator(), Writer::Go(index, writer, &progress));
+  Spawn(cluster.simulator(), Chaser::Go(index, reader, &progress, &missing));
   cluster.simulator().Run();
+  EXPECT_EQ(missing, 0u) << "a mispredicted descent lost an acknowledged key";
+  EXPECT_GT(reader.mispredicts, 0u)
+      << "stale predictions must be counted as mispredicts";
 
-  // The reader's speculative descents now predict from stale images: the
-  // validation loop must chase/fall back and still find every key.
+  // Every key, old and new, through the reader's repaired cache.
   struct Verify {
     static Task<> Go(FineGrainedIndex& index, ClientContext& ctx,
                      uint64_t* missing) {
-      for (Key k = 1; k < 8000; k += 2) {
+      for (Key k = 0; k < 8000; ++k) {
+        if (k % 2 == 0 && k >= 4000) continue;  // never loaded
         const LookupResult r = co_await index.Lookup(ctx, k);
         if (!r.found) (*missing)++;
       }
     }
   };
-  uint64_t missing = 0;
   Spawn(cluster.simulator(), Verify::Go(index, reader, &missing));
   cluster.simulator().Run();
   EXPECT_EQ(missing, 0u) << "a mispredicted descent lost keys";
-  EXPECT_GT(reader.mispredicts, 0u)
-      << "stale predictions must be counted as mispredicts";
   EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
       << cluster.fabric().CheckAuditClean().ToString();
 }
@@ -206,7 +203,6 @@ TEST(SpeculativeDescentTest, SurvivesServerKillUnderReplication) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = 50 * kMicrosecond;
   ic.speculative_descent = true;
   FineGrainedIndex index(cluster, ic);
   EXPECT_TRUE(index.BulkLoad(EvenKeys(5000)).ok());
@@ -250,7 +246,6 @@ TEST(SpeculativeDescentTest, ClientCrashMidDescentLeavesCleanAudit) {
     IndexConfig ic;
     ic.page_size = 256;
     ic.client_cache_pages = 2048;
-    ic.client_cache_ttl = 10 * kMicrosecond;  // expire fast: batches stay hot
     ic.speculative_descent = true;
     FineGrainedIndex index(cluster, ic);
     EXPECT_TRUE(index.BulkLoad(EvenKeys(3000)).ok());
@@ -323,7 +318,6 @@ TEST_P(MultiGetDifferentialTest, MatchesIndividualLookups) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   ic.speculative_descent = true;  // exercised where supported, inert elsewhere
   auto index = MakeDesign(GetParam(), cluster, ic);
   const uint64_t keys = 4000;
@@ -377,7 +371,6 @@ TEST(MultiGetTest, GroupedLookupsCostFewerRoundTrips) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   FineGrainedIndex index(cluster, ic);
   ASSERT_TRUE(index.BulkLoad(EvenKeys(20000)).ok());
 
@@ -560,7 +553,6 @@ TEST(MultiGetRunnerTest, BatchedPointLoopCompletesCleanly) {
   IndexConfig ic;
   ic.page_size = 256;
   ic.client_cache_pages = 4096;
-  ic.client_cache_ttl = kSecond;
   ic.speculative_descent = true;
   FineGrainedIndex index(cluster, ic);
   const uint64_t keys = 10000;
