@@ -2,9 +2,11 @@
 // servers (2..8) at 120 clients for the coarse-grained and fine-grained
 // schemes: (a) point uniform, (b) range sel=0.01 uniform, (c) point skew,
 // (d) range sel=0.01 skew. (The paper omits the hybrid here because it
-// tracks CG for point and FG for range queries.)
+// tracks CG for point and FG for range queries.) `--subplot <label>` runs
+// one subplot alone.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 
@@ -19,6 +21,7 @@ int main(int argc, char** argv) {
   const uint64_t keys = static_cast<uint64_t>(args.GetInt("keys", 1000000));
   const uint32_t clients =
       static_cast<uint32_t>(args.GetInt("clients", 120));
+  const std::string only = args.GetString("subplot", "");
 
   namtree::bench::PrintPreamble(
       "Figure 11", "Varying # of Memory Servers for Workloads A and B",
@@ -38,6 +41,7 @@ int main(int argc, char** argv) {
   };
 
   for (const Subplot& subplot : subplots) {
+    if (!only.empty() && only != subplot.label) continue;
     std::printf("\n# subplot: %s\n", subplot.label);
     PrintRow({"memory_servers", "coarse-grained", "fine-grained"});
     for (uint32_t servers = 2; servers <= 8; servers += 2) {

@@ -34,7 +34,7 @@ Status FineGrainedIndex::BulkLoad(std::span<const KV> sorted) {
                                          /*inner_levels=*/true);
   if (!status.ok()) return status;
   first_leaf_ = tree.first;
-  engine_.SetRoot(tree_, tree.root, tree.root_level);
+  engine_.SetRoot(tree_, tree.root, tree.root_level, std::move(tree.mirrors));
 
   // Publish the root in this index's catalog slot (server 0) for remote
   // bootstrap.

@@ -61,6 +61,12 @@ class FineGrainedIndex : public DistributedIndex {
   rdma::RemotePtr root() const { return engine_.root(tree_); }
   uint8_t root_level() const { return engine_.root_level(tree_); }
   rdma::RemotePtr first_leaf() const { return first_leaf_; }
+  /// The root's mirrors, one per memory server other than the root's
+  /// (indexed by server id, null on the root's server; empty for a tree
+  /// whose root is a leaf).
+  const std::vector<rdma::RemotePtr>& root_mirrors() const {
+    return engine_.mirrors(tree_);
+  }
 
   /// Re-reads the root pointer from the catalog slot on server 0 with an
   /// RDMA READ — how a freshly connected compute server bootstraps (§4.2:

@@ -66,7 +66,8 @@ std::string IndexInspector::Report::ToString() const {
   os << "pages: " << inner_pages << " inner, " << leaf_pages
      << " leaf; entries: " << live_entries << " live, "
      << tombstones << " tombstoned; height " << height << "; "
-     << violations.size() << " violation(s)";
+     << stale_mirrors << " stale mirror(s); " << violations.size()
+     << " violation(s)";
   for (const std::string& v : violations) os << "\n  - " << v;
   return os.str();
 }
@@ -244,6 +245,33 @@ void IndexInspector::CheckReachability(rdma::Fabric& fabric,
   }
 }
 
+void IndexInspector::CompareMirrors(rdma::Fabric& fabric,
+                                    const FineGrainedIndex& index,
+                                    Report* report) {
+  const uint32_t page_size = index.page_size();
+  PageView root(nullptr, page_size);
+  if (!Resolve(fabric, index.root().raw(), page_size, report, &root) ||
+      root.count() > root.inner_capacity()) {
+    return;  // InspectInnerLevels reports a malformed root
+  }
+  for (const rdma::RemotePtr mirror : index.root_mirrors()) {
+    if (mirror.is_null() || !fabric.ServerAlive(mirror.server_id())) continue;
+    PageView copy(nullptr, page_size);
+    if (!Resolve(fabric, mirror.raw(), page_size, report, &copy)) continue;
+    if (btree::IsLocked(copy.version_word())) continue;
+    const uint32_t n = root.count();
+    const bool same =
+        copy.level() == root.level() && copy.count() == n &&
+        copy.high_key() == root.high_key() &&
+        copy.right_sibling() == root.right_sibling() &&
+        std::equal(root.inner_keys(), root.inner_keys() + n,
+                   copy.inner_keys()) &&
+        std::equal(root.inner_children(), root.inner_children() + n + 1,
+                   copy.inner_children());
+    if (!same) report->stale_mirrors++;
+  }
+}
+
 IndexInspector::Report IndexInspector::Inspect(
     rdma::Fabric& fabric, const FineGrainedIndex& index) {
   Report report;
@@ -259,6 +287,7 @@ IndexInspector::Report IndexInspector::Inspect(
   InspectLeafChain(fabric, index.first_leaf().raw(), page_size, &report,
                    &chain);
   CheckReachability(fabric, page_size, referenced, chain, &report);
+  CompareMirrors(fabric, index, &report);
   return report;
 }
 

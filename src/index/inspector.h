@@ -30,7 +30,10 @@ namespace namtree::index {
 ///     separator is installed).
 ///
 /// Violations are human-readable strings; an empty list means the
-/// structure is sound.
+/// structure is sound. A fine-grained root mirror that differs from the
+/// root is counted in `stale_mirrors`, not listed as a violation: routing
+/// never depends on a mirror being fresh, and a client that crashed while
+/// refreshing one may legitimately leave it stale.
 class IndexInspector {
  public:
   struct Report {
@@ -39,6 +42,9 @@ class IndexInspector {
     uint64_t live_entries = 0;
     uint64_t tombstones = 0;
     uint64_t height = 0;  ///< levels of the (tallest) tree
+    /// Live, unlocked root mirrors whose level, fence, sibling, separators
+    /// or children differ from the root's.
+    uint64_t stale_mirrors = 0;
     std::vector<std::string> violations;
 
     bool ok() const { return violations.empty(); }
@@ -73,6 +79,11 @@ class IndexInspector {
   static void InspectLeafChain(rdma::Fabric& fabric, uint64_t first_raw,
                                uint32_t page_size, Report* report,
                                std::vector<uint64_t>* chain_leaves);
+
+  /// Counts `index`'s live, unlocked root mirrors whose routing content
+  /// differs from the root page into `report->stale_mirrors`.
+  static void CompareMirrors(rdma::Fabric& fabric,
+                             const FineGrainedIndex& index, Report* report);
 
   /// Checks `referenced` (from inner levels) against the leaf chain set;
   /// references to drained pages are allowed (searches chase through them).

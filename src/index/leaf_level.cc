@@ -67,8 +67,22 @@ Status LeafLevel::Build(rdma::Fabric& fabric,
       /*at_least_one=*/false,
       RegionPages(fabric, config.page_size, fixed_server, 1), &root,
       &out->root_level);
+  if (!status.ok()) return status;
   out->root = rdma::RemotePtr(root);
-  return status;
+  if (fixed_server >= 0 || out->root_level == 0) return Status::OK();
+  const uint8_t* image =
+      fabric.region(out->root.server_id())->at(out->root.offset());
+  out->mirrors.assign(fabric.num_memory_servers(), rdma::RemotePtr::Null());
+  for (uint32_t s = 0; s < fabric.num_memory_servers(); ++s) {
+    if (s == out->root.server_id()) continue;
+    const rdma::RemotePtr mirror =
+        fabric.region(s)->AllocateLocal(config.page_size);
+    if (mirror.is_null()) continue;  // a full server reads the root itself
+    std::memcpy(fabric.region(s)->at(mirror.offset()), image,
+                config.page_size);
+    out->mirrors[s] = mirror;
+  }
+  return Status::OK();
 }
 
 sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,

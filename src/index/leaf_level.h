@@ -93,13 +93,19 @@ class LeafLevel {
     /// The tree's root and its level (with `inner_levels` only).
     rdma::RemotePtr root;
     uint8_t root_level = 0;
+    /// Copies of an inner root, one per memory server indexed by server id,
+    /// null on the root's own server (round-robin trees with
+    /// `inner_levels` only; see TraversalEngine::SetRoot).
+    std::vector<rdma::RemotePtr> mirrors;
   };
 
   /// Builds the chain over `sorted` at setup time (direct region writes):
   /// leaves round-robin across servers from server 0, or all on
   /// `fixed_server` when >= 0 (coarse-grained one-sided partitions). With
   /// `inner_levels`, also builds the inner levels above it, placed the same
-  /// way but round-robin from server 1 so the levels interleave.
+  /// way but round-robin from server 1 so the levels interleave; a
+  /// round-robin tree whose root is an inner page also gets a root mirror
+  /// on every other server.
   static Status Build(rdma::Fabric& fabric, std::span<const btree::KV> sorted,
                       const IndexConfig& config, BuildResult* out,
                       int32_t fixed_server = -1, bool inner_levels = false);

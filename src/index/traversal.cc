@@ -19,9 +19,11 @@ uint32_t TraversalEngine::AddTree(int32_t alloc_server,
 }
 
 void TraversalEngine::SetRoot(uint32_t tree, rdma::RemotePtr root,
-                              uint8_t root_level) {
+                              uint8_t root_level,
+                              std::vector<rdma::RemotePtr> mirrors) {
   trees_[tree].root = root;
   trees_[tree].root_level = root_level;
+  trees_[tree].mirrors = std::move(mirrors);
 }
 
 NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
@@ -49,6 +51,75 @@ sim::Task<AllocResult> TraversalEngine::AllocFor(RemoteOps& ops,
         static_cast<uint32_t>(tree.alloc_server));
   }
   co_return co_await ops.AllocPageRoundRobin();
+}
+
+rdma::RemotePtr TraversalEngine::HopTarget(nam::ClientContext& ctx,
+                                           uint32_t tree,
+                                           rdma::RemotePtr ptr) const {
+  const Tree& t = trees_[tree];
+  if (t.mirrors.empty() || ptr != t.root) return ptr;
+  // Client ids spread the root's READs evenly over the servers; the root's
+  // own server has no mirror and serves its share from the root itself.
+  const rdma::RemotePtr mirror = t.mirrors[ctx.client_id() % t.mirrors.size()];
+  if (mirror.is_null() || !ctx.fabric().ServerAlive(mirror.server_id())) {
+    return ptr;
+  }
+  return mirror;
+}
+
+sim::Task<PageReadResult> TraversalEngine::ReadHop(RemoteOps& ops,
+                                                   uint32_t tree,
+                                                   rdma::RemotePtr ptr,
+                                                   uint8_t level,
+                                                   uint8_t* buf) {
+  const rdma::RemotePtr mirror = HopTarget(ops.ctx(), tree, ptr);
+  if (mirror != ptr && trees_[tree].root_level > level) {
+    // One READ, never a spin: a mirror is locked only while a refresher
+    // writes it, and the primary root serves this hop meanwhile.
+    const Status read = co_await ops.ReadPage(mirror, buf);
+    if (!ops.alive()) {
+      co_return PageReadResult{Status::Unavailable("client crashed"), 0};
+    }
+    if (read.ok() && ops.fabric().ServerAlive(mirror.server_id())) {
+      uint64_t word;
+      std::memcpy(&word, buf + btree::kVersionOffset, 8);
+      if (!btree::IsLocked(word) &&
+          PageView(buf, ops.page_size()).level() > level) {
+        co_return PageReadResult{Status::OK(), word};
+      }
+    }
+  }
+  co_return co_await ops.ReadPageUnlocked(ptr, buf);
+}
+
+sim::Task<void> TraversalEngine::RefreshMirrors(RemoteOps& ops,
+                                                uint32_t tree) {
+  if (trees_[tree].mirrors.empty()) co_return;
+  std::vector<uint8_t> image(ops.page_size());
+  for (const rdma::RemotePtr mirror : trees_[tree].mirrors) {
+    if (mirror.is_null() || !ops.fabric().ServerAlive(mirror.server_id())) {
+      continue;  // readers skip a dead server's mirror
+    }
+    const PageReadResult lock = co_await ops.LockPage(mirror, image.data());
+    if (!lock.ok()) {
+      if (!ops.alive()) co_return;
+      continue;
+    }
+    // The root is read only now, under the mirror's lock: a refresher that
+    // locks after another publication reads that publication too.
+    const PageReadResult root =
+        co_await ops.ReadPageUnlocked(trees_[tree].root, image.data());
+    if (!root.ok()) {
+      if (!ops.alive()) co_return;
+      // namtree-lint: status-ok(a stale mirror only costs routing hops)
+      (void)co_await ops.UnlockPage(mirror);
+      continue;
+    }
+    ops.StampLocked(image.data(), lock.version);
+    // namtree-lint: status-ok(a stale mirror only costs routing hops)
+    (void)co_await ops.WriteUnlockPage(mirror, image.data());
+    if (!ops.alive()) co_return;
+  }
 }
 
 void TraversalEngine::SeedPublishedImage(NodeCache* cache,
@@ -115,29 +186,34 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
       spec->complete && prefetch != nullptr && prefetch->leaf_buf != nullptr;
   if (spec->frontier.is_null() && !want_leaf) co_return;  // warm-cache path
 
-  // One doorbell: the first predicted page missing from the cache, or the
-  // leaf of a complete prediction.
+  // One doorbell: the first predicted page missing from the cache (read
+  // from the client's mirror when it is the root), or the leaf of a
+  // complete prediction.
   std::vector<RemoteOps::ChainOp> reqs;
   if (want_leaf) {
     reqs.push_back(RemoteOps::ChainOp::Read(spec->predicted_leaf,
                                             prefetch->leaf_buf, page));
     spec->leaf_in_batch = true;
   } else {
+    spec->frontier_read = HopTarget(ops.ctx(), tree, spec->frontier);
     spec->frontier_image.resize(page);
     reqs.push_back(RemoteOps::ChainOp::Read(
-        spec->frontier, spec->frontier_image.data(), page));
+        spec->frontier_read, spec->frontier_image.data(), page));
   }
   if (!(co_await ops.ReadPagesBatch(std::move(reqs))).ok()) co_return;
 
-  // Accept the frontier only from a live target server, unlocked. A locked
-  // or dropped image is simply not used — validation falls back to a real
-  // read there, which fails over under replication.
+  // Accept the frontier only from a live target server, unlocked (and a
+  // mirror only with an inner image, as ReadHop does). A locked or dropped
+  // image is simply not used — validation falls back to a real read there,
+  // which fails over under replication.
   if (!spec->frontier.is_null() &&
-      ops.fabric().ServerAlive(spec->frontier.server_id())) {
+      ops.fabric().ServerAlive(spec->frontier_read.server_id())) {
+    uint8_t* image = spec->frontier_image.data();
     uint64_t word;
-    std::memcpy(&word, spec->frontier_image.data() + btree::kVersionOffset,
-                8);
-    spec->frontier_valid = !btree::IsLocked(word);
+    std::memcpy(&word, image + btree::kVersionOffset, 8);
+    spec->frontier_valid =
+        !btree::IsLocked(word) && (spec->frontier_read == spec->frontier ||
+                                   PageView(image, page).level() >= 1);
   }
 }
 
@@ -218,7 +294,7 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
       fresh_from_batch = true;
     }
     if (image == nullptr) {
-      const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
+      const PageReadResult read = co_await ReadHop(ops, tree, ptr, 0, buf);
       if (!read.ok()) co_return rdma::RemotePtr::Null();
       image = buf;
       if (spec.attempted &&
@@ -299,7 +375,14 @@ sim::Task<bool> TraversalEngine::TryGrowRoot(RemoteOps& ops, uint32_t tree,
                                              uint8_t new_level, Key sep,
                                              rdma::RemotePtr left,
                                              rdma::RemotePtr right) {
-  const AllocResult alloc = co_await AllocFor(ops, trees_[tree]);
+  // A mirrored tree keeps its root on the one server without a mirror, so
+  // the root's READs stay spread evenly after it grows.
+  AllocResult alloc;
+  if (trees_[tree].mirrors.empty()) {
+    alloc = co_await AllocFor(ops, trees_[tree]);
+  } else {
+    alloc = co_await ops.AllocPage(trees_[tree].root.server_id());
+  }
   if (!alloc.ok()) co_return true;  // give up silently: tree valid
   const rdma::RemotePtr new_root = alloc.ptr;
   std::vector<uint8_t> image(ops.page_size());
@@ -324,6 +407,7 @@ sim::Task<bool> TraversalEngine::TryGrowRoot(RemoteOps& ops, uint32_t tree,
     // namtree-lint: status-ok(catalog publication is best-effort)
     (void)co_await ops.WriteWord(trees_[tree].catalog_ptr, new_root.raw());
   }
+  co_await RefreshMirrors(ops, tree);
   co_return true;
 }
 
@@ -368,7 +452,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
           }
         }
       }
-      const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
+      const PageReadResult read = co_await ReadHop(ops, tree, ptr, level, buf);
       if (!read.ok()) co_return read.status;
       PageView view(buf, ops.page_size());
       if (view.level() < level) {
@@ -415,6 +499,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
           // descent routes through this node with zero remote reads.
           SeedPublishedImage(cache, ptr, buf);
         }
+        if (ptr == trees_[tree].root) co_await RefreshMirrors(ops, tree);
         co_return Status::OK();
       }
       // Full: split this inner node and recurse with the promoted key.
@@ -454,6 +539,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
         SeedPublishedImage(cache, ptr, buf);
         cache->Put(new_right.raw(), rimage.data());
       }
+      if (ptr == trees_[tree].root) co_await RefreshMirrors(ops, tree);
       co_return co_await InstallSeparator(
           ops, tree, static_cast<uint8_t>(level + 1), promoted, ptr,
           new_right);

@@ -148,11 +148,19 @@ class TraversalEngine {
   uint32_t AddTree(int32_t alloc_server, rdma::RemotePtr catalog_ptr);
 
   /// Sets a tree's root after a bulk load (the catalog slot itself is
-  /// written by the loader at setup time).
-  void SetRoot(uint32_t tree, rdma::RemotePtr root, uint8_t root_level);
+  /// written by the loader at setup time). `mirrors` (round-robin trees
+  /// only; see Tree::mirrors) holds one copy of the root page per memory
+  /// server, indexed by server id, null on the root's own server; empty
+  /// means the tree is not mirrored.
+  void SetRoot(uint32_t tree, rdma::RemotePtr root, uint8_t root_level,
+               std::vector<rdma::RemotePtr> mirrors = {});
 
   rdma::RemotePtr root(uint32_t tree) const { return trees_[tree].root; }
   uint8_t root_level(uint32_t tree) const { return trees_[tree].root_level; }
+  /// The tree's root mirrors, indexed by server id (see SetRoot).
+  const std::vector<rdma::RemotePtr>& mirrors(uint32_t tree) const {
+    return trees_[tree].mirrors;
+  }
 
   // ---- One-sided descent ---------------------------------------------------
 
@@ -227,6 +235,13 @@ class TraversalEngine {
     uint8_t root_level = 0;
     int32_t alloc_server = -1;
     rdma::RemotePtr catalog_ptr;
+    /// Root mirrors of a round-robin tree, indexed by server id: ordinary
+    /// pages (own version word and lock) carrying the current root's
+    /// entries, so the first READ of an uncached descent spreads over every
+    /// server's NIC instead of queueing at the root's. Null on the root's
+    /// own server. A mirror is only ever a routing hint: any image of a
+    /// page that once was the root routes at worst too far left.
+    std::vector<rdma::RemotePtr> mirrors;
   };
 
   /// RDMA_ALLOC following the tree's placement policy. Surfaces
@@ -239,6 +254,28 @@ class TraversalEngine {
   sim::Task<bool> TryGrowRoot(RemoteOps& ops, uint32_t tree,
                               uint8_t new_level, btree::Key sep,
                               rdma::RemotePtr left, rdma::RemotePtr right);
+
+  /// The page a routing hop at `ptr` reads: the client's root mirror when
+  /// `ptr` is a mirrored tree's root, else `ptr` itself.
+  rdma::RemotePtr HopTarget(nam::ClientContext& ctx, uint32_t tree,
+                            rdma::RemotePtr ptr) const;
+
+  /// Reads the image of `ptr` that routes a hop above `level` into `buf`.
+  /// At a mirrored root this is one READ of the client's mirror, accepted
+  /// when it arrives unlocked from a live server with a level above
+  /// `level`; anything else falls back to the primary root. The returned
+  /// version is the read page's own: never lock through a mirror's image.
+  sim::Task<PageReadResult> ReadHop(RemoteOps& ops, uint32_t tree,
+                                    rdma::RemotePtr ptr, uint8_t level,
+                                    uint8_t* buf);
+
+  /// Brings every live mirror of `tree` up to its current root: per mirror,
+  /// lock it, read the root, write that image under the mirror's own
+  /// version and unlock. Each refresh reads the root after taking the
+  /// mirror's lock, so concurrent refreshers converge on the latest root.
+  /// Call after every publication that changes the current root. Failures
+  /// leave a mirror stale, which only costs routing hops.
+  sim::Task<void> RefreshMirrors(RemoteOps& ops, uint32_t tree);
 
   /// Seeds `cache` with a just-published image, patched from the locked
   /// word to the post-release version so later descents validate cleanly.
@@ -253,6 +290,9 @@ class TraversalEngine {
     /// First predicted page without a cached image (null when the cache
     /// resolved the whole path); its image rides the batch.
     rdma::RemotePtr frontier;
+    /// The page the batch read for the frontier (a root mirror for a
+    /// mirrored root, else the frontier itself).
+    rdma::RemotePtr frontier_read;
     std::vector<uint8_t> frontier_image;
     /// The frontier image arrived unlocked from a live server.
     bool frontier_valid = false;

@@ -119,6 +119,26 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
         },
         {{"server", std::to_string(s)}},
         "per-server tx+rx bytes since the last reset");
+    metrics_.RegisterCallback(
+        "server.engine_busy_ns",
+        [this, s] {
+          return static_cast<uint64_t>(memory_servers_[s].engine.busy_time());
+        },
+        {{"server", std::to_string(s)}},
+        "per-server NIC engine occupancy (ns) since the last reset");
+    const std::pair<const char*, uint64_t MemoryServerEndpoint::*> verbs[] = {
+        {"read", &MemoryServerEndpoint::reads},
+        {"write", &MemoryServerEndpoint::writes},
+        {"atomic", &MemoryServerEndpoint::atomics},
+        {"send", &MemoryServerEndpoint::sends}};
+    for (const auto& [verb, count] : verbs) {
+      metrics_.RegisterCallback(
+          "server.verbs",
+          [this, s, count] { return memory_servers_[s].*count; },
+          {{"server", std::to_string(s)}, {"verb", verb}},
+          "per-server verbs executed at the target NIC since the last "
+          "reset, by verb");
+    }
   }
 #if NAMTREE_AUDIT
   auditor_->BindMetrics(&metrics_);
@@ -1397,7 +1417,7 @@ void Fabric::Respond(uint32_t server_id, const IncomingRpc& incoming,
 
 Fabric::ServerStats Fabric::server_stats(uint32_t server) const {
   const MemoryServerEndpoint& ep = memory_servers_[server];
-  ServerStats stats;
+  ServerStats stats{};
   stats.tx_bytes = ep.tx.total_bytes();
   stats.rx_bytes = ep.rx.total_bytes();
   stats.verbs = ep.engine.total_transfers();

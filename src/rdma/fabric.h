@@ -478,22 +478,30 @@ class Fabric {
   ///                            registered by ClientContext; never reset)
   ///   retry.exhausted{domain}  retry budgets used up (never reset)
   ///   server.bytes{server}     per-server tx+rx bytes since last reset
+  ///   server.engine_busy_ns{server}
+  ///                            per-server NIC engine occupancy (ns) since
+  ///                            last reset
+  ///   server.verbs{server,verb}
+  ///                            per-server verbs executed at the target
+  ///                            NIC since last reset, by verb (read, write,
+  ///                            atomic, send)
   metrics::MetricRegistry& metrics() { return metrics_; }
   const metrics::MetricRegistry& metrics() const { return metrics_; }
 
+  /// One memory server's target-side accounting since the last reset: the
+  /// values behind the server.bytes, server.engine_busy_ns and
+  /// server.verbs families, read in one call. server_stats() sets every
+  /// field.
   struct ServerStats {
-    uint64_t tx_bytes = 0;
-    uint64_t rx_bytes = 0;
-    // namtree-lint: metric-ok(per-server effect-time accounting exposed to the registry via the server.bytes callback family)
-    uint64_t verbs = 0;
-    SimTime engine_busy = 0;
+    uint64_t tx_bytes;
+    uint64_t rx_bytes;
+    uint64_t verbs;  ///< every transfer through the NIC engine
+    SimTime engine_busy;
     // Per-verb breakdown (target-side).
-    // namtree-lint: metric-ok(see verbs)
-    uint64_t reads = 0;
-    // namtree-lint: metric-ok(see verbs)
-    uint64_t writes = 0;
-    uint64_t atomics = 0;
-    uint64_t sends = 0;
+    uint64_t reads;
+    uint64_t writes;
+    uint64_t atomics;
+    uint64_t sends;
   };
 
   ServerStats server_stats(uint32_t server) const;

@@ -75,6 +75,8 @@ StressOutcome RunStress(const rdma::FabricConfig& fabric_config,
       << cluster.fabric().CheckAuditClean().ToString();
 
   const auto report = IndexInspector::Inspect(cluster.fabric(), index);
+  // No client crashes here, so every root change refreshed every mirror.
+  EXPECT_EQ(report.stale_mirrors, 0u) << report.ToString();
   StressOutcome outcome;
   outcome.ops = result.ops();
   outcome.live_entries = report.live_entries;
