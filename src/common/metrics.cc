@@ -221,6 +221,13 @@ Snapshot MetricRegistry::Collect() const {
   return snapshot;
 }
 
+uint64_t MetricRegistry::CellValue(const Cell& cell) {
+  if (cell.counter != nullptr) return cell.counter->value();
+  if (cell.gauge != nullptr) return cell.gauge->value();
+  if (cell.histogram != nullptr) return cell.histogram->data().count();
+  return cell.callback ? cell.callback() : 0;
+}
+
 uint64_t MetricRegistry::Value(std::string_view family) const {
   const auto it = index_.find(family);
   if (it == index_.end()) return 0;
@@ -228,16 +235,7 @@ uint64_t MetricRegistry::Value(std::string_view family) const {
   uint64_t total = 0;
   for (const auto& [label_values, retired] : f.retired) total += retired;
   for (const Cell& cell : f.cells) {
-    if (!cell.live) continue;
-    if (cell.counter != nullptr) {
-      total += cell.counter->value();
-    } else if (cell.gauge != nullptr) {
-      total += cell.gauge->value();
-    } else if (cell.histogram != nullptr) {
-      total += cell.histogram->data().count();
-    } else if (cell.callback) {
-      total += cell.callback();
-    }
+    if (cell.live) total += CellValue(cell);
   }
   return total;
 }
@@ -256,16 +254,7 @@ uint64_t MetricRegistry::Value(std::string_view family, std::string_view key,
     if (label_values[pos] == value) total += retired;
   }
   for (const Cell& cell : f.cells) {
-    if (!cell.live || cell.label_values[pos] != value) continue;
-    if (cell.counter != nullptr) {
-      total += cell.counter->value();
-    } else if (cell.gauge != nullptr) {
-      total += cell.gauge->value();
-    } else if (cell.histogram != nullptr) {
-      total += cell.histogram->data().count();
-    } else if (cell.callback) {
-      total += cell.callback();
-    }
+    if (cell.live && cell.label_values[pos] == value) total += CellValue(cell);
   }
   return total;
 }

@@ -209,6 +209,8 @@ class MetricRegistry {
     std::function<uint64_t()> callback;
     bool live = false;
   };
+  /// A live cell's current value (a histogram's sample count).
+  static uint64_t CellValue(const Cell& cell);
   struct Family {
     std::string name;
     std::string help;

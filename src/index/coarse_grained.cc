@@ -18,27 +18,10 @@ CoarseGrainedIndex::CoarseGrainedIndex(nam::Cluster& cluster,
 Status CoarseGrainedIndex::BulkLoad(std::span<const KV> sorted) {
   partitioner_.FitBoundaries(sorted, config_.partition_weights);
 
-  // Slice the sorted data into per-server runs. Hash partitioning needs a
-  // scatter pass; range partitioning slices contiguously.
-  const uint32_t servers = cluster_.num_memory_servers();
   std::vector<std::vector<KV>> scattered;
-  std::vector<std::span<const KV>> slices(servers);
-  if (partitioner_.kind() == PartitionKind::kHash) {
-    scattered.resize(servers);
-    for (const KV& kv : sorted) {
-      scattered[partitioner_.ServerFor(kv.key)].push_back(kv);
-    }
-    for (uint32_t s = 0; s < servers; ++s) slices[s] = scattered[s];
-  } else {
-    size_t begin = 0;
-    for (uint32_t s = 0; s < servers; ++s) {
-      const Key upper = partitioner_.UpperBoundOf(s);
-      size_t end = begin;
-      while (end < sorted.size() && sorted[end].key < upper) end++;
-      slices[s] = sorted.subspan(begin, end - begin);
-      begin = end;
-    }
-  }
+  const std::vector<std::span<const KV>> slices =
+      partitioner_.Slice(sorted, &scattered);
+  const uint32_t servers = cluster_.num_memory_servers();
 
   trees_.clear();
   for (uint32_t s = 0; s < servers; ++s) {
@@ -168,12 +151,7 @@ sim::Task<> CoarseGrainedIndex::Handle(nam::MemoryServer& server,
 sim::Task<LookupResult> CoarseGrainedIndex::Lookup(nam::ClientContext& ctx,
                                                    Key key) {
   metrics::OpSpan span(ctx.trace(), "lookup");
-  rdma::RpcRequest req;
-  req.service = rpc_service_;
-  req.op = kLookup;
-  req.arg0 = key;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  rdma::RpcResponse resp = co_await CallOwner(ctx, kLookup, key);
   const auto code = static_cast<StatusCode>(resp.status);
   if (code == StatusCode::kOk) {
     co_return LookupResult{true, resp.arg0, Status::OK()};
@@ -191,8 +169,7 @@ sim::Task<uint64_t> CoarseGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
   metrics::OpSpan span(ctx.trace(), "scan");
   if (status != nullptr) *status = Status::OK();
   uint64_t found = 0;
-  std::vector<KV> merged;
-  const bool hash = partitioner_.kind() == PartitionKind::kHash;
+  const size_t appended_from = out == nullptr ? 0 : out->size();
   for (uint32_t server : partitioner_.ServersFor(lo, hi)) {
     rdma::RpcRequest req;
     req.service = rpc_service_;
@@ -210,19 +187,18 @@ sim::Task<uint64_t> CoarseGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
       break;
     }
     found += resp.arg0;
-    if (out != nullptr) {
-      std::vector<KV>& sink = hash ? merged : *out;
-      for (size_t i = 0; i + 1 < resp.payload.size(); i += 2) {
-        sink.push_back(KV{resp.payload[i], resp.payload[i + 1]});
-      }
+    for (size_t i = 0; out != nullptr && i + 1 < resp.payload.size();
+         i += 2) {
+      out->push_back(KV{resp.payload[i], resp.payload[i + 1]});
     }
   }
-  if (out != nullptr && hash) {
-    // Hash partitioning scatters the range over all servers: merge by key.
-    // Stable so duplicates keep their per-server (insertion) order.
-    std::stable_sort(merged.begin(), merged.end(),
+  if (out != nullptr && partitioner_.kind() == PartitionKind::kHash) {
+    // Hash partitioning scatters the range over all servers: merge this
+    // scan's hits by key. Stable so duplicates keep their per-server
+    // (insertion) order.
+    std::stable_sort(out->begin() + static_cast<ptrdiff_t>(appended_from),
+                     out->end(),
                      [](const KV& a, const KV& b) { return a.key < b.key; });
-    out->insert(out->end(), merged.begin(), merged.end());
   }
   co_return found;
 }
@@ -230,13 +206,7 @@ sim::Task<uint64_t> CoarseGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
 sim::Task<Status> CoarseGrainedIndex::Insert(nam::ClientContext& ctx, Key key,
                                              Value value) {
   metrics::OpSpan span(ctx.trace(), "insert");
-  rdma::RpcRequest req;
-  req.service = rpc_service_;
-  req.op = kInsert;
-  req.arg0 = key;
-  req.arg1 = value;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  rdma::RpcResponse resp = co_await CallOwner(ctx, kInsert, key, value);
   const auto code = static_cast<StatusCode>(resp.status);
   if (code == StatusCode::kOk) co_return Status::OK();
   if (code == StatusCode::kUnavailable || code == StatusCode::kTimedOut ||
@@ -249,13 +219,7 @@ sim::Task<Status> CoarseGrainedIndex::Insert(nam::ClientContext& ctx, Key key,
 sim::Task<Status> CoarseGrainedIndex::Update(nam::ClientContext& ctx, Key key,
                                              Value value) {
   metrics::OpSpan span(ctx.trace(), "update");
-  rdma::RpcRequest req;
-  req.service = rpc_service_;
-  req.op = kUpdate;
-  req.arg0 = key;
-  req.arg1 = value;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  rdma::RpcResponse resp = co_await CallOwner(ctx, kUpdate, key, value);
   const auto code = static_cast<StatusCode>(resp.status);
   if (code == StatusCode::kOk) co_return Status::OK();
   if (code == StatusCode::kUnavailable || code == StatusCode::kTimedOut) {
@@ -267,12 +231,7 @@ sim::Task<Status> CoarseGrainedIndex::Update(nam::ClientContext& ctx, Key key,
 sim::Task<uint64_t> CoarseGrainedIndex::LookupAll(
     nam::ClientContext& ctx, Key key, std::vector<Value>* out) {
   metrics::OpSpan span(ctx.trace(), "lookup_all");
-  rdma::RpcRequest req;
-  req.service = rpc_service_;
-  req.op = kLookupAll;
-  req.arg0 = key;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  rdma::RpcResponse resp = co_await CallOwner(ctx, kLookupAll, key);
   if (resp.status != static_cast<uint16_t>(StatusCode::kOk)) co_return 0;
   if (out != nullptr) {
     out->insert(out->end(), resp.payload.begin(), resp.payload.end());
@@ -283,12 +242,7 @@ sim::Task<uint64_t> CoarseGrainedIndex::LookupAll(
 sim::Task<Status> CoarseGrainedIndex::Delete(nam::ClientContext& ctx,
                                              Key key) {
   metrics::OpSpan span(ctx.trace(), "delete");
-  rdma::RpcRequest req;
-  req.service = rpc_service_;
-  req.op = kDelete;
-  req.arg0 = key;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  rdma::RpcResponse resp = co_await CallOwner(ctx, kDelete, key);
   const auto code = static_cast<StatusCode>(resp.status);
   if (code == StatusCode::kOk) co_return Status::OK();
   if (code == StatusCode::kUnavailable || code == StatusCode::kTimedOut) {

@@ -79,6 +79,17 @@ class CoarseGrainedIndex : public DistributedIndex {
  private:
   sim::Task<> Handle(nam::MemoryServer& server, rdma::IncomingRpc rpc);
 
+  /// The point-op RPC `op` for `key` (and `arg1`) to the key's owner.
+  sim::Task<rdma::RpcResponse> CallOwner(nam::ClientContext& ctx, Op op,
+                                         btree::Key key, uint64_t arg1 = 0) {
+    rdma::RpcRequest req;
+    req.service = rpc_service_;
+    req.op = op;
+    req.arg0 = key;
+    req.arg1 = arg1;
+    co_return co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  }
+
   nam::Cluster& cluster_;
   IndexConfig config_;
   Partitioner partitioner_;

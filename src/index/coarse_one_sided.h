@@ -4,13 +4,9 @@
 #include <vector>
 
 #include "index/index.h"
-#include "index/leaf_level.h"
-#include "index/node_cache.h"
+#include "index/leaf_chain.h"
 #include "index/partition.h"
-#include "index/remote_ops.h"
-#include "index/traversal.h"
 #include "nam/cluster.h"
-#include "rdma/remote_ptr.h"
 
 namespace namtree::index {
 
@@ -34,66 +30,30 @@ namespace namtree::index {
 /// "use the coarse-grained index design to make indexes built locally per
 /// partition accessible via RDMA from other nodes".
 ///
-/// The descent/lock/retry protocol lives in TraversalEngine
-/// (docs/traversal.md); this design is the policy triple {one tree per
-/// partition, fixed-server allocation, catalog slot on server s} + the
-/// same inner-image cache as the fine-grained design.
-class CoarseOneSidedIndex : public DistributedIndex {
+/// The per-op code lives in LeafChainIndex and the descent/lock/retry
+/// protocol in TraversalEngine (docs/traversal.md); this design is the
+/// route policy {tree s = partition s, fixed-server allocation, catalog
+/// slot on server s, inner-image cache}. Tree s is partition s's tree.
+class CoarseOneSidedIndex : public LeafChainIndex {
  public:
   CoarseOneSidedIndex(nam::Cluster& cluster, IndexConfig config);
 
   Status BulkLoad(std::span<const btree::KV> sorted) override;
 
-  sim::Task<LookupResult> Lookup(nam::ClientContext& ctx,
-                                 btree::Key key) override;
-  sim::Task<uint64_t> Scan(nam::ClientContext& ctx, btree::Key lo,
-                           btree::Key hi, std::vector<btree::KV>* out,
-                           Status* status = nullptr) override;
-  sim::Task<Status> Insert(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<Status> Update(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<uint64_t> LookupAll(nam::ClientContext& ctx, btree::Key key,
-                                std::vector<btree::Value>* out) override;
-  sim::Task<Status> Delete(nam::ClientContext& ctx, btree::Key key) override;
-  sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) override;
-
-  /// Sorts the keys and groups consecutive ones by (partition, locally
-  /// predicted leaf); each group is served by one chain walk
-  /// (LeafLevel::SearchChainMulti), the rest by single lookups.
-  sim::Task<void> MultiGet(nam::ClientContext& ctx,
-                           std::span<const btree::Key> keys,
-                           LookupResult* results) override;
-
-  std::string name() const override { return "coarse-one-sided"; }
-  uint32_t page_size() const override { return config_.page_size; }
-
   const Partitioner& partitioner() const { return partitioner_; }
-  rdma::RemotePtr root_of(uint32_t server) const {
-    return engine_.root(server);
-  }
-  uint8_t root_level_of(uint32_t server) const {
-    return engine_.root_level(server);
-  }
-  rdma::RemotePtr first_leaf_of(uint32_t server) const {
-    return first_leaves_[server];
-  }
 
-  /// The inner-node cache of the client's compute machine (the same cache
-  /// policy as the fine-grained design, through the engine), or nullptr
-  /// when disabled.
-  NodeCache* CacheFor(uint32_t client_id) {
-    return engine_.CacheFor(client_id);
+ protected:
+  uint32_t TreeFor(btree::Key key) const override {
+    return partitioner_.ServerFor(key);
+  }
+  /// Every partition intersecting the range (all of them under hash
+  /// partitioning, Table 2).
+  std::vector<uint32_t> TreesFor(btree::Key lo, btree::Key hi) const override {
+    return partitioner_.ServersFor(lo, hi);
   }
 
  private:
-  nam::Cluster& cluster_;
-  IndexConfig config_;
   Partitioner partitioner_;
-  uint32_t catalog_slot_;
-  // Tree id s in the engine is partition s's tree.
-  TraversalEngine engine_;
-  std::vector<rdma::RemotePtr> first_leaves_;
 };
 
 }  // namespace namtree::index

@@ -1,15 +1,9 @@
 #ifndef NAMTREE_INDEX_FINE_GRAINED_H_
 #define NAMTREE_INDEX_FINE_GRAINED_H_
 
-#include <vector>
-
 #include "index/index.h"
-#include "index/leaf_level.h"
-#include "index/node_cache.h"
-#include "index/remote_ops.h"
-#include "index/traversal.h"
+#include "index/leaf_chain.h"
 #include "nam/cluster.h"
-#include "rdma/remote_ptr.h"
 
 namespace namtree::index {
 
@@ -24,69 +18,15 @@ namespace namtree::index {
 /// leaf-parent inner node (§4.3, see LeafLevel::ScanChain); epoch GC runs
 /// from a compute server.
 ///
-/// The descent/lock/retry protocol itself lives in TraversalEngine
-/// (docs/traversal.md); this design is the policy triple {global tree,
-/// round-robin allocation, catalog slot on server 0} + inner-image cache.
-class FineGrainedIndex : public DistributedIndex {
+/// The per-op code lives in LeafChainIndex and the descent/lock/retry
+/// protocol in TraversalEngine (docs/traversal.md); this design is the
+/// route policy {one global tree with root mirrors, round-robin
+/// allocation, catalog slot on server 0, inner-image cache}.
+class FineGrainedIndex : public LeafChainIndex {
  public:
   FineGrainedIndex(nam::Cluster& cluster, IndexConfig config);
 
   Status BulkLoad(std::span<const btree::KV> sorted) override;
-
-  sim::Task<LookupResult> Lookup(nam::ClientContext& ctx,
-                                 btree::Key key) override;
-  sim::Task<uint64_t> Scan(nam::ClientContext& ctx, btree::Key lo,
-                           btree::Key hi, std::vector<btree::KV>* out,
-                           Status* status = nullptr) override;
-  sim::Task<Status> Insert(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<Status> Update(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<uint64_t> LookupAll(nam::ClientContext& ctx, btree::Key key,
-                                std::vector<btree::Value>* out) override;
-  sim::Task<Status> Delete(nam::ClientContext& ctx, btree::Key key) override;
-  sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) override;
-
-  /// Sorts the keys, groups consecutive ones by locally predicted leaf
-  /// (PredictLeaf over the inner-image cache), and serves each group from
-  /// one chain walk (LeafLevel::SearchChainMulti); unpredictable keys fall
-  /// back to single lookups.
-  sim::Task<void> MultiGet(nam::ClientContext& ctx,
-                           std::span<const btree::Key> keys,
-                           LookupResult* results) override;
-
-  std::string name() const override { return "fine-grained"; }
-  uint32_t page_size() const override { return config_.page_size; }
-
-  rdma::RemotePtr root() const { return engine_.root(tree_); }
-  uint8_t root_level() const { return engine_.root_level(tree_); }
-  rdma::RemotePtr first_leaf() const { return first_leaf_; }
-  /// The root's mirrors, one per memory server other than the root's
-  /// (indexed by server id, null on the root's server; empty for a tree
-  /// whose root is a leaf).
-  const std::vector<rdma::RemotePtr>& root_mirrors() const {
-    return engine_.mirrors(tree_);
-  }
-
-  /// Re-reads the root pointer from the catalog slot on server 0 with an
-  /// RDMA READ — how a freshly connected compute server bootstraps (§4.2:
-  /// the root pointer lives in the database's catalog service). Also
-  /// refreshes the cached root level from the page header.
-  sim::Task<Status> BootstrapFromCatalog(nam::ClientContext& ctx);
-
-  /// The inner-node cache (Appendix A.4) of the client's compute machine,
-  /// or nullptr when caching is disabled. Created lazily per machine.
-  NodeCache* CacheFor(uint32_t client_id) {
-    return engine_.CacheFor(client_id);
-  }
-
- private:
-  nam::Cluster& cluster_;
-  IndexConfig config_;
-  uint32_t catalog_slot_;
-  TraversalEngine engine_;
-  uint32_t tree_;
-  rdma::RemotePtr first_leaf_;
 };
 
 }  // namespace namtree::index

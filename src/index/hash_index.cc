@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 
 #include "btree/types.h"
 #include "rdma/memory_region.h"
@@ -64,6 +65,42 @@ struct BucketView {
 
   uint8_t* data_;
 };
+
+/// The shared walk of Update and Delete: follows the bucket chain from
+/// `head` to the first bucket holding `key`, locks it at the version read,
+/// applies `modify` to that slot and publishes the bucket with one
+/// {WRITE, unlock} chain. NotFound when no bucket holds `key`.
+sim::Task<Status> ModifyFirst(
+    RemoteOps ops, rdma::RemotePtr head, Key key,
+    std::function<void(BucketView, uint32_t)> modify) {
+  uint8_t* buf = ops.ctx().page_a();
+  rdma::RemotePtr ptr = head;
+  while (!ptr.is_null()) {
+    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
+    if (!read.ok()) co_return read.status;
+    BucketView bucket(buf);
+    const int32_t i = bucket.Find(key);
+    if (i < 0) {
+      ptr = rdma::RemotePtr(bucket.overflow());
+      continue;
+    }
+    const Status lock = co_await ops.TryLockPage(ptr, read.version);
+    if (!lock.ok()) {
+      if (!lock.IsAborted()) co_return lock;
+      ops.ctx().restarts.Inc();
+      continue;  // re-read the same bucket
+    }
+    ops.StampLocked(buf, read.version);
+    modify(bucket, static_cast<uint32_t>(i));
+    const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
+    if (wu.IsAborted()) {
+      ops.ctx().restarts.Inc();  // primary died mid-publication: retry promoted
+      continue;
+    }
+    co_return wu;
+  }
+  co_return Status::NotFound();
+}
 
 }  // namespace
 
@@ -233,36 +270,13 @@ sim::Task<Status> DistributedHashIndex::Insert(nam::ClientContext& ctx,
 sim::Task<Status> DistributedHashIndex::Update(nam::ClientContext& ctx,
                                                Key key, Value value) {
   metrics::OpSpan span(ctx.trace(), "update");
-  RemoteOps ops(ctx);
-  uint8_t* buf = ctx.page_a();
-  rdma::RemotePtr ptr = HeadBucketFor(key);
-  while (!ptr.is_null()) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    BucketView bucket(buf);
-    const int32_t i = bucket.Find(key);
-    if (i < 0) {
-      ptr = rdma::RemotePtr(bucket.overflow());
-      continue;
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, read.version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;
-      ctx.restarts.Inc();
-      continue;  // re-read the same bucket
-    }
-    ops.StampLocked(buf, read.version);
-    KV kv = bucket.slot(i);
-    kv.value = value;
-    bucket.set_slot(i, kv);
-    const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
-    if (wu.IsAborted()) {
-      ctx.restarts.Inc();  // primary died mid-publication: retry promoted
-      continue;
-    }
-    co_return wu;
-  }
-  co_return Status::NotFound();
+  co_return co_await ModifyFirst(
+      RemoteOps(ctx), HeadBucketFor(key), key,
+      [value](BucketView bucket, uint32_t i) {
+        KV kv = bucket.slot(i);
+        kv.value = value;
+        bucket.set_slot(i, kv);
+      });
 }
 
 sim::Task<uint64_t> DistributedHashIndex::LookupAll(nam::ClientContext& ctx,
@@ -291,37 +305,14 @@ sim::Task<uint64_t> DistributedHashIndex::LookupAll(nam::ClientContext& ctx,
 sim::Task<Status> DistributedHashIndex::Delete(nam::ClientContext& ctx,
                                                Key key) {
   metrics::OpSpan span(ctx.trace(), "delete");
-  RemoteOps ops(ctx);
-  uint8_t* buf = ctx.page_a();
-  rdma::RemotePtr ptr = HeadBucketFor(key);
-  while (!ptr.is_null()) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    BucketView bucket(buf);
-    const int32_t i = bucket.Find(key);
-    if (i < 0) {
-      ptr = rdma::RemotePtr(bucket.overflow());
-      continue;
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, read.version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;
-      ctx.restarts.Inc();
-      continue;
-    }
-    ops.StampLocked(buf, read.version);
-    // In-place removal: swap the last slot down (hash order is arbitrary).
-    bucket.set_slot(static_cast<uint32_t>(i),
-                    bucket.slot(bucket.count() - 1));
-    bucket.set_count(bucket.count() - 1);
-    const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
-    if (wu.IsAborted()) {
-      ctx.restarts.Inc();  // primary died mid-publication: retry promoted
-      continue;
-    }
-    co_return wu;
-  }
-  co_return Status::NotFound();
+  co_return co_await ModifyFirst(
+      RemoteOps(ctx), HeadBucketFor(key), key,
+      [](BucketView bucket, uint32_t i) {
+        // In-place removal: swap the last slot down (hash order is
+        // arbitrary).
+        bucket.set_slot(i, bucket.slot(bucket.count() - 1));
+        bucket.set_count(bucket.count() - 1);
+      });
 }
 
 sim::Task<uint64_t> DistributedHashIndex::GarbageCollect(

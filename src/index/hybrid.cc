@@ -1,26 +1,21 @@
 #include "index/hybrid.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace namtree::index {
 
 using btree::Key;
 using btree::KV;
-using btree::Value;
 
 HybridIndex::HybridIndex(nam::Cluster& cluster, IndexConfig config)
-    : cluster_(cluster),
-      config_(config),
+    : LeafChainIndex(cluster, std::move(config), "hybrid",
+                     TraversalEngine::CacheMode::kLeafRoutes),
       partitioner_(PartitionKind::kRange, cluster.num_memory_servers()),
-      rpc_service_(cluster.AllocateRpcService()),
-      engine_(cluster.fabric(),
-              TraversalEngine::Options{
-                  config.page_size,
-                  config.client_cache_pages > 0
-                      ? TraversalEngine::CacheMode::kLeafRoutes
-                      : TraversalEngine::CacheMode::kNone,
-                  config.client_cache_pages}) {}
+      rpc_service_(cluster.AllocateRpcService()) {
+  // The global leaf chain: splits allocate round-robin, and no root is
+  // published (leaves are resolved by RPC).
+  AddTree(/*alloc_server=*/-1, rdma::RemotePtr::Null());
+}
 
 Status HybridIndex::BulkLoad(std::span<const KV> sorted) {
   if (config_.partition == PartitionKind::kHash) {
@@ -34,7 +29,7 @@ Status HybridIndex::BulkLoad(std::span<const KV> sorted) {
   Status status =
       LeafLevel::Build(cluster_.fabric(), sorted, config_, &leaves);
   if (!status.ok()) return status;
-  first_leaf_ = leaves.first;
+  first_leaves_[0] = leaves.first;
 
   // Partition the *leaves* by entry weight and align the routing
   // boundaries with the chosen leaf fences so no partition starts in the
@@ -136,17 +131,10 @@ class HybridIndex::RouteDirectory : public LeafLevel::ScanDirectory {
                             rdma::RemotePtr* /*extra*/) override {
     // Leaves the last answer already listed cost no RPC.
     if (TakeFrom(next, run)) co_return Status::OK();
-    rdma::RpcRequest req;
-    req.service = index_.rpc_service_;
-    req.op = kFindLeaf;
-    req.arg0 = cursor;
-    req.arg1 = hi;
-    rdma::RpcResponse resp = co_await ops.ctx().Call(
-        index_.partitioner_.ServerFor(cursor), std::move(req));
-    const auto code = static_cast<StatusCode>(resp.status);
-    if (code != StatusCode::kOk) {
-      co_return Status::FromCode(code, "find-leaf rpc");
-    }
+    rdma::RpcResponse resp;
+    const Status found =
+        co_await index_.CallFindLeaf(ops.ctx(), cursor, hi, &resp);
+    if (!found.ok()) co_return found;
     routes_.assign(1, resp.arg0);
     routes_.insert(routes_.end(), resp.payload.begin(), resp.payload.end());
     // A continuation at the previous leaf's high fence routes to that
@@ -176,183 +164,70 @@ class HybridIndex::RouteDirectory : public LeafLevel::ScanDirectory {
   std::vector<uint64_t> routes_;
 };
 
-sim::Task<DescentResult> HybridIndex::ResolveLeaf(nam::ClientContext& ctx,
-                                                  Key key) {
+sim::Task<Status> HybridIndex::CallFindLeaf(nam::ClientContext& ctx, Key key,
+                                            Key hi, rdma::RpcResponse* resp) {
   rdma::RpcRequest req;
   req.service = rpc_service_;
   req.op = kFindLeaf;
   req.arg0 = key;
-  rdma::RpcResponse resp =
-      co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
-  const auto code = static_cast<StatusCode>(resp.status);
+  req.arg1 = hi;
+  *resp = co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
+  const auto code = static_cast<StatusCode>(resp->status);
   if (code != StatusCode::kOk) {
-    co_return DescentResult{Status::FromCode(code, "find-leaf rpc"),
-                            rdma::RemotePtr::Null()};
-  }
-  co_return DescentResult{Status::OK(), rdma::RemotePtr(resp.arg0)};
-}
-
-sim::Task<LookupResult> HybridIndex::Lookup(nam::ClientContext& ctx,
-                                            Key key) {
-  metrics::OpSpan span(ctx.trace(), "lookup");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
-  if (!fl.ok()) co_return LookupResult{false, 0, fl.status};
-  RemoteOps ops(ctx);
-  rdma::RemotePtr landed;
-  const LookupResult result = co_await LeafLevel::SearchChain(
-      ops, fl.leaf, key, /*preread=*/nullptr, &landed);
-  engine_.RepairRoute(ctx, key, fl.leaf, landed);
-  co_return result;
-}
-
-sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
-                                      std::span<const Key> keys,
-                                      LookupResult* results) {
-  metrics::OpSpan span(ctx.trace(), "multiget");
-  RemoteOps ops(ctx);
-  // Sort, then group consecutive keys sharing a *cached* route (Peek — no
-  // find-leaf RPC, no cache-stat skew): each group is one chain walk from
-  // that route. Keys without a cached route go through Lookup, which
-  // resolves and seeds the route cache as usual. Stale routes only point
-  // too far left in the global chain; the chase recovers.
-  std::vector<size_t> order(keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
-    return keys[a] < keys[b];
-  });
-  NodeCache* cache = engine_.CacheFor(ctx.client_id());
-  const auto cached_route = [&](Key key) {
-    if (cache == nullptr) return rdma::RemotePtr::Null();
-    const uint8_t* image = cache->Peek(key);
-    if (image == nullptr) return rdma::RemotePtr::Null();
-    uint64_t raw;
-    std::memcpy(&raw, image, 8);
-    return rdma::RemotePtr(raw);
-  };
-  size_t i = 0;
-  while (i < order.size()) {
-    const rdma::RemotePtr route = cached_route(keys[order[i]]);
-    size_t j = i + 1;
-    if (!route.is_null()) {
-      while (j < order.size() && cached_route(keys[order[j]]) == route) j++;
-    }
-    if (route.is_null() || j == i + 1) {
-      results[order[i]] = co_await Lookup(ctx, keys[order[i]]);
-      i = j;
-      continue;
-    }
-    std::vector<Key> group(j - i);
-    for (size_t k = i; k < j; ++k) group[k - i] = keys[order[k]];
-    std::vector<LookupResult> group_results(group.size());
-    // namtree-lint: status-ok(per-key statuses land in group_results)
-    (void)co_await LeafLevel::SearchChainMulti(ops, route, group,
-                                               group_results.data());
-    for (size_t k = i; k < j; ++k) {
-      results[order[k]] = group_results[k - i];
-    }
-    i = j;
-  }
-}
-
-sim::Task<uint64_t> HybridIndex::Scan(nam::ClientContext& ctx, Key lo, Key hi,
-                                      std::vector<KV>* out, Status* status) {
-  metrics::OpSpan span(ctx.trace(), "scan");
-  RemoteOps ops(ctx);
-  // The leaf chain is global, so one traversal covers the whole range even
-  // across partition boundaries (§5.2); the range form of the find-leaf
-  // RPC names its leaves, starting with the one covering `lo`.
-  RouteDirectory directory(*this);
-  co_return co_await LeafLevel::ScanChain(ops, rdma::RemotePtr::Null(), lo,
-                                          hi, out, status, &directory);
-}
-
-sim::Task<Status> HybridIndex::Insert(nam::ClientContext& ctx, Key key,
-                                      Value value) {
-  metrics::OpSpan span(ctx.trace(), "insert");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
-  if (!fl.ok()) co_return fl.status;
-  RemoteOps ops(ctx);
-  LeafLevel::SplitInfo split;
-  rdma::RemotePtr landed;
-  const Status status = co_await LeafLevel::InsertAt(
-      ops, fl.leaf, key, value, &split, /*alloc_server=*/-1, &landed);
-  if (!status.ok()) co_return status;
-  // After a split, keys strictly above the separator live in the right
-  // half; a key equal to it stays routed left, where the left half may keep
-  // duplicates of its fence (PageView::SplitLeafInto). The route is seeded
-  // before the split is announced.
-  engine_.RepairRoute(
-      ctx, key, fl.leaf,
-      split.split && key > split.separator ? split.right : landed);
-  if (split.split) {
-    // Announce the new leaf to the memory server owning the separator's
-    // range (§5.2): it installs the key into its upper levels itself.
-    rdma::RpcRequest req;
-    req.service = rpc_service_;
-    req.op = kInstallSep;
-    req.arg0 = split.separator;
-    req.arg1 = split.right.raw();
-    const rdma::RpcResponse resp = co_await ctx.Call(
-        partitioner_.ServerFor(split.separator), std::move(req));
-    const auto code = static_cast<StatusCode>(resp.status);
-    if (code != StatusCode::kOk) {
-      // The inserted entry is live and reachable through the leaf chain;
-      // only the routing shortcut is missing until a retry installs it.
-      co_return Status::FromCode(code, "install-separator rpc");
-    }
+    co_return Status::FromCode(code, "find-leaf rpc");
   }
   co_return Status::OK();
 }
 
-sim::Task<Status> HybridIndex::Update(nam::ClientContext& ctx, Key key,
-                                      Value value) {
-  metrics::OpSpan span(ctx.trace(), "update");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
-  if (!fl.ok()) co_return fl.status;
-  RemoteOps ops(ctx);
-  rdma::RemotePtr landed;
-  const Status status =
-      co_await LeafLevel::UpdateAt(ops, fl.leaf, key, value, &landed);
-  engine_.RepairRoute(ctx, key, fl.leaf, landed);
-  co_return status;
+sim::Task<Status> HybridIndex::FindLeaf(RemoteOps& ops, Key key,
+                                        Route* route) {
+  const uint32_t client = ops.ctx().client_id();
+  if (engine_.CachedRoute(client, key, &route->leaf)) co_return Status::OK();
+  rdma::RpcResponse resp;
+  const Status found = co_await CallFindLeaf(ops.ctx(), key, /*hi=*/0, &resp);
+  if (!found.ok()) co_return found;
+  route->leaf = rdma::RemotePtr(resp.arg0);
+  engine_.SeedRoute(client, key, route->leaf);
+  co_return Status::OK();
 }
 
-sim::Task<uint64_t> HybridIndex::LookupAll(nam::ClientContext& ctx, Key key,
-                                           std::vector<Value>* out) {
-  metrics::OpSpan span(ctx.trace(), "lookup_all");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
-  if (!fl.ok()) co_return 0;
-  RemoteOps ops(ctx);
-  rdma::RemotePtr landed;
-  const uint64_t found =
-      co_await LeafLevel::CollectAt(ops, fl.leaf, key, out, &landed);
-  engine_.RepairRoute(ctx, key, fl.leaf, landed);
-  co_return found;
-}
-
-sim::Task<Status> HybridIndex::Delete(nam::ClientContext& ctx, Key key) {
-  metrics::OpSpan span(ctx.trace(), "delete");
-  const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
-  if (!fl.ok()) co_return fl.status;
-  RemoteOps ops(ctx);
-  rdma::RemotePtr landed;
-  const Status status =
-      co_await LeafLevel::DeleteAt(ops, fl.leaf, key, &landed);
-  engine_.RepairRoute(ctx, key, fl.leaf, landed);
-  co_return status;
-}
-
-sim::Task<uint64_t> HybridIndex::GarbageCollect(nam::ClientContext& ctx) {
-  // Global leaf GC from the compute server (one-sided; §5.2 notes it needs
-  // no synchronization with the servers' local upper-level maintenance).
-  RemoteOps ops(ctx);
-  uint64_t reclaimed = co_await LeafLevel::CompactChain(ops, first_leaf_);
-  if (config_.gc_merge_fill_percent > 0) {
-    // Page merges/unlinks are counted separately from entry reclaims.
-    (void)co_await LeafLevel::RebalanceChain(ops, first_leaf_,
-                                             config_.gc_merge_fill_percent);
+sim::Task<Status> HybridIndex::AnnounceSplit(
+    RemoteOps& ops, const Route& /*route*/,
+    const LeafLevel::SplitInfo& split) {
+  // The owning memory server installs the key into its upper levels itself.
+  rdma::RpcRequest req;
+  req.service = rpc_service_;
+  req.op = kInstallSep;
+  req.arg0 = split.separator;
+  req.arg1 = split.right.raw();
+  const rdma::RpcResponse resp = co_await ops.ctx().Call(
+      partitioner_.ServerFor(split.separator), std::move(req));
+  const auto code = static_cast<StatusCode>(resp.status);
+  if (code != StatusCode::kOk) {
+    // The inserted entry is live and reachable through the leaf chain;
+    // only the routing shortcut is missing until a retry installs it.
+    co_return Status::FromCode(code, "install-separator rpc");
   }
-  co_return reclaimed;
+  co_return Status::OK();
+}
+
+sim::Task<Status> HybridIndex::StartScan(
+    RemoteOps& /*ops*/, uint32_t /*tree*/, Key /*lo*/, rdma::RemotePtr* start,
+    std::unique_ptr<LeafLevel::ScanDirectory>* directory) {
+  *start = rdma::RemotePtr::Null();
+  *directory = std::make_unique<RouteDirectory>(*this);
+  co_return Status::OK();
+}
+
+std::vector<std::pair<rdma::RemotePtr, uint8_t>> HybridIndex::UpperRoots(
+    uint32_t /*tree*/) const {
+  // Each server's upper levels end at local level 1, whose children are
+  // the remote leaves.
+  std::vector<std::pair<rdma::RemotePtr, uint8_t>> roots;
+  for (const std::unique_ptr<ServerTree>& tree : trees_) {
+    roots.emplace_back(rdma::RemotePtr(tree->root_raw()), tree->root_level());
+  }
+  return roots;
 }
 
 }  // namespace namtree::index

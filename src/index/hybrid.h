@@ -2,15 +2,13 @@
 #define NAMTREE_INDEX_HYBRID_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "index/index.h"
-#include "index/leaf_level.h"
-#include "index/node_cache.h"
+#include "index/leaf_chain.h"
 #include "index/partition.h"
-#include "index/remote_ops.h"
 #include "index/server_tree.h"
-#include "index/traversal.h"
 #include "nam/cluster.h"
 
 namespace namtree::index {
@@ -27,14 +25,16 @@ namespace namtree::index {
 /// Inserts: RPC for the pointer, one-sided leaf insert; on a split an extra
 /// RPC installs the separator into the owning server's upper levels.
 ///
-/// Leaf resolution goes through TraversalEngine's RPC root policy
+/// The per-op code lives in LeafChainIndex; this design is the route
+/// policy {one global round-robin chain (engine tree 0, no root), find-leaf
+/// RPC, install RPC, route-RPC scan directory, leaf-route cache}. Leaf
+/// resolution goes through TraversalEngine's RPC root policy
 /// (docs/traversal.md): the engine fronts the find-leaf RPC with a
 /// leaf-route cache (key -> leaf pointer) per compute machine. A stale
 /// route is B-link safe — leaf coverage only ever moves right (splits,
 /// drain-merges), so the leaf-chain chase recovers, and the walk re-seeds
 /// the route where it landed.
-class HybridIndex : public DistributedIndex,
-                    private TraversalEngine::LeafResolver {
+class HybridIndex : public LeafChainIndex {
  public:
   enum Op : uint16_t {
     kFindLeaf = 1,
@@ -45,39 +45,26 @@ class HybridIndex : public DistributedIndex,
 
   Status BulkLoad(std::span<const btree::KV> sorted) override;
 
-  sim::Task<LookupResult> Lookup(nam::ClientContext& ctx,
-                                 btree::Key key) override;
-  sim::Task<uint64_t> Scan(nam::ClientContext& ctx, btree::Key lo,
-                           btree::Key hi, std::vector<btree::KV>* out,
-                           Status* status = nullptr) override;
-  sim::Task<Status> Insert(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<Status> Update(nam::ClientContext& ctx, btree::Key key,
-                           btree::Value value) override;
-  sim::Task<uint64_t> LookupAll(nam::ClientContext& ctx, btree::Key key,
-                                std::vector<btree::Value>* out) override;
-  sim::Task<Status> Delete(nam::ClientContext& ctx, btree::Key key) override;
-  sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) override;
-
-  /// Sorts the keys and groups consecutive ones sharing a cached
-  /// route (no find-leaf RPC per grouped key); each group is one chain
-  /// walk, uncached keys fall back to Lookup (which seeds the cache).
-  sim::Task<void> MultiGet(nam::ClientContext& ctx,
-                           std::span<const btree::Key> keys,
-                           LookupResult* results) override;
-
-  std::string name() const override { return "hybrid"; }
-  uint32_t page_size() const override { return config_.page_size; }
-
   const Partitioner& partitioner() const { return partitioner_; }
-  rdma::RemotePtr first_leaf() const { return first_leaf_; }
-  ServerTree& tree(uint32_t server) { return *trees_[server]; }
 
-  /// The leaf-route cache of the client's compute machine, or nullptr when
-  /// caching is disabled.
-  NodeCache* CacheFor(uint32_t client_id) {
-    return engine_.CacheFor(client_id);
-  }
+  /// Every server's upper-level root: they all route into the one chain.
+  std::vector<std::pair<rdma::RemotePtr, uint8_t>> UpperRoots(
+      uint32_t tree) const override;
+
+ protected:
+  /// The find-leaf RPC to the owner of `key`, fronted by the engine's
+  /// leaf-route cache.
+  sim::Task<Status> FindLeaf(RemoteOps& ops, btree::Key key,
+                             Route* route) override;
+  /// The install RPC to the server owning the separator's range (§5.2).
+  sim::Task<Status> AnnounceSplit(RemoteOps& ops, const Route& route,
+                                  const LeafLevel::SplitInfo& split) override;
+  /// The leaf chain is global, so one traversal covers the whole range even
+  /// across partition boundaries (§5.2); the range form of the find-leaf RPC
+  /// names its leaves, starting with the one covering `lo`.
+  sim::Task<Status> StartScan(
+      RemoteOps& ops, uint32_t tree, btree::Key lo, rdma::RemotePtr* start,
+      std::unique_ptr<LeafLevel::ScanDirectory>* directory) override;
 
  private:
   /// Range scans' prefetch directory: the range form of the find-leaf RPC.
@@ -85,18 +72,15 @@ class HybridIndex : public DistributedIndex,
 
   sim::Task<> Handle(nam::MemoryServer& server, rdma::IncomingRpc rpc);
 
-  /// TraversalEngine::LeafResolver: the find-leaf RPC to the owner of
-  /// `key`, returning a candidate leaf pointer.
-  sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
-                                       btree::Key key) override;
+  /// The find-leaf RPC to the owner of `key`: the point form (`hi` = 0)
+  /// answers the leaf covering `key` in `resp->arg0`; the range form lists
+  /// further leaves below `hi` in the payload.
+  sim::Task<Status> CallFindLeaf(nam::ClientContext& ctx, btree::Key key,
+                                 btree::Key hi, rdma::RpcResponse* resp);
 
-  nam::Cluster& cluster_;
-  IndexConfig config_;
   Partitioner partitioner_;
   uint16_t rpc_service_;
-  TraversalEngine engine_;
   std::vector<std::unique_ptr<ServerTree>> trees_;
-  rdma::RemotePtr first_leaf_;
 };
 
 }  // namespace namtree::index

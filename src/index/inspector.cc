@@ -245,16 +245,15 @@ void IndexInspector::CheckReachability(rdma::Fabric& fabric,
   }
 }
 
-void IndexInspector::CompareMirrors(rdma::Fabric& fabric,
-                                    const FineGrainedIndex& index,
-                                    Report* report) {
-  const uint32_t page_size = index.page_size();
+void IndexInspector::CompareMirrors(
+    rdma::Fabric& fabric, uint32_t page_size, rdma::RemotePtr root_ptr,
+    const std::vector<rdma::RemotePtr>& mirrors, Report* report) {
   PageView root(nullptr, page_size);
-  if (!Resolve(fabric, index.root().raw(), page_size, report, &root) ||
+  if (!Resolve(fabric, root_ptr.raw(), page_size, report, &root) ||
       root.count() > root.inner_capacity()) {
     return;  // InspectInnerLevels reports a malformed root
   }
-  for (const rdma::RemotePtr mirror : index.root_mirrors()) {
+  for (const rdma::RemotePtr mirror : mirrors) {
     if (mirror.is_null() || !fabric.ServerAlive(mirror.server_id())) continue;
     PageView copy(nullptr, page_size);
     if (!Resolve(fabric, mirror.raw(), page_size, report, &copy)) continue;
@@ -270,25 +269,6 @@ void IndexInspector::CompareMirrors(rdma::Fabric& fabric,
                    copy.inner_children());
     if (!same) report->stale_mirrors++;
   }
-}
-
-IndexInspector::Report IndexInspector::Inspect(
-    rdma::Fabric& fabric, const FineGrainedIndex& index) {
-  Report report;
-  const uint32_t page_size = index.page_size();
-  std::vector<uint64_t> referenced;
-  if (index.root_level() > 0) {
-    InspectInnerLevels(fabric, index.root().raw(), page_size, 1, &report,
-                       &referenced);
-  } else {
-    report.height = 1;
-  }
-  std::vector<uint64_t> chain;
-  InspectLeafChain(fabric, index.first_leaf().raw(), page_size, &report,
-                   &chain);
-  CheckReachability(fabric, page_size, referenced, chain, &report);
-  CompareMirrors(fabric, index, &report);
-  return report;
 }
 
 IndexInspector::Report IndexInspector::Inspect(rdma::Fabric& fabric,
@@ -315,42 +295,29 @@ IndexInspector::Report IndexInspector::Inspect(rdma::Fabric& fabric,
   return report;
 }
 
-IndexInspector::Report IndexInspector::Inspect(
-    rdma::Fabric& fabric, const CoarseOneSidedIndex& index) {
-  Report report;
-  const uint32_t page_size = index.page_size();
-  for (uint32_t s = 0; s < fabric.num_memory_servers(); ++s) {
-    std::vector<uint64_t> referenced;
-    std::vector<uint64_t> chain;
-    if (index.root_level_of(s) > 0) {
-      InspectInnerLevels(fabric, index.root_of(s).raw(), page_size, 1,
-                         &report, &referenced);
-    } else {
-      report.height = std::max<uint64_t>(report.height, 1);
-    }
-    InspectLeafChain(fabric, index.first_leaf_of(s).raw(), page_size,
-                     &report, &chain);
-    CheckReachability(fabric, page_size, referenced, chain, &report);
-  }
-  return report;
-}
-
 IndexInspector::Report IndexInspector::Inspect(rdma::Fabric& fabric,
-                                               HybridIndex& index) {
+                                               const LeafChainIndex& index) {
   Report report;
   const uint32_t page_size = index.page_size();
-  std::vector<uint64_t> referenced;
-  for (uint32_t s = 0; s < fabric.num_memory_servers(); ++s) {
-    ServerTree& tree = index.tree(s);
-    // Hybrid upper levels end at local level 1 whose children are the
-    // remote leaves.
-    InspectInnerLevels(fabric, tree.root_raw(), page_size, 1, &report,
-                       &referenced);
+  for (uint32_t t = 0; t < index.num_trees(); ++t) {
+    std::vector<uint64_t> referenced;
+    for (const auto& [root, level] : index.UpperRoots(t)) {
+      if (level > 0) {
+        InspectInnerLevels(fabric, root.raw(), page_size, 1, &report,
+                           &referenced);
+      } else {
+        report.height = std::max<uint64_t>(report.height, 1);
+      }
+    }
+    std::vector<uint64_t> chain;
+    InspectLeafChain(fabric, index.first_leaf(t).raw(), page_size, &report,
+                     &chain);
+    CheckReachability(fabric, page_size, referenced, chain, &report);
+    if (!index.mirrors(t).empty()) {
+      CompareMirrors(fabric, page_size, index.root(t), index.mirrors(t),
+                     &report);
+    }
   }
-  std::vector<uint64_t> chain;
-  InspectLeafChain(fabric, index.first_leaf().raw(), page_size, &report,
-                   &chain);
-  CheckReachability(fabric, page_size, referenced, chain, &report);
   return report;
 }
 

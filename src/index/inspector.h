@@ -9,6 +9,7 @@
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
 #include "index/hybrid.h"
+#include "index/leaf_chain.h"
 #include "rdma/fabric.h"
 
 namespace namtree::index {
@@ -51,19 +52,14 @@ class IndexInspector {
     std::string ToString() const;
   };
 
-  /// Validates the global tree of a fine-grained index.
-  static Report Inspect(rdma::Fabric& fabric, const FineGrainedIndex& index);
-
   /// Validates every partition tree of a coarse-grained index.
   static Report Inspect(rdma::Fabric& fabric, CoarseGrainedIndex& index);
 
-  /// Validates the hybrid's per-server upper levels and the global leaf
-  /// chain.
-  static Report Inspect(rdma::Fabric& fabric, HybridIndex& index);
-
-  /// Validates every partition tree of a coarse-grained one-sided index.
-  static Report Inspect(rdma::Fabric& fabric,
-                        const CoarseOneSidedIndex& index);
+  /// Validates a design with a one-sided leaf level (fine-grained,
+  /// coarse-grained one-sided, hybrid): per tree, the inner levels that
+  /// route into its leaf chain (LeafChainIndex::UpperRoots), the chain, and
+  /// the root mirrors of a mirrored tree.
+  static Report Inspect(rdma::Fabric& fabric, const LeafChainIndex& index);
 
  private:
   /// Validates the inner levels of a B-link subtree from `root_raw` down to
@@ -80,10 +76,12 @@ class IndexInspector {
                                uint32_t page_size, Report* report,
                                std::vector<uint64_t>* chain_leaves);
 
-  /// Counts `index`'s live, unlocked root mirrors whose routing content
-  /// differs from the root page into `report->stale_mirrors`.
-  static void CompareMirrors(rdma::Fabric& fabric,
-                             const FineGrainedIndex& index, Report* report);
+  /// Counts the live, unlocked `mirrors` whose routing content differs from
+  /// the page at `root` into `report->stale_mirrors`.
+  static void CompareMirrors(rdma::Fabric& fabric, uint32_t page_size,
+                             rdma::RemotePtr root,
+                             const std::vector<rdma::RemotePtr>& mirrors,
+                             Report* report);
 
   /// Checks `referenced` (from inner levels) against the leaf chain set;
   /// references to drained pages are allowed (searches chase through them).

@@ -340,6 +340,34 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
   }
 }
 
+sim::Task<Status> LeafLevel::LockLeafFor(RemoteOps& ops, rdma::RemotePtr* ptr,
+                                         Key key, bool live,
+                                         rdma::RemotePtr* landed) {
+  uint8_t* buf = ops.ctx().page_a();
+  for (;;) {
+    const PageReadResult read = co_await ops.ReadPageUnlocked(*ptr, buf);
+    if (!read.ok()) co_return read.status;
+    PageView view(buf, ops.page_size());
+    if (live ? view.LeafFindLive(key) < 0 : view.NeedsChase(key)) {
+      if (view.NeedsChase(key)) {
+        *ptr = Chase(view, *ptr, key, landed);
+        continue;
+      }
+      co_return Status::NotFound();
+    }
+    const Status lock = co_await ops.TryLockPage(*ptr, read.version);
+    if (!lock.ok()) {
+      if (!lock.IsAborted()) co_return lock;  // dead: no partial state
+      ops.ctx().restarts.Inc();
+      continue;  // version moved: re-read and retry
+    }
+    // The CAS succeeded against the version of our image, so the image is
+    // the current content; stamp the locked word into it.
+    ops.StampLocked(buf, read.version);
+    co_return Status::OK();
+  }
+}
+
 sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                       Key key, Value value,
                                       SplitInfo* split,
@@ -352,24 +380,10 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
   if (landed != nullptr) *landed = start;
 
   for (;;) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    const uint64_t version = read.version;
+    const Status locked =
+        co_await LockLeafFor(ops, &ptr, key, /*live=*/false, landed);
+    if (!locked.ok()) co_return locked;
     PageView view(buf, page_size);
-    if (view.NeedsChase(key)) {
-      ptr = Chase(view, ptr, key, landed);
-      continue;
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;  // dead: no partial state
-      ops.ctx().restarts.Inc();
-      continue;  // version moved: re-read and retry
-    }
-    // The CAS succeeded against the version of our image, so the image is
-    // the current content; stamp the locked word into it.
-    ops.StampLocked(buf, version);
-
     if (view.LeafInsert(key, value)) {
       const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
       if (wu.IsAborted()) {
@@ -388,12 +402,7 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
     // atomically, an unpublished right page is an unreachable leak, and
     // the orphaned left lock is lease-stolen (the image behind it is
     // either the old or the fully split content — verbs are atomic).
-    AllocResult alloc;
-    if (alloc_server >= 0) {
-      alloc = co_await ops.AllocPage(static_cast<uint32_t>(alloc_server));
-    } else {
-      alloc = co_await ops.AllocPageRoundRobin();
-    }
+    const AllocResult alloc = co_await ops.AllocPageOn(alloc_server);
     if (!alloc.ok()) {
       const Status unlock = co_await ops.UnlockPage(ptr);
       if (!unlock.ok()) co_return unlock;
@@ -428,35 +437,24 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
   }
 }
 
-sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, Value value,
-                                      rdma::RemotePtr* landed) {
+sim::Task<Status> LeafLevel::ModifyLiveAt(
+    RemoteOps ops, rdma::RemotePtr start, Key key, rdma::RemotePtr* landed,
+    std::function<bool(PageView)> modify) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
   if (landed != nullptr) *landed = start;
   for (;;) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
+    const Status locked =
+        co_await LockLeafFor(ops, &ptr, key, /*live=*/true, landed);
+    if (!locked.ok()) co_return locked;
     PageView view(buf, page_size);
-    if (view.LeafFindLive(key) < 0) {
-      if (view.NeedsChase(key)) {
-        ptr = Chase(view, ptr, key, landed);
-        continue;
-      }
-      co_return Status::NotFound();
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, read.version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;
-      ops.ctx().restarts.Inc();
-      continue;
-    }
-    ops.StampLocked(buf, read.version);
-    if (!view.LeafUpdateFirst(key, value)) {
+    if (!modify(view)) {
+      // Entry vanished between read and lock? Impossible: CAS pinned the
+      // version. Defensive anyway.
       const Status unlock = co_await ops.UnlockPage(ptr);
       if (!unlock.ok()) co_return unlock;
-      co_return Status::NotFound();  // defensive; CAS pinned the version
+      co_return Status::NotFound();
     }
     const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
     if (wu.IsAborted()) {
@@ -465,6 +463,22 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
     }
     co_return wu;
   }
+}
+
+sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
+                                      Key key, Value value,
+                                      rdma::RemotePtr* landed) {
+  co_return co_await ModifyLiveAt(ops, start, key, landed,
+                                  [key, value](PageView view) {
+                                    return view.LeafUpdateFirst(key, value);
+                                  });
+}
+
+sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
+                                      Key key, rdma::RemotePtr* landed) {
+  co_return co_await ModifyLiveAt(
+      ops, start, key, landed,
+      [key](PageView view) { return view.LeafMarkDeleted(key); });
 }
 
 sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
@@ -489,46 +503,6 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
       continue;
     }
     co_return found;
-  }
-}
-
-sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, rdma::RemotePtr* landed) {
-  const uint32_t page_size = ops.page_size();
-  uint8_t* buf = ops.ctx().page_a();
-  rdma::RemotePtr ptr = start;
-  if (landed != nullptr) *landed = start;
-  for (;;) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    PageView view(buf, page_size);
-    if (view.LeafFindLive(key) < 0) {
-      if (view.NeedsChase(key)) {
-        ptr = Chase(view, ptr, key, landed);
-        continue;
-      }
-      co_return Status::NotFound();
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, read.version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;
-      ops.ctx().restarts.Inc();
-      continue;
-    }
-    ops.StampLocked(buf, read.version);
-    if (!view.LeafMarkDeleted(key)) {
-      // Entry vanished between read and lock? Impossible: CAS pinned the
-      // version. Defensive anyway.
-      const Status unlock = co_await ops.UnlockPage(ptr);
-      if (!unlock.ok()) co_return unlock;
-      co_return Status::NotFound();
-    }
-    const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
-    if (wu.IsAborted()) {
-      ops.ctx().restarts.Inc();  // primary died mid-publication: retry promoted
-      continue;
-    }
-    co_return wu;
   }
 }
 

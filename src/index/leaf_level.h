@@ -2,6 +2,7 @@
 #define NAMTREE_INDEX_LEAF_LEVEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -209,6 +210,24 @@ class LeafLevel {
                                         uint64_t* tombstones);
 
  private:
+  /// The walk every single-key writer starts with: chases from `*ptr` to
+  /// the leaf to modify for `key` — the first that needs no chase or, with
+  /// `live`, the first holding a live entry of `key` — and locks it at the
+  /// version read. The locked image is left in page_a, stamped locked.
+  /// NotFound (with `live`) when no leaf that may hold `key` has a live
+  /// entry of it.
+  static sim::Task<Status> LockLeafFor(RemoteOps& ops, rdma::RemotePtr* ptr,
+                                       btree::Key key, bool live,
+                                       rdma::RemotePtr* landed);
+
+  /// The shared walk of UpdateAt and DeleteAt: chases to the leaf holding a
+  /// live entry with `key`, locks it at the version read, applies `modify`
+  /// to the image and publishes it with one {WRITE, unlock} chain.
+  /// NotFound when no leaf that may hold `key` has a live entry of it.
+  static sim::Task<Status> ModifyLiveAt(
+      RemoteOps ops, rdma::RemotePtr start, btree::Key key,
+      rdma::RemotePtr* landed, std::function<bool(btree::PageView)> modify);
+
   /// Locks (left, right) in chain order, migrates both pages' live entries
   /// into a fresh round-robin page (preserving the chain's server scatter),
   /// drains the pair, and bypasses it from `prev` when possible. Returns

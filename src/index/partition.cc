@@ -54,6 +54,29 @@ uint32_t Partitioner::ServerFor(btree::Key key) const {
   return static_cast<uint32_t>(it - boundaries_.begin());
 }
 
+std::vector<std::span<const btree::KV>> Partitioner::Slice(
+    std::span<const btree::KV> sorted,
+    std::vector<std::vector<btree::KV>>* scattered) const {
+  std::vector<std::span<const btree::KV>> slices(num_servers_);
+  if (kind_ == PartitionKind::kHash) {
+    scattered->assign(num_servers_, {});
+    for (const btree::KV& kv : sorted) {
+      (*scattered)[ServerFor(kv.key)].push_back(kv);
+    }
+    for (uint32_t s = 0; s < num_servers_; ++s) slices[s] = (*scattered)[s];
+    return slices;
+  }
+  size_t begin = 0;
+  for (uint32_t s = 0; s < num_servers_; ++s) {
+    const btree::Key upper = UpperBoundOf(s);
+    size_t end = begin;
+    while (end < sorted.size() && sorted[end].key < upper) end++;
+    slices[s] = sorted.subspan(begin, end - begin);
+    begin = end;
+  }
+  return slices;
+}
+
 std::vector<uint32_t> Partitioner::ServersFor(btree::Key lo,
                                               btree::Key hi) const {
   std::vector<uint32_t> servers;

@@ -44,6 +44,14 @@ class Partitioner {
   /// for range partitioning; all servers for hash partitioning.
   std::vector<uint32_t> ServersFor(btree::Key lo, btree::Key hi) const;
 
+  /// Splits the bulk-load data `sorted` into one run per server, in key
+  /// order within each run: contiguous sub-spans of `sorted` under range
+  /// partitioning, scattered copies kept in `*scattered` under hash
+  /// partitioning (the spans point into it).
+  std::vector<std::span<const btree::KV>> Slice(
+      std::span<const btree::KV> sorted,
+      std::vector<std::vector<btree::KV>>* scattered) const;
+
   /// Exclusive upper bound of server `s`'s range (range partitioning).
   btree::Key UpperBoundOf(uint32_t s) const {
     return s < boundaries_.size() ? boundaries_[s] : btree::kInfinityKey;

@@ -185,6 +185,15 @@ class RemoteOps {
   /// splits).
   sim::Task<AllocResult> AllocPageRoundRobin();
 
+  /// RDMA_ALLOC by placement: on `server` when >= 0 (partitioned
+  /// placement), else round-robin (fine-grained placement).
+  sim::Task<AllocResult> AllocPageOn(int32_t server) {
+    if (server >= 0) {
+      co_return co_await AllocPage(static_cast<uint32_t>(server));
+    }
+    co_return co_await AllocPageRoundRobin();
+  }
+
   // ---- Counted raw-verb helpers -------------------------------------------
   // The round-trip toll for client-visible verbs is paid in Post (or in
   // nam::ClientContext::Call for RPCs), never by hand at call sites, so

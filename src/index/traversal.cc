@@ -44,27 +44,35 @@ NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
   return it->second.get();
 }
 
-sim::Task<AllocResult> TraversalEngine::AllocFor(RemoteOps& ops,
-                                                 const Tree& tree) {
-  if (tree.alloc_server >= 0) {
-    co_return co_await ops.AllocPage(
-        static_cast<uint32_t>(tree.alloc_server));
-  }
-  co_return co_await ops.AllocPageRoundRobin();
-}
-
 rdma::RemotePtr TraversalEngine::HopTarget(nam::ClientContext& ctx,
                                            uint32_t tree,
                                            rdma::RemotePtr ptr) const {
   const Tree& t = trees_[tree];
   if (t.mirrors.empty() || ptr != t.root) return ptr;
-  // Client ids spread the root's READs evenly over the servers; the root's
-  // own server has no mirror and serves its share from the root itself.
-  const rdma::RemotePtr mirror = t.mirrors[ctx.client_id() % t.mirrors.size()];
-  if (mirror.is_null() || !ctx.fabric().ServerAlive(mirror.server_id())) {
-    return ptr;
+  // A co-located client reads the copy on its own machine; the others
+  // spread the root's READs evenly over the servers by client id. The
+  // root's own server has no mirror and serves its share from the root.
+  const uint32_t servers = static_cast<uint32_t>(t.mirrors.size());
+  const uint32_t client = ctx.client_id();
+  uint32_t home = client % servers;
+  for (uint32_t s = 0; s < servers; ++s) {
+    if (fabric_.IsLocal(client, s) && fabric_.ServerAlive(s)) {
+      home = s;
+      break;
+    }
   }
-  return mirror;
+  if (home == t.root.server_id()) return ptr;
+  // A dead server's share moves to the next live mirror in descending
+  // server order, never to the root's server. Descending, because under
+  // replication the dead server's pages fail over to the next server up
+  // (Fabric::ReplicaPtr), which must not take its root hops too.
+  for (uint32_t i = 0; i < servers; ++i) {
+    const rdma::RemotePtr mirror = t.mirrors[(home + servers - i) % servers];
+    if (!mirror.is_null() && fabric_.ServerAlive(mirror.server_id())) {
+      return mirror;
+    }
+  }
+  return ptr;
 }
 
 sim::Task<PageReadResult> TraversalEngine::ReadHop(RemoteOps& ops,
@@ -139,47 +147,14 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
                                                DescentPrefetch* prefetch,
                                                SpecState* spec) {
   const uint32_t page = opts_.page_size;
-  rdma::RemotePtr ptr = trees_[tree].root;
-  // Hop budget: a healthy path is root_level hops and staleness adds a few
-  // chases; a cyclic stale-fence walk trips the budget and abandons
-  // speculation entirely (the plain loop then runs untouched).
-  const size_t max_hops =
-      static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
-  size_t hops = 0;
-  // Local prediction: no awaits, so Peek pointers stay valid throughout
-  // (other clients of the machine mutate the cache only while this one
-  // is suspended).
-  // namtree-lint: bounded-loop(speculative prediction: hop budget max_hops)
-  while (hops < max_hops) {
-    if (ptr.is_null()) co_return;  // garbage route: abandon speculation
-    hops++;
-    spec->predicted.insert(ptr.raw());
-    const uint8_t* img = cache->Peek(ptr.raw());
-    // A leaf image under an inner-path pointer (stale root metadata) is a
-    // frontier too: validation sorts it out.
-    if (img == nullptr ||
-        PageView(const_cast<uint8_t*>(img), page).level() == 0) {
-      // Frontier: the pointer is known but its image is not. Batch the
-      // page itself; prediction cannot see below it.
-      spec->frontier = ptr;
-      break;
-    }
-    PageView v(const_cast<uint8_t*>(img), page);
-    if (v.NeedsChase(key)) {
-      ptr = rdma::RemotePtr(v.right_sibling());
-      continue;
-    }
-    const rdma::RemotePtr child(v.InnerChildFor(key));
-    if (v.level() == 1) {
-      if (child.is_null()) co_return;  // hybrid sentinel / garbage entry
-      spec->predicted_leaf = child;
-      spec->predicted.insert(child.raw());
-      spec->complete = true;
-      break;
-    }
-    ptr = child;
+  spec->predicted_leaf =
+      WalkCached(*cache, tree, key, &spec->frontier, &spec->predicted);
+  if (!spec->predicted_leaf.is_null()) {
+    spec->predicted.insert(spec->predicted_leaf.raw());
+    spec->complete = true;
+  } else if (spec->frontier.is_null()) {
+    co_return;  // garbage route or cycle trip: abandon speculation
   }
-  if (!spec->complete && spec->frontier.is_null()) co_return;  // cycle trip
 
   spec->attempted = true;
   const bool want_leaf =
@@ -217,34 +192,53 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   }
 }
 
-rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
-                                             uint32_t tree, Key key) const {
-  if (opts_.cache_mode != CacheMode::kInnerImages) {
-    return rdma::RemotePtr::Null();
-  }
-  if (trees_[tree].root_level == 0) return trees_[tree].root;
-  auto it = caches_.find(fabric_.ClientMachine(client_id));
-  if (it == caches_.end()) return rdma::RemotePtr::Null();
-  const NodeCache& cache = *it->second;
+rdma::RemotePtr TraversalEngine::WalkCached(
+    const NodeCache& cache, uint32_t tree, Key key, rdma::RemotePtr* frontier,
+    std::unordered_set<uint64_t>* visited) const {
   rdma::RemotePtr ptr = trees_[tree].root;
+  // Hop budget: a healthy path is root_level hops and staleness adds a few
+  // chases; a cyclic stale-fence walk trips the budget.
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
   // namtree-lint: bounded-loop(local cache walk: hop budget max_hops)
   for (size_t hop = 0; hop < max_hops; ++hop) {
-    if (ptr.is_null()) return rdma::RemotePtr::Null();
+    if (ptr.is_null()) return rdma::RemotePtr::Null();  // garbage route
+    if (visited != nullptr) visited->insert(ptr.raw());
     const uint8_t* img = cache.Peek(ptr.raw());
-    if (img == nullptr) return rdma::RemotePtr::Null();
+    // A leaf image under an inner-path pointer (stale root metadata) is a
+    // frontier too: validation sorts it out.
+    if (img == nullptr ||
+        PageView(const_cast<uint8_t*>(img), opts_.page_size).level() == 0) {
+      if (frontier != nullptr) *frontier = ptr;
+      return rdma::RemotePtr::Null();
+    }
     PageView v(const_cast<uint8_t*>(img), opts_.page_size);
-    if (v.level() == 0) return rdma::RemotePtr::Null();
     if (v.NeedsChase(key)) {
       ptr = rdma::RemotePtr(v.right_sibling());
       continue;
     }
     const rdma::RemotePtr child(v.InnerChildFor(key));
-    if (v.level() == 1) return child;
+    if (v.level() == 1) return child;  // null: hybrid sentinel / garbage
     ptr = child;
   }
   return rdma::RemotePtr::Null();
+}
+
+rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
+                                             uint32_t tree, Key key) const {
+  if (opts_.cache_mode == CacheMode::kNone) return rdma::RemotePtr::Null();
+  auto it = caches_.find(fabric_.ClientMachine(client_id));
+  if (opts_.cache_mode == CacheMode::kLeafRoutes) {
+    if (it == caches_.end()) return rdma::RemotePtr::Null();
+    const uint8_t* route = it->second->Peek(key);
+    if (route == nullptr) return rdma::RemotePtr::Null();
+    uint64_t raw;
+    std::memcpy(&raw, route, 8);
+    return rdma::RemotePtr(raw);
+  }
+  if (trees_[tree].root_level == 0) return trees_[tree].root;
+  if (it == caches_.end()) return rdma::RemotePtr::Null();
+  return WalkCached(*it->second, tree, key, nullptr, nullptr);
 }
 
 sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
@@ -362,11 +356,16 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   co_return leaf;
 }
 
-void TraversalEngine::RepairRoute(RemoteOps& ops,
+void TraversalEngine::RepairRoute(RemoteOps& ops, Key key,
                                   const DescentPrefetch& descent,
                                   rdma::RemotePtr leaf,
                                   rdma::RemotePtr landed) {
-  if (landed == leaf || descent.parent.is_null()) return;
+  if (landed == leaf) return;
+  if (opts_.cache_mode == CacheMode::kLeafRoutes) {
+    SeedRoute(ops.ctx().client_id(), key, landed);
+    return;
+  }
+  if (descent.parent.is_null()) return;
   NodeCache* cache = CacheFor(ops.ctx().client_id());
   if (cache != nullptr) cache->Invalidate(descent.parent.raw());
 }
@@ -379,7 +378,7 @@ sim::Task<bool> TraversalEngine::TryGrowRoot(RemoteOps& ops, uint32_t tree,
   // the root's READs stay spread evenly after it grows.
   AllocResult alloc;
   if (trees_[tree].mirrors.empty()) {
-    alloc = co_await AllocFor(ops, trees_[tree]);
+    alloc = co_await ops.AllocPageOn(trees_[tree].alloc_server);
   } else {
     alloc = co_await ops.AllocPage(trees_[tree].root.server_id());
   }
@@ -503,7 +502,8 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
         co_return Status::OK();
       }
       // Full: split this inner node and recurse with the promoted key.
-      const AllocResult alloc = co_await AllocFor(ops, trees_[tree]);
+      const AllocResult alloc =
+          co_await ops.AllocPageOn(trees_[tree].alloc_server);
       if (!alloc.ok()) {
         if (!ops.alive()) co_return Status::Unavailable("client crashed");
         (void)co_await ops.UnlockPage(ptr);
@@ -571,33 +571,23 @@ sim::Task<Status> TraversalEngine::BootstrapFromCatalog(RemoteOps& ops,
   co_return Status::OK();
 }
 
-sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
-                                                      LeafResolver& resolver,
-                                                      Key key) {
-  NodeCache* cache = CacheFor(ctx.client_id());
-  if (cache != nullptr) {
-    const uint8_t* image = cache->Get(key);
-    if (image != nullptr) {
-      uint64_t raw;
-      std::memcpy(&raw, image, 8);
-      co_return DescentResult{Status::OK(), rdma::RemotePtr(raw)};
-    }
-  }
-  DescentResult result = co_await resolver.ResolveLeaf(ctx, key);
-  if (result.ok() && cache != nullptr) {
-    const uint64_t raw = result.leaf.raw();
-    cache->Put(key, reinterpret_cast<const uint8_t*>(&raw));
-  }
-  co_return result;
+bool TraversalEngine::CachedRoute(uint32_t client_id, Key key,
+                                  rdma::RemotePtr* leaf) {
+  NodeCache* cache = CacheFor(client_id);
+  if (cache == nullptr) return false;
+  const uint8_t* route = cache->Get(key);
+  if (route == nullptr) return false;
+  uint64_t raw;
+  std::memcpy(&raw, route, 8);
+  *leaf = rdma::RemotePtr(raw);
+  return true;
 }
 
-void TraversalEngine::RepairRoute(nam::ClientContext& ctx, Key key,
-                                  rdma::RemotePtr route,
-                                  rdma::RemotePtr landed) {
-  if (landed == route) return;
-  NodeCache* cache = CacheFor(ctx.client_id());
+void TraversalEngine::SeedRoute(uint32_t client_id, Key key,
+                                rdma::RemotePtr leaf) {
+  NodeCache* cache = CacheFor(client_id);
   if (cache == nullptr) return;
-  const uint64_t raw = landed.raw();
+  const uint64_t raw = leaf.raw();
   cache->Put(key, reinterpret_cast<const uint8_t*>(&raw));
 }
 

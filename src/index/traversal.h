@@ -16,30 +16,21 @@
 
 namespace namtree::index {
 
-/// Outcome of resolving a starting leaf for a key. OK carries a candidate
-/// leaf pointer (leaf-chain chases are still the caller's job, via the
-/// LeafLevel routines); any other status ended the resolution (kUnavailable
-/// for a dead caller, kTimedOut once an RPC deadline is exhausted).
-struct DescentResult {
-  Status status;
-  rdma::RemotePtr leaf;
-
-  bool ok() const { return status.ok(); }
-};
-
 /// The shared one-sided B-link traversal engine: one implementation of the
 /// descend -> chase -> validate -> lock -> retry state machine that the
 /// paper's one-sided designs (FG, CG-one-sided) and the hybrid design's
-/// leaf resolution are built on. A design is a *policy triple* over this
-/// engine instead of its own copy of the protocol:
+/// leaf resolution are built on. LeafChainIndex writes the per-op code over
+/// it once; a design is a *policy triple* over this engine instead of its
+/// own copy of the protocol:
 ///
 ///   root policy  - which tree to start in and where its root lives. The
 ///                  engine owns a table of trees: FG registers one global
 ///                  tree (round-robin allocation, catalog slot on server
 ///                  0); CG-one-sided registers one tree per partition
 ///                  (fixed-server allocation, catalog slot on server s);
-///                  hybrid registers none and resolves leaves through a
-///                  LeafResolver RPC hook instead.
+///                  the hybrid registers its global leaf chain as one
+///                  round-robin tree without a root and resolves leaves
+///                  by RPC, fronted by the leaf-route cache, instead.
 ///   cache policy - CacheMode: no cache, an inner-node image cache
 ///                  (Appendix A.4; descents and separator installs consult
 ///                  and seed it, splits seed both halves), or a leaf-route
@@ -123,16 +114,6 @@ class TraversalEngine {
     rdma::RemotePtr parent;
   };
 
-  /// Root-policy hook for RPC designs: resolves a starting leaf for `key`
-  /// without a one-sided descent (hybrid: the find-leaf RPC to the
-  /// partition owner).
-  class LeafResolver {
-   public:
-    virtual ~LeafResolver() = default;
-    virtual sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
-                                                 btree::Key key) = 0;
-  };
-
   /// `fabric` maps clients to compute machines and hosts the caches'
   /// `client.cache.*` counters.
   TraversalEngine(rdma::Fabric& fabric, Options opts)
@@ -155,8 +136,18 @@ class TraversalEngine {
   void SetRoot(uint32_t tree, rdma::RemotePtr root, uint8_t root_level,
                std::vector<rdma::RemotePtr> mirrors = {});
 
+  uint32_t num_trees() const { return static_cast<uint32_t>(trees_.size()); }
   rdma::RemotePtr root(uint32_t tree) const { return trees_[tree].root; }
   uint8_t root_level(uint32_t tree) const { return trees_[tree].root_level; }
+  /// The tree's split placement (see AddTree).
+  int32_t alloc_server(uint32_t tree) const {
+    return trees_[tree].alloc_server;
+  }
+  /// Where the tree's root pointer is published (null = unpublished).
+  rdma::RemotePtr catalog(uint32_t tree) const {
+    return trees_[tree].catalog_ptr;
+  }
+  CacheMode cache_mode() const { return opts_.cache_mode; }
   /// The tree's root mirrors, indexed by server id (see SetRoot).
   const std::vector<rdma::RemotePtr>& mirrors(uint32_t tree) const {
     return trees_[tree].mirrors;
@@ -176,19 +167,23 @@ class TraversalEngine {
                                            btree::Key key,
                                            DescentPrefetch* prefetch = nullptr);
 
-  /// Route repair after a leaf walk from `leaf`, the descent's answer: when
-  /// the walk `landed` on another page (LeafLevel walks report it), the
-  /// level-1 image `descent.parent` routed it to a leaf whose range has
-  /// since shrunk. That image is dropped from the client's machine cache,
-  /// so the next descent through it re-reads only that page.
-  void RepairRoute(RemoteOps& ops, const DescentPrefetch& descent,
-                   rdma::RemotePtr leaf, rdma::RemotePtr landed);
+  /// Route repair after a leaf walk for `key` from `leaf`, the route's
+  /// answer, that `landed` on another page (LeafLevel walks report the
+  /// leftmost leaf that may still hold `key`). With inner images, the
+  /// level-1 image `descent.parent` routed the walk to a leaf whose range
+  /// has since shrunk: it is dropped from the machine's cache, so the next
+  /// descent through it re-reads only that page. With leaf routes, `key`'s
+  /// route is re-seeded to `landed`.
+  void RepairRoute(RemoteOps& ops, btree::Key key,
+                   const DescentPrefetch& descent, rdma::RemotePtr leaf,
+                   rdma::RemotePtr landed);
 
-  /// Locally predicts the leaf for `key` from the cached inner images of
-  /// the client's machine alone — Peek only: no verbs, no LRU touch, no
-  /// stat skew. Null when the cache cannot resolve a complete path. Stale
-  /// predictions are safe for grouping (MultiGet): they can only name a
-  /// leaf too far left, and the chain chase recovers.
+  /// Locally predicts the leaf for `key` from the cache of the client's
+  /// machine alone — the cached inner images of tree `tree`, or `key`'s
+  /// cached leaf route — Peek only: no verbs, no LRU touch, no stat skew.
+  /// Null when the cache cannot resolve a complete path. Stale predictions
+  /// are safe for grouping (MultiGet): they can only name a leaf too far
+  /// left, and the chain chase recovers.
   rdma::RemotePtr PredictLeaf(uint32_t client_id, uint32_t tree,
                               btree::Key key) const;
 
@@ -208,18 +203,14 @@ class TraversalEngine {
 
   // ---- RPC leaf resolution (hybrid root policy) ----------------------------
 
-  /// Resolves a starting leaf for `key` through `resolver`, consulting and
-  /// seeding the machine's leaf-route cache (CacheMode::kLeafRoutes).
-  sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
-                                       LeafResolver& resolver,
-                                       btree::Key key);
+  /// The leaf-route cache in front of an RPC design's leaf resolution
+  /// (CacheMode::kLeafRoutes): true, with `*leaf`, when the machine's cache
+  /// holds a route for `key` (a counted Get).
+  bool CachedRoute(uint32_t client_id, btree::Key key, rdma::RemotePtr* leaf);
 
-  /// Route repair for the leaf-route cache: re-seeds `key`'s route to
-  /// `landed` when a walk from `route` landed elsewhere (or a split moved
-  /// the key). `landed` must be the leftmost leaf that may still hold
-  /// `key`, as LeafLevel walks report it.
-  void RepairRoute(nam::ClientContext& ctx, btree::Key key,
-                   rdma::RemotePtr route, rdma::RemotePtr landed);
+  /// Seeds `key`'s route to `leaf` in the machine's cache (no-op without
+  /// one): after a resolution, or when a walk landed elsewhere.
+  void SeedRoute(uint32_t client_id, btree::Key key, rdma::RemotePtr leaf);
 
   // ---- Cache policy --------------------------------------------------------
 
@@ -244,19 +235,16 @@ class TraversalEngine {
     std::vector<rdma::RemotePtr> mirrors;
   };
 
-  /// RDMA_ALLOC following the tree's placement policy. Surfaces
-  /// kOutOfMemory (stripe exhausted) and kUnavailable (dead client / no
-  /// live server) through the AllocResult status.
-  sim::Task<AllocResult> AllocFor(RemoteOps& ops, const Tree& tree);
-
   /// Publishes a grown root through the tree's catalog slot. True = done
   /// (or gave up soundly); false = lost the race, caller re-examines.
   sim::Task<bool> TryGrowRoot(RemoteOps& ops, uint32_t tree,
                               uint8_t new_level, btree::Key sep,
                               rdma::RemotePtr left, rdma::RemotePtr right);
 
-  /// The page a routing hop at `ptr` reads: the client's root mirror when
-  /// `ptr` is a mirrored tree's root, else `ptr` itself.
+  /// The page a routing hop at `ptr` reads: when `ptr` is a mirrored
+  /// tree's root, the client's copy — the one on its own machine when
+  /// co-located, else the one its client id names, moved to the next live
+  /// mirror below it when that server is dead — and else `ptr` itself.
   rdma::RemotePtr HopTarget(nam::ClientContext& ctx, uint32_t tree,
                             rdma::RemotePtr ptr) const;
 
@@ -301,6 +289,17 @@ class TraversalEngine {
     bool leaf_in_batch = false;   ///< predicted leaf rode the batch
     rdma::RemotePtr predicted_leaf;
   };
+
+  /// Walks `cache`'s inner images of tree `tree` for `key` from the root
+  /// without an await (Peek only: no cache mutation, and the images stay
+  /// valid throughout because other clients of the machine touch the cache
+  /// only while this one is suspended). Returns the leaf pointer a complete
+  /// walk reaches; null when a pointer is null, the hop budget runs out, or
+  /// a page has no cached inner image — that page is then the `frontier`.
+  /// `visited` receives every page walked.
+  rdma::RemotePtr WalkCached(const NodeCache& cache, uint32_t tree,
+                             btree::Key key, rdma::RemotePtr* frontier,
+                             std::unordered_set<uint64_t>* visited) const;
 
   /// The predict→batch half of a speculative descent: walks cached images
   /// locally (Peek — no cache mutation), then issues one doorbell-batched

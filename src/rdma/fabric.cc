@@ -991,6 +991,42 @@ sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
   co_return VerbCompletion::kOk;
 }
 
+SimTime Fabric::ReserveAtomic(uint32_t client, uint32_t server_id,
+                              const NetFault& net, SimTime* done) {
+  MemoryServerEndpoint& server = memory_servers_[server_id];
+  SimTime t_effect;
+  if (IsLocal(client, server_id)) {
+    sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
+    // Atomics still serialize through the NIC even locally (loopback) so
+    // that remote and local atomics remain mutually atomic; see §4.2.
+    t_effect = server.engine.ReserveOccupancy(
+        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
+                            kAtomicRequestBytes),
+        config_.atomic_engine_ns);
+    *done = t_effect + config_.local_latency_ns;
+  } else {
+    ComputeEndpoint& compute = ComputeFor(client);
+    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
+    const SimTime t_out =
+        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
+    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
+    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
+    t_effect =
+        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
+    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
+    *done = compute.rx.ReserveArrival(t_effect + WireLatency(),
+                                      kAtomicResponseBytes);
+  }
+  server.atomics++;
+  if (net.kind == NetFaultKind::kDuplicate) {
+    net_duplicates_.Inc();
+    server.atomics++;
+    t_effect =
+        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
+  }
+  return t_effect;
+}
+
 sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
                                                RemotePtr target,
                                                uint64_t expected,
@@ -1016,44 +1052,14 @@ sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
     co_return AtomicResult{0, VerbCompletion::kLost};
   }
   if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[target.server_id()];
   uint8_t* remote = TargetAddress(target, 8);
 
-  SimTime t_effect;
+  // A forced duplicate (exact fault point only) executes the CAS twice. A
+  // successful first swap makes the second a no-op, so only the engine
+  // pays; see FetchAndAdd for the non-neutral case.
   SimTime done;
-  if (IsLocal(client, target.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(target.server_id()));
-    // Atomics still serialize through the NIC even locally (loopback) so
-    // that remote and local atomics remain mutually atomic; see §4.2.
-    t_effect = server.engine.ReserveOccupancy(
-        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                            kAtomicRequestBytes),
-        config_.atomic_engine_ns);
-    done = t_effect + config_.local_latency_ns;
-  } else {
-    ComputeEndpoint& compute = ComputeFor(client);
-    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-    const SimTime t_out =
-        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-    t_effect =
-        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
-    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-    done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                     kAtomicResponseBytes);
-  }
-
-  server.atomics++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Forced atomic duplicate (exact fault point only): the NIC executes
-    // the CAS twice. A successful first swap makes the second a no-op, so
-    // only the engine pays; see FetchAndAdd for the non-neutral case.
-    net_duplicates_.Inc();
-    server.atomics++;
-    t_effect =
-        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
-  }
+  const SimTime t_effect =
+      ReserveAtomic(client, target.server_id(), net, &done);
   co_await sim::DelayUntil(simulator_, t_effect);
   if (!ClientAlive(client)) {  // verb-atomic drop: no swap
     dropped_verbs_.Inc();
@@ -1123,42 +1129,14 @@ sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
     co_return AtomicResult{0, VerbCompletion::kLost};
   }
   if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[target.server_id()];
 
-  SimTime t_effect;
+  // A forced duplicate (exact fault point only) executes the FAA twice, and
+  // FAA is NOT idempotent: the re-execution adds again, and the second
+  // effect is reported to the auditor as its own event so unsanctioned dups
+  // are caught (a duplicated release FAA trips kUnlockWithoutLock).
   SimTime done;
-  if (IsLocal(client, target.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(target.server_id()));
-    t_effect = server.engine.ReserveOccupancy(
-        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                            kAtomicRequestBytes),
-        config_.atomic_engine_ns);
-    done = t_effect + config_.local_latency_ns;
-  } else {
-    ComputeEndpoint& compute = ComputeFor(client);
-    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-    const SimTime t_out =
-        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-    t_effect =
-        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
-    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-    done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                     kAtomicResponseBytes);
-  }
-
-  server.atomics++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Forced atomic duplicate (exact fault point only): FAA is NOT
-    // idempotent — the re-execution adds again, and the second effect is
-    // reported to the auditor as its own event so unsanctioned dups are
-    // caught (a duplicated release FAA trips kUnlockWithoutLock).
-    net_duplicates_.Inc();
-    server.atomics++;
-    t_effect =
-        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
-  }
+  const SimTime t_effect =
+      ReserveAtomic(client, target.server_id(), net, &done);
   co_await sim::DelayUntil(simulator_, t_effect);
   if (!ClientAlive(client)) {  // verb-atomic drop: no add
     dropped_verbs_.Inc();

@@ -640,6 +640,13 @@ class Fabric {
   /// can force an atomic duplicate.
   NetFault DrawNetFault(uint32_t client, uint32_t server, bool is_atomic);
 
+  /// Reserves the NIC engine, link and bus time of one atomic verb from
+  /// `client` at `server` (delayed by `net`; a forced duplicate pays the
+  /// engine twice) and counts it. Returns when it executes; `*done` is when
+  /// its completion lands.
+  SimTime ReserveAtomic(uint32_t client, uint32_t server, const NetFault& net,
+                        SimTime* done);
+
   uint64_t region_capacity(uint32_t server) const {
     return memory_servers_[server].region->capacity();
   }

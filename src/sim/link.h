@@ -40,13 +40,7 @@ class Link {
   /// queues behind earlier traffic. Used for the receive side of a
   /// pipelined transfer so an uncontended path is not double-charged.
   SimTime ReserveArrival(SimTime ideal_start, uint64_t bytes) {
-    const SimTime start = std::max(ideal_start, next_free_);
-    const SimTime duration = TransferDuration(bytes);
-    next_free_ = start + duration;
-    total_bytes_ += bytes;
-    total_transfers_++;
-    busy_time_ += duration;
-    return next_free_;
+    return ReserveTransfer(ideal_start, bytes);
   }
 
   /// Reserves the channel for a fixed occupancy (no byte accounting): used

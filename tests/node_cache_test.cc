@@ -755,5 +755,72 @@ TEST(CatalogBootstrapTest, FreshClientLearnsTheRootRemotely) {
   cluster.simulator().Run();
 }
 
+TEST(CatalogBootstrapTest, FreshCoarseOneSidedClientLearnsEveryPartitionRoot) {
+  constexpr uint32_t kServers = 4;
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = kServers;
+  Cluster cluster(fc, 64 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  CoarseOneSidedIndex index(cluster, ic);  // the cluster's first slot: 0
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 5000; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  ASSERT_EQ(index.num_trees(), kServers);
+  const uint64_t slot = rdma::MemoryRegion::CatalogSlotOffset(0);
+  std::vector<rdma::RemotePtr> loaded(kServers);
+  for (uint32_t s = 0; s < kServers; ++s) {
+    loaded[s] = index.root(s);
+    ASSERT_GE(index.root_level(s), 1u) << "partition " << s;
+    EXPECT_EQ(cluster.fabric().region(s)->ReadU64(slot), loaded[s].raw())
+        << "partition " << s << " root not published on its server";
+  }
+
+  // A writer grows the partition roots; the catalog follows them.
+  ClientContext writer(0, cluster.fabric(), ic.page_size, 1);
+  struct Writer {
+    static Task<> Go(CoarseOneSidedIndex& index, ClientContext& ctx) {
+      for (uint64_t k = 0; k < 5000; ++k) {
+        EXPECT_TRUE((co_await index.Insert(ctx, k * 2 + 1, k)).ok());
+      }
+    }
+  };
+  Spawn(cluster.simulator(), Writer::Go(index, writer));
+  cluster.simulator().Run();
+  uint32_t grown = 0;
+  for (uint32_t s = 0; s < kServers; ++s) {
+    EXPECT_EQ(cluster.fabric().region(s)->ReadU64(slot),
+              index.root(s).raw());
+    if (index.root(s) != loaded[s]) grown++;
+  }
+  ASSERT_GT(grown, 0u) << "no partition root grew";
+
+  // A fresh client learns each partition root from its slot alone: plant
+  // the bulk-loaded roots there, which still route (too far left) to every
+  // key through the B-link chase.
+  for (uint32_t s = 0; s < kServers; ++s) {
+    cluster.fabric().region(s)->WriteU64(slot, loaded[s].raw());
+  }
+  ClientContext fresh(40, cluster.fabric(), ic.page_size, 2);
+  struct Reader {
+    static Task<> Go(CoarseOneSidedIndex& index, ClientContext& ctx,
+                     std::vector<rdma::RemotePtr> expected, uint64_t* found) {
+      EXPECT_TRUE((co_await index.BootstrapFromCatalog(ctx)).ok());
+      for (uint32_t s = 0; s < expected.size(); ++s) {
+        EXPECT_EQ(index.root(s).raw(), expected[s].raw()) << "partition " << s;
+      }
+      for (Key k = 0; k < 10000; ++k) {
+        const LookupResult r = co_await index.Lookup(ctx, k);
+        EXPECT_EQ(r.value, k / 2) << "lookup(" << k << ")";
+        if (r.found) (*found)++;
+      }
+    }
+  };
+  uint64_t found = 0;
+  Spawn(cluster.simulator(), Reader::Go(index, fresh, loaded, &found));
+  cluster.simulator().Run();
+  EXPECT_EQ(found, 10000u);
+}
+
 }  // namespace
 }  // namespace namtree::index

@@ -3,7 +3,8 @@
 // the copy its client id names, so the root's READs spread over all NICs.
 // These tests pin the load-time copies, the spread itself, the refresh on
 // every root change (under concurrency, a crashed refresher and a dead
-// mirror server), and that routing never depends on a mirror being fresh.
+// mirror server), that co-located clients read the copy on their own
+// machine, and that routing never depends on a mirror being fresh.
 
 #include <gtest/gtest.h>
 
@@ -85,7 +86,7 @@ TEST(RootMirrorTest, BulkLoadWritesOneMirrorPerOtherServer) {
   ASSERT_GE(index.root_level(), 1u);
 
   const rdma::RemotePtr root = index.root();
-  const std::vector<rdma::RemotePtr>& mirrors = index.root_mirrors();
+  const std::vector<rdma::RemotePtr>& mirrors = index.mirrors();
   ASSERT_EQ(mirrors.size(), kServers);
   uint32_t present = 0;
   for (uint32_t s = 0; s < kServers; ++s) {
@@ -190,7 +191,7 @@ TEST(RootMirrorTest, ConcurrentInsertsThatGrowTheRootKeepMirrorsFresh) {
   EXPECT_GE(index.root_level(), start_level + 2)
       << "the workload must grow the root twice";
   // A grown root stays on the one server without a mirror.
-  EXPECT_TRUE(index.root_mirrors()[index.root().server_id()].is_null());
+  EXPECT_TRUE(index.mirrors()[index.root().server_id()].is_null());
 
   // Differential oracle: every key is found with its value, and a full
   // scan returns exactly the model.
@@ -250,7 +251,7 @@ CrashRun RunCrashInsideRefresh(uint64_t crash_after) {
   cluster.fabric().SetNumClients(1 + kServers);
 
   CrashRun out;
-  const rdma::RemotePtr watched = index.root_mirrors()[
+  const rdma::RemotePtr watched = index.mirrors()[
       index.root().server_id() == 0 ? 1 : 0];
   struct Writer {
     static Task<> Go(FineGrainedIndex& index, Cluster& cluster,
@@ -328,15 +329,19 @@ TEST(RootMirrorTest, CrashInsideARefreshLeavesLookupsCorrectAndLive) {
   }
 }
 
-TEST(RootMirrorTest, DeadMirrorServerFallsBackToThePrimaryRoot) {
-  // Reads at the root's server from `lookups` lookups by the client whose
-  // mirror lives on `mirror_server`, with that server alive or killed.
+TEST(RootMirrorTest, DeadMirrorServerMovesItsHopsToALiveMirror) {
+  // Reads at the root's server and at the live mirror below `mirror_server`
+  // from `lookups` lookups by the client whose mirror lives on
+  // `mirror_server`, with that server alive or killed.
   struct Outcome {
     uint64_t found = 0;
     uint64_t root_server_reads = 0;
     uint64_t mirror_server_reads = 0;
+    uint64_t fallback_server_reads = 0;
   };
-  const auto run = [](bool kill, uint32_t* mirror_server) {
+  uint32_t mirror_server = 0;
+  uint32_t fallback_server = 0;
+  const auto run = [&](bool kill) {
     rdma::FabricConfig fc;
     fc.num_memory_servers = kServers;
     fc.replication_factor = 2;
@@ -349,13 +354,18 @@ TEST(RootMirrorTest, DeadMirrorServerFallsBackToThePrimaryRoot) {
     // the root server's READ count moves only with the root hop.
     for (uint32_t s = 0; s < kServers; ++s) {
       if (s != root_server && (s + 1) % kServers != root_server) {
-        *mirror_server = s;
+        mirror_server = s;
         break;
       }
     }
+    // The next mirror below it; its pages fail over to the server above.
+    fallback_server = mirror_server;
+    do {
+      fallback_server = (fallback_server + kServers - 1) % kServers;
+    } while (fallback_server == root_server);
     cluster.fabric().SetNumClients(kServers);
-    if (kill) cluster.fabric().KillServer(*mirror_server);
-    ClientContext ctx(*mirror_server, cluster.fabric(), kPage, 7);
+    if (kill) cluster.fabric().KillServer(mirror_server);
+    ClientContext ctx(mirror_server, cluster.fabric(), kPage, 7);
     std::vector<Key> lookups;
     for (Key k = 0; k < 2 * keys; k += 2 * keys / 200) lookups.push_back(k);
     const metrics::Snapshot begin = cluster.fabric().metrics().Collect();
@@ -369,18 +379,70 @@ TEST(RootMirrorTest, DeadMirrorServerFallsBackToThePrimaryRoot) {
     const metrics::Delta window = metrics::Delta::Between(
         begin, cluster.fabric().metrics().Collect());
     out.root_server_reads = ServerReads(window.families(), root_server);
-    out.mirror_server_reads = ServerReads(window.families(), *mirror_server);
+    out.mirror_server_reads = ServerReads(window.families(), mirror_server);
+    out.fallback_server_reads =
+        ServerReads(window.families(), fallback_server);
     return out;
   };
-  uint32_t mirror_server = 0;
-  const Outcome alive = run(false, &mirror_server);
-  const Outcome killed = run(true, &mirror_server);
+  const Outcome alive = run(false);
+  const Outcome killed = run(true);
   const uint64_t lookups = alive.found;
   ASSERT_GT(lookups, 0u);
+  ASSERT_NE(fallback_server, (mirror_server + 1) % kServers);
   EXPECT_GE(alive.mirror_server_reads, lookups) << "the mirror served no hop";
   EXPECT_EQ(killed.mirror_server_reads, 0u);
-  EXPECT_EQ(killed.root_server_reads, alive.root_server_reads + lookups)
-      << "each root hop must move to the primary root";
+  EXPECT_EQ(killed.root_server_reads, alive.root_server_reads)
+      << "a dead mirror's hops must not move to the primary root";
+  EXPECT_EQ(killed.fallback_server_reads,
+            alive.fallback_server_reads + lookups)
+      << "each root hop must move to the next live mirror below";
+}
+
+TEST(RootMirrorTest, CoLocatedClientsReadTheRootCopyOnTheirOwnMachine) {
+  // One memory server per machine and two clients per compute machine:
+  // client c shares machine c / 2 with memory server c / 2, while its
+  // client id alone names server c % 4.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = kServers;
+  fc.colocate = true;
+  fc.memory_servers_per_machine = 1;
+  fc.clients_per_compute_machine = 2;
+  Cluster cluster(fc, 64 << 20);
+  FineGrainedIndex index(cluster, SmallPages());
+  ASSERT_TRUE(index.BulkLoad(EvenKeys(20000)).ok());
+  ASSERT_GE(index.root_level(), 1u);
+  const uint32_t clients = 2 * kServers;
+  cluster.fabric().SetNumClients(clients);
+
+  std::vector<std::unique_ptr<ClientContext>> ctxs;
+  uint64_t found = 0;
+  uint64_t done = 0;
+  std::vector<Key> lookups;
+  for (Key k = 1000; k < 40000; k += 800) lookups.push_back(k);
+  for (uint32_t c = 0; c < clients; ++c) {
+    ctxs.push_back(
+        std::make_unique<ClientContext>(c, cluster.fabric(), kPage, c + 1));
+    ctxs.back()->trace().Enable(lookups.size());
+    Spawn(cluster.simulator(),
+          LookupAll(index, *ctxs.back(), lookups, &found, &done));
+  }
+  cluster.simulator().Run();
+  ASSERT_EQ(done, clients * lookups.size());
+  EXPECT_EQ(found, clients * lookups.size());
+
+  // Without a cache every lookup starts with the root hop: one READ of the
+  // root's copy, which must be on the client's own machine.
+  for (uint32_t c = 0; c < clients; ++c) {
+    const uint32_t local = c / fc.clients_per_compute_machine;
+    const auto& spans = ctxs[c]->trace().ring();
+    ASSERT_EQ(spans.size(), lookups.size()) << "client " << c;
+    for (const metrics::SpanRecord& span : spans) {
+      ASSERT_FALSE(span.events.empty());
+      EXPECT_EQ(span.events.front().verb, metrics::TraceVerb::kRead);
+      EXPECT_EQ(span.events.front().server, local)
+          << "client " << c << " read the root off its machine";
+    }
+  }
 }
 
 }  // namespace
