@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nam/cluster.h"
@@ -364,6 +365,378 @@ TEST(FabricTest, ColocatedAccessSkipsTheWire) {
   EXPECT_LT(local_latency, config.wire_latency_ns);
   EXPECT_TRUE(cluster.fabric().IsLocal(0, 0));
   EXPECT_FALSE(cluster.fabric().IsLocal(0, 1));
+}
+
+
+// ---- Post timing golden -----------------------------------------------------
+
+// One post of the golden schedule: issued by `client` at virtual time
+// `start` (or as soon as the lane's previous post returned).
+struct GoldenStep {
+  std::string name;
+  uint32_t client;
+  SimTime start;
+  std::vector<Fabric::ChainOp> ops;
+  Fabric::Posting posting = Fabric::Posting::kVerbs;
+};
+
+// Runs one lane's posts in order and logs each completion: when it
+// returned, how it completed, and how many round trips it waited on.
+Task<> RunGoldenLane(Fabric& fabric, std::vector<GoldenStep> lane,
+                     std::vector<std::string>* log) {
+  for (const GoldenStep& step : lane) {
+    co_await sim::DelayUntil(fabric.simulator(), step.start);
+    const Fabric::PostResult r =
+        co_await fabric.Post(step.client, step.ops, step.posting);
+    log->push_back(step.name + " @" + std::to_string(fabric.simulator().now()) +
+                   (r.ok() ? " ok" : " lost") + " rt=" +
+                   std::to_string(r.round_trips));
+  }
+}
+
+uint64_t Fnv1a(const uint8_t* data, size_t len) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < len; ++i) h = (h ^ data[i]) * 0x100000001b3ull;
+  return h;
+}
+
+// The whole golden run under one posting mode: the per-post log, then
+// every page and word of the region, every landing buffer and pre-image
+// sink, the server's target-side stats and the fabric's verb counters.
+std::string RunPostGolden(bool verb_chaining) {
+  FabricConfig config;
+  config.num_memory_servers = 1;
+  config.memory_servers_per_machine = 1;
+  config.colocate = true;
+  config.clients_per_compute_machine = 2;  // clients 0, 1 are co-located
+  config.latency_jitter = 0.25;            // pins the wire-latency draws
+  config.read_combining = true;
+  config.verb_chaining = verb_chaining;
+  using Kind = FabricConfig::VerbFaultPoint::Kind;
+  config.verb_fault_points = {{4, 0, Kind::kDropVerb},
+                              {4, 1, Kind::kDropCompletion},
+                              {4, 2, Kind::kDuplicate},
+                              {4, 3, Kind::kDropCompletion},
+                              {4, 4, Kind::kDropVerb},
+                              {4, 5, Kind::kDuplicate}};
+  Cluster cluster(config, 1 << 20);
+  Fabric& fabric = cluster.fabric();
+  MemoryRegion& region = cluster.memory_server(0).region();
+
+  constexpr uint32_t kPage = 1024;
+  std::vector<RemotePtr> page;
+  for (int i = 0; i < 8; ++i) {
+    page.push_back(region.AllocateLocal(kPage));
+    std::memset(region.at(page.back().offset()), i + 1, kPage);
+  }
+  std::vector<RemotePtr> word;
+  for (int i = 0; i < 4; ++i) {
+    word.push_back(region.AllocateLocal(8));
+    region.WriteU64(word.back().offset(), 100 * (i + 1));
+  }
+  // Source images and landing buffers outlive the run.
+  std::vector<std::vector<uint8_t>> src;
+  for (int i = 0; i < 6; ++i) src.emplace_back(kPage, 0xA0 + i);
+  std::vector<std::vector<uint8_t>> buf(16, std::vector<uint8_t>(kPage, 0));
+  std::vector<uint64_t> pre(8, 0);
+
+  using Op = Fabric::ChainOp;
+  const auto batch = Fabric::Posting::kBatch;
+  const auto combined = Fabric::Posting::kCombined;
+  // Client 2 (remote): every verb kind, both ordered chains, a batch.
+  std::vector<GoldenStep> lane_a = {
+      {"a.read", 2, 0, {Op::Read(page[0], buf[0].data(), kPage)}},
+      {"a.write", 2, 0, {Op::Write(page[1], src[0].data(), 512)}},
+      {"a.cas", 2, 0, {Op::Cas(word[0], 100, 101, &pre[0])}},
+      {"a.faa", 2, 0, {Op::Faa(word[1], 5, &pre[1])}},
+      {"a.chain2", 2, 0,
+       {Op::Write(page[2], src[1].data(), 256), Op::Faa(word[1], 1)}},
+      {"a.chain3", 2, 0,
+       {Op::Cas(word[2], 300, 301), Op::Write(page[3], src[2].data(), 128),
+        Op::Faa(word[2], 1)}},
+      {"a.batch4", 2, 0,
+       {Op::Read(page[0], buf[1].data(), 512),
+        Op::Read(page[1], buf[2].data(), 512),
+        Op::Read(page[2], buf[3].data(), 512),
+        Op::Read(page[3], buf[4].data(), 512)},
+       batch}};
+  // Client 3 (remote), contending for the same engine and links.
+  std::vector<GoldenStep> lane_b = {
+      {"b.write", 3, 100, {Op::Write(page[4], src[3].data(), kPage)}},
+      {"b.read", 3, 0, {Op::Read(page[1], buf[5].data(), 512)}},
+      {"b.cas", 3, 0, {Op::Cas(word[0], 101, 102, &pre[2])}},
+      {"b.faa", 3, 0, {Op::Faa(word[3], 7, &pre[3])}}};
+  // Two more lanes of client 3: the second identical combined READ rides
+  // the first one's verb.
+  std::vector<GoldenStep> lane_c = {
+      {"c.combined", 3, 0, {Op::Read(page[5], buf[6].data(), kPage)},
+       combined}};
+  std::vector<GoldenStep> lane_d = {
+      {"d.combined", 3, 10, {Op::Read(page[5], buf[7].data(), kPage)},
+       combined}};
+  // Client 0, co-located with the server: the local bus and loopback
+  // atomics.
+  std::vector<GoldenStep> lane_e = {
+      {"e.read", 0, 0, {Op::Read(page[0], buf[8].data(), kPage)}},
+      {"e.write", 0, 0, {Op::Write(page[6], src[4].data(), 64)}},
+      {"e.cas", 0, 0, {Op::Cas(word[3], 400, 401, &pre[4])}},
+      {"e.faa", 0, 0, {Op::Faa(word[3], 2, &pre[5])}},
+      {"e.chain2", 0, 0,
+       {Op::Write(page[6], src[4].data(), 64), Op::Faa(word[3], 1)}},
+      {"e.batch2", 0, 0,
+       {Op::Read(page[0], buf[9].data(), 256),
+        Op::Read(page[6], buf[10].data(), 64)},
+       batch},
+      {"e.combined", 0, 0, {Op::Read(page[7], buf[11].data(), kPage)},
+       combined}};
+  // Client 5 (remote) dies with its WRITE in flight, then posts again.
+  std::vector<GoldenStep> lane_f = {
+      {"f.write", 5, 0, {Op::Write(page[7], src[5].data(), kPage)}},
+      {"f.faa_dead", 5, 0, {Op::Faa(word[1], 1000)}}};
+  // Client 1 (co-located) is dead before it posts its chain.
+  std::vector<GoldenStep> lane_g = {
+      {"g.chain_dead", 1, 300,
+       {Op::Write(page[6], src[5].data(), 64), Op::Faa(word[3], 1000)}}};
+  // Client 4 (remote) meets one exact fault point per post.
+  std::vector<GoldenStep> lane_h = {
+      {"h.read_dropverb", 4, 50, {Op::Read(page[2], buf[12].data(), kPage)}},
+      {"h.write_dropcompletion", 4, 0,
+       {Op::Write(page[7], src[5].data(), 256)}},
+      {"h.faa_duplicate", 4, 0, {Op::Faa(word[1], 10, &pre[6])}},
+      {"h.cas_dropcompletion", 4, 0, {Op::Cas(word[2], 302, 303, &pre[7])}},
+      {"h.chain_dropverb", 4, 0,
+       {Op::Write(page[4], src[5].data(), 256),
+        Op::Write(page[5], src[5].data(), 256)}},
+      {"h.read_duplicate", 4, 0, {Op::Read(page[3], buf[13].data(), kPage)}}};
+  // Client 2 again, overlapping client 4's duplicated and dropped verbs.
+  std::vector<GoldenStep> lane_i = {
+      {"i.read", 2, 103300, {Op::Read(page[3], buf[14].data(), kPage)}},
+      {"i.cas", 2, 0, {Op::Cas(word[0], 102, 103)}},
+      {"i.read2", 2, 214000, {Op::Read(page[4], buf[15].data(), kPage)}}};
+
+  fabric.KillClient(5, 500);
+  fabric.KillClient(1, 200);
+  std::vector<std::string> log;
+  for (auto* lane :
+       {&lane_a, &lane_b, &lane_c, &lane_d, &lane_e, &lane_f, &lane_g,
+        &lane_h, &lane_i}) {
+    Spawn(cluster.simulator(), RunGoldenLane(fabric, *lane, &log));
+  }
+  const SimTime end = cluster.simulator().Run();
+
+  std::string out;
+  for (const std::string& line : log) out += line + "\n";
+  out += "end @" + std::to_string(end) + "\n";
+  for (size_t i = 0; i < page.size(); ++i) {
+    out += "page" + std::to_string(i) + " " +
+           std::to_string(Fnv1a(region.at(page[i].offset()), kPage)) + "\n";
+  }
+  for (size_t i = 0; i < word.size(); ++i) {
+    out += "word" + std::to_string(i) + " " +
+           std::to_string(region.ReadU64(word[i].offset())) + "\n";
+  }
+  for (size_t i = 0; i < buf.size(); ++i) {
+    out += "buf" + std::to_string(i) + " " +
+           std::to_string(Fnv1a(buf[i].data(), kPage)) + "\n";
+  }
+  for (size_t i = 0; i < pre.size(); ++i) {
+    out += "pre" + std::to_string(i) + " " + std::to_string(pre[i]) + "\n";
+  }
+  const Fabric::ServerStats st = fabric.server_stats(0);
+  out += "server tx=" + std::to_string(st.tx_bytes) +
+         " rx=" + std::to_string(st.rx_bytes) +
+         " verbs=" + std::to_string(st.verbs) +
+         " engine_busy=" + std::to_string(st.engine_busy) +
+         " reads=" + std::to_string(st.reads) +
+         " writes=" + std::to_string(st.writes) +
+         " atomics=" + std::to_string(st.atomics) +
+         " sends=" + std::to_string(st.sends) + "\n";
+  for (const char* family :
+       {"fabric.doorbells", "fabric.signaled_verbs", "fabric.unsignaled_verbs",
+        "fabric.combined_reads", "fabric.duplicate_inflight_reads",
+        "fabric.dropped_verbs", "fabric.net.dropped_verbs",
+        "fabric.net.dropped_completions", "fabric.net.duplicates"}) {
+    out += std::string(family) + " " +
+           std::to_string(fabric.metrics().Value(family)) + "\n";
+  }
+  return out;
+}
+
+// One fixed, contended schedule against one memory server: remote clients
+// 2, 3, 4 and 5, co-located clients 0 and 1, every verb kind alone, 2- and
+// 3-member ordered chains, READ batches, a combined READ, dead-client posts
+// and one exact network fault point of each kind. Every completion time,
+// PostResult, memory effect and server counter is pinned under both
+// posting modes, so a change in when a post reserves the NIC engine, the
+// links or the local bus — or in when it draws wire-latency jitter — fails
+// here before it moves a BENCH file.
+// Recorded from the fabric before its verbs became one member pipeline;
+// the pipeline must reproduce them exactly.
+const char* const kPostGoldenChained = R"golden(e.read @291 ok rt=1
+e.write @544 ok rt=1
+g.chain_dead @600 ok rt=1
+a.read @4525 ok rt=1
+f.write @4810 ok rt=1
+f.faa_dead @5110 ok rt=1
+c.combined @5387 ok rt=1
+d.combined @5387 ok rt=0
+b.write @7142 ok rt=1
+e.cas @7460 ok rt=1
+a.write @9667 ok rt=1
+e.faa @11672 ok rt=1
+a.cas @14426 ok rt=1
+b.read @14502 ok rt=1
+e.chain2 @14542 ok rt=1
+e.batch2 @14842 ok rt=1
+e.combined @15133 ok rt=1
+a.faa @18924 ok rt=1
+b.cas @20578 ok rt=1
+a.chain2 @23904 ok rt=1
+b.faa @25446 ok rt=1
+a.chain3 @30276 ok rt=1
+a.batch4 @34187 ok rt=1
+h.read_dropverb @50350 lost rt=1
+h.write_dropcompletion @103273 lost rt=1
+h.faa_duplicate @107999 ok rt=1
+i.read @112964 ok rt=1
+i.cas @117581 ok rt=1
+h.cas_dropcompletion @161308 lost rt=1
+h.chain_dropverb @214910 lost rt=1
+i.read2 @218162 ok rt=1
+h.read_duplicate @220197 ok rt=1
+end @220197
+page0 17479198609009211173
+page1 17878086841290181413
+page2 334006936315748133
+page3 5502197979924117285
+page4 12295132282117609253
+page5 3279006218162877221
+page6 11126495298758147557
+page7 9746828853586576421
+word0 103
+word1 226
+word2 303
+word3 411
+buf0 17479198609009211173
+buf1 10040302805091857701
+buf2 6667177654205969189
+buf3 6178726158107782437
+buf4 12640102911673806629
+buf5 6667177654205969189
+buf6 3279006218162877221
+buf7 3279006218162877221
+buf8 17479198609009211173
+buf9 16456408806243701797
+buf10 16853585106050520101
+buf11 9288300609671492389
+buf12 5897611217847481125
+buf13 5502197979924117285
+buf14 5502197979924117285
+buf15 12295132282117609253
+pre0 100
+pre1 200
+pre2 101
+pre3 404
+pre4 400
+pre5 401
+pre6 206
+pre7 0
+server tx=7864 rx=4320 verbs=33 engine_busy=31560 reads=13 writes=9 atomics=14 sends=0
+fabric.doorbells 29
+fabric.signaled_verbs 29
+fabric.unsignaled_verbs 9
+fabric.combined_reads 1
+fabric.duplicate_inflight_reads 0
+fabric.dropped_verbs 3
+fabric.net.dropped_verbs 3
+fabric.net.dropped_completions 2
+fabric.net.duplicates 2
+)golden";
+
+const char* const kPostGoldenUnchained = R"golden(e.read @291 ok rt=1
+e.write @544 ok rt=1
+g.chain_dead @900 ok rt=2
+a.read @4525 ok rt=1
+f.write @4810 ok rt=1
+f.faa_dead @5110 ok rt=1
+c.combined @5387 ok rt=1
+d.combined @5387 ok rt=0
+b.write @7142 ok rt=1
+e.cas @7460 ok rt=1
+a.write @9667 ok rt=1
+e.faa @11672 ok rt=1
+a.cas @14426 ok rt=1
+b.read @14502 ok rt=1
+e.chain2 @14542 ok rt=2
+e.batch2 @14842 ok rt=1
+e.combined @15133 ok rt=1
+a.faa @18924 ok rt=1
+b.cas @20578 ok rt=1
+b.faa @25035 ok rt=1
+a.chain2 @28249 ok rt=2
+a.chain3 @41912 ok rt=3
+a.batch4 @45823 ok rt=1
+h.read_dropverb @50350 lost rt=1
+h.write_dropcompletion @103273 lost rt=1
+h.faa_duplicate @107999 ok rt=1
+i.read @112964 ok rt=1
+i.cas @117581 ok rt=1
+h.cas_dropcompletion @161308 lost rt=1
+h.chain_dropverb @211608 lost rt=1
+h.read_duplicate @216983 ok rt=1
+i.read2 @218401 ok rt=1
+end @218401
+page0 17479198609009211173
+page1 17878086841290181413
+page2 334006936315748133
+page3 5502197979924117285
+page4 12295132282117609253
+page5 3279006218162877221
+page6 11126495298758147557
+page7 9746828853586576421
+word0 103
+word1 226
+word2 303
+word3 411
+buf0 17479198609009211173
+buf1 10040302805091857701
+buf2 6667177654205969189
+buf3 6178726158107782437
+buf4 12640102911673806629
+buf5 6667177654205969189
+buf6 3279006218162877221
+buf7 3279006218162877221
+buf8 17479198609009211173
+buf9 16456408806243701797
+buf10 16853585106050520101
+buf11 9288300609671492389
+buf12 5897611217847481125
+buf13 5502197979924117285
+buf14 5502197979924117285
+buf15 12295132282117609253
+pre0 100
+pre1 200
+pre2 101
+pre3 404
+pre4 400
+pre5 401
+pre6 206
+pre7 0
+server tx=7872 rx=3776 verbs=31 engine_busy=33080 reads=13 writes=6 atomics=14 sends=0
+fabric.doorbells 33
+fabric.signaled_verbs 33
+fabric.unsignaled_verbs 4
+fabric.combined_reads 1
+fabric.duplicate_inflight_reads 0
+fabric.dropped_verbs 4
+fabric.net.dropped_verbs 2
+fabric.net.dropped_completions 2
+fabric.net.duplicates 2
+)golden";
+
+TEST(FabricTest, PostTimingGolden) {
+  EXPECT_EQ(RunPostGolden(/*verb_chaining=*/true), kPostGoldenChained);
+  EXPECT_EQ(RunPostGolden(/*verb_chaining=*/false), kPostGoldenUnchained);
 }
 
 }  // namespace
