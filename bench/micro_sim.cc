@@ -33,8 +33,10 @@ BENCHMARK(BM_SimulatorEventThroughput);
 sim::Task<> ReadLoop(rdma::Fabric& fabric, rdma::RemotePtr ptr, int n,
                      uint32_t len) {
   std::vector<uint8_t> buf(len);
+  const rdma::Fabric::ChainOp read =
+      rdma::Fabric::ChainOp::Read(ptr, buf.data(), len);
   for (int i = 0; i < n; ++i) {
-    co_await fabric.Read(0, ptr, buf.data(), len);
+    (void)co_await fabric.Post(0, {&read, 1}, rdma::Fabric::Posting::kVerbs);
   }
 }
 
@@ -58,9 +60,11 @@ BENCHMARK(BM_SimulatedRead)->Arg(64)->Arg(1024)->Arg(4096);
 sim::Task<> CasLoop(rdma::Fabric& fabric, rdma::RemotePtr ptr, int n) {
   uint64_t expected = 0;
   for (int i = 0; i < n; ++i) {
-    expected =
-        (co_await fabric.CompareAndSwap(0, ptr, expected, expected + 1)).value;
-    expected = expected + 1;
+    uint64_t pre = 0;
+    const rdma::Fabric::ChainOp cas =
+        rdma::Fabric::ChainOp::Cas(ptr, expected, expected + 1, &pre);
+    (void)co_await fabric.Post(0, {&cas, 1}, rdma::Fabric::Posting::kVerbs);
+    expected = pre + 1;
   }
 }
 

@@ -202,22 +202,19 @@ sim::Task<PageReadResult> RemoteOps::ReadPageUnlocked(rdma::RemotePtr ptr,
       // registry. Readers steal too — otherwise a dead writer wedges every
       // optimistic reader of the page forever.
       const uint32_t holder = btree::HolderOf(word);
-      ctx_->round_trips.Inc();
-      const SimTime probe_t0 = TraceStart();
-      const rdma::EpochReadResult probe =
-          co_await fabric().ReadClientEpoch(ctx_->client_id(), holder);
-      // The holder's registry record lives on server holder % N (its home;
-      // failover may promote a replica — home is the attribution).
-      ctx_->trace().Event(metrics::TraceVerb::kRead,
-                          holder % fabric().num_memory_servers(),
-                          /*chain=*/0, probe_t0);
+      uint64_t holder_alive = 0;
+      const ChainOp probe = ChainOp::Probe(fabric().LivenessRecord(holder),
+                                           holder, &holder_alive);
+      const Status probed = co_await Post(
+          {&probe, 1}, probe.target.server_id(), LostRule::Repost());
       if (!alive()) {
         co_return PageReadResult{Status::Unavailable("client crashed"), 0};
       }
-      if (!probe.status.ok()) {
-        // The epoch-hosting server is dead. Bounded retry on the steal
-        // policy (the host's replica group may recover a route), then give
-        // up cleanly instead of spinning forever on the orphaned lock.
+      if (!probed.ok()) {
+        // The registry record's host is dead (or the probe was lost).
+        // Bounded retry on the steal policy (the host's replica group may
+        // recover a route), then give up cleanly instead of spinning
+        // forever on the orphaned lock.
         failed_probes++;
         ctx_->steal_retry_attempts.Inc();
         if (steal_policy.Exhausted(failed_probes)) {
@@ -227,7 +224,7 @@ sim::Task<PageReadResult> RemoteOps::ReadPageUnlocked(rdma::RemotePtr ptr,
         }
       } else {
         failed_probes = 0;
-        if (!probe.alive) {
+        if (holder_alive == 0) {
           // CAS the orphan's locked word back to unlocked, one full
           // version cycle ahead so the orphan's partial image never
           // revalidates. A lost steal CAS is judged by the word itself:

@@ -42,8 +42,8 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
       [this](uint32_t client) { return ClientAlive(client); });
 #endif
   for (const FabricConfig::CrashPoint& cp : config_.crash_points) {
-    auto [it, inserted] = crash_after_.emplace(cp.client, cp.after_verbs);
-    if (!inserted) it->second = std::min(it->second, cp.after_verbs);
+    uint64_t& after = StateOf(cp.client).crash_after;
+    after = std::min(after, cp.after_verbs);
   }
   for (const FabricConfig::ServerCrashPoint& cp :
        config_.server_crash_points) {
@@ -177,9 +177,8 @@ Fabric::ComputeEndpoint& Fabric::ComputeFor(uint32_t client) {
 }
 
 void Fabric::KillClient(uint32_t client, SimTime at_time) {
-  const SimTime t = std::max(at_time, simulator_.now());
-  auto [it, inserted] = death_time_.emplace(client, t);
-  if (!inserted) it->second = std::min(it->second, t);
+  SimTime& death = StateOf(client).death_time;
+  death = std::min(death, std::max(at_time, simulator_.now()));
 }
 
 void Fabric::KillServer(uint32_t server, SimTime at_time) {
@@ -245,10 +244,9 @@ void Fabric::SyncReplicasFromPrimaries() {
 }
 
 bool Fabric::CountVerbAndCheckAlive(uint32_t client) {
-  if (!ClientAlive(client)) return false;
-  const uint64_t issued = verbs_issued_[client]++;
-  auto it = crash_after_.find(client);
-  if (it != crash_after_.end() && issued >= it->second) {
+  ClientState& state = StateOf(client);
+  if (simulator_.now() >= state.death_time) return false;
+  if (state.verbs_issued++ >= state.crash_after) {
     // The crash point fires on this verb: the client dies while posting
     // it, so the verb never leaves the local NIC.
     KillClient(client, simulator_.now());
@@ -287,7 +285,7 @@ Fabric::NetFault Fabric::DrawNetFault(uint32_t client, uint32_t server,
   // counter that crash points use (CountVerbAndCheckAlive has already
   // ticked it for the current verb), consumed once each, no RNG draw.
   if (!config_.verb_fault_points.empty()) {
-    const uint64_t index = verbs_issued_[client] - 1;
+    const uint64_t index = clients_[client].verbs_issued - 1;
     for (size_t i = 0; i < config_.verb_fault_points.size(); ++i) {
       if (verb_fault_consumed_[i]) continue;
       const FabricConfig::VerbFaultPoint& fp = config_.verb_fault_points[i];
@@ -345,77 +343,13 @@ Fabric::NetFault Fabric::DrawNetFault(uint32_t client, uint32_t server,
   return fault;
 }
 
-sim::Task<EpochReadResult> Fabric::ReadClientEpoch(uint32_t reader,
-                                                   uint32_t target) {
-  if (!CountVerbAndCheckAlive(reader)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    // A dead reader learns nothing; callers re-check alive.
-    co_return EpochReadResult{Status::OK(), true};
-  }
-  constexpr uint32_t kEpochBytes = 8;
-  // The registry record of `target` lives on server target % N; under
-  // replication its replica group is consulted in rank order so the probe
-  // survives the home server's death.
-  const uint32_t home = target % config_.num_memory_servers;
-  uint32_t server_id = home;
-  bool host_found = false;
+RemotePtr Fabric::LivenessRecord(uint32_t client) const {
+  const uint32_t home = client % config_.num_memory_servers;
   for (uint32_t r = 0; r < replication_; ++r) {
-    const uint32_t candidate = (home + r) % config_.num_memory_servers;
-    if (ServerAlive(candidate)) {
-      server_id = candidate;
-      host_found = true;
-      break;
-    }
+    const uint32_t server = (home + r) % config_.num_memory_servers;
+    if (ServerAlive(server)) return RemotePtr::Make(server, 0);
   }
-  if (!host_found) {
-    // Every host of the record is gone: the post errs out locally.
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return EpochReadResult{
-        Status::Unavailable("liveness registry host dead"), true};
-  }
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[server_id];
-
-  if (IsLocal(reader, server_id)) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, kEpochBytes);
-    co_await sim::DelayUntil(simulator_, done);
-    if (!ServerVerbExecutes(server_id)) {
-      dropped_verbs_.Inc();
-      co_return EpochReadResult{
-          Status::Unavailable("liveness registry host dead"), true};
-    }
-    co_return EpochReadResult{Status::OK(), ClientAlive(target)};
-  }
-
-  ComputeEndpoint& compute = ComputeFor(reader);
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_req_out = compute.tx.ReserveTransfer(t_post,
-                                                       kReadRequestBytes);
-  const SimTime t_arrive = t_req_out + WireLatency();
-  const SimTime t_effect = server.engine.ReserveOccupancy(
-      t_arrive, EngineCost(server_id, config_.onesided_engine_ns));
-  server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-
-  server.reads++;
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ServerVerbExecutes(server_id)) {  // host died with the READ in flight
-    dropped_verbs_.Inc();
-    co_return EpochReadResult{
-        Status::Unavailable("liveness registry host dead"), true};
-  }
-  const bool alive = ClientAlive(target);
-
-  const SimTime t_tx = server.tx.ReserveTransfer(t_effect, kEpochBytes);
-  const SimTime first_byte_at_client =
-      t_tx - server.tx.TransferDuration(kEpochBytes) + WireLatency();
-  const SimTime done = compute.rx.ReserveArrival(first_byte_at_client,
-                                                 kEpochBytes);
-  co_await sim::DelayUntil(simulator_, done);
-  co_return EpochReadResult{Status::OK(), alive};
+  return RemotePtr::Make(home, 0);
 }
 
 uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
@@ -427,187 +361,19 @@ uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
   return ep.region->at(ptr.offset());
 }
 
-sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
-                                       void* dst, uint32_t len) {
-  if (!CountVerbAndCheckAlive(client)) {
-    // Dead client: the verb never leaves the NIC. Charging the post cost
-    // keeps virtual time moving for any coroutine still driving verbs.
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;  // a dead caller observes nothing anyway
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, src.server_id(), false);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the target NIC: no memory effect, no completion. The
-    // caller's NIC gives up after the retransmission budget.
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  // Standalone READ in-flight tracking (drops complete the posting too):
-  // overlapping same-client duplicates are the combiner's waste metric.
-  ReadPosted(client, src, len);
-  MemoryServerEndpoint& server = memory_servers_[src.server_id()];
-  uint8_t* remote = TargetAddress(src, len);
-
-  if (IsLocal(client, src.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(src.server_id()));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, len);
-    co_await sim::DelayUntil(simulator_, done);
-    ReadCompleted(client, src, len);
-    if (!ClientAlive(client)) {
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
-    std::memcpy(dst, remote, len);
-    if (net.kind == NetFaultKind::kDropCompletion) {
-      net_dropped_completions_.Inc();
-      co_await sim::Delay(simulator_, config_.net_verb_timeout_ns);
-      co_return VerbCompletion::kLost;
-    }
-    co_return VerbCompletion::kOk;
-  }
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_req_out = compute.tx.ReserveTransfer(t_post,
-                                                       kReadRequestBytes);
-  const SimTime t_arrive = t_req_out + WireLatency() + net.extra_delay;
-  SimTime t_effect =
-      server.engine.ReserveOccupancy(
-          t_arrive, EngineCost(src.server_id(), config_.onesided_engine_ns));
-  server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-
-  server.reads++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Retransmission re-executes the READ at the NIC: a second engine
-    // occupancy, harmless to memory. The client sees one response.
-    net_duplicates_.Inc();
-    server.reads++;
-    t_effect = server.engine.ReserveOccupancy(
-        t_effect, EngineCost(src.server_id(), config_.onesided_engine_ns));
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // died with the verb in flight: drop it
-    dropped_verbs_.Inc();
-    ReadCompleted(client, src, len);
-    co_return VerbCompletion::kOk;
-  }
-  if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    ReadCompleted(client, src, len);
-    co_return VerbCompletion::kOk;
-  }
-  if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
-  std::memcpy(dst, remote, len);
-
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The response never reaches the client: the bytes are in flight but
-    // unacknowledged, so the caller must treat the buffer as unspecified.
-    net_dropped_completions_.Inc();
-    ReadCompleted(client, src, len);
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-
-  const SimTime t_tx = server.tx.ReserveTransfer(t_effect, len);
-  const SimTime first_byte_at_client =
-      t_tx - server.tx.TransferDuration(len) + WireLatency();
-  const SimTime done = compute.rx.ReserveArrival(first_byte_at_client, len);
-  co_await sim::DelayUntil(simulator_, done);
-  ReadCompleted(client, src, len);
-  co_return VerbCompletion::kOk;
-}
-
-sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
-                                                   RemotePtr src, void* dst,
-                                                   uint32_t len) {
-  if (!config_.read_combining) {
-    const VerbCompletion c = co_await Read(client, src, dst, len);
-    co_return CombinedReadResult{false, c};
-  }
-  const auto key = std::make_tuple(client, src.raw(), len);
-  auto it = pending_reads_.find(key);
-  if (it != pending_reads_.end()) {
-    // Attach to the outstanding verb: no doorbell, no duplicate. The
-    // shared_ptr keeps the landing buffer alive past the poster's erase.
-    std::shared_ptr<PendingRead> pending = it->second;
-    combined_reads_.Inc();
-    co_await pending->done;
-    std::memcpy(dst, pending->data.data(), len);
-    co_return CombinedReadResult{true, pending->completion};
-  }
-  auto pending = std::make_shared<PendingRead>(simulator_);
-  pending->data.resize(len);
-  pending_reads_.emplace(key, pending);
-  pending->completion = co_await Read(client, src, pending->data.data(), len);
-  // Dropped verbs (dead client/server) leave `data` zero-initialised —
-  // as unspecified as any dropped READ's buffer; every caller re-checks
-  // liveness after resuming, poster and waiters alike. A lost completion
-  // propagates to every combined waiter (they share the missing ack).
-  pending_reads_.erase(key);
-  pending->done.Set();
-  std::memcpy(dst, pending->data.data(), len);
-  co_return CombinedReadResult{false, pending->completion};
-}
-
 sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
                                            std::span<const ChainOp> ops,
                                            Posting posting) {
-  if (ops.size() != 1 || posting == Posting::kBatch) {
-    co_return co_await PostChain(client, {ops.begin(), ops.end()});
-  }
-  const ChainOp& op = ops.front();
-  switch (op.kind) {
-    case ChainOp::Kind::kRead: {
-      if (posting == Posting::kCombined) {
-        const CombinedReadResult r =
-            co_await CombinedRead(client, op.target, op.dst, op.len);
-        co_return PostResult{r.completion, r.combined ? 0u : 1u};
-      }
-      co_return PostResult{co_await Read(client, op.target, op.dst, op.len)};
-    }
-    case ChainOp::Kind::kWrite:
-      co_return PostResult{co_await Write(client, op.target, op.src, op.len,
-                                          op.fence_server)};
-    case ChainOp::Kind::kCas:
-    case ChainOp::Kind::kFaa: {
-      const AtomicResult r =
-          op.kind == ChainOp::Kind::kCas
-              ? co_await CompareAndSwap(client, op.target, op.expected,
-                                        op.desired)
-              : co_await FetchAndAdd(client, op.target, op.add);
-      if (r.ok() && op.result != nullptr) *op.result = r.value;
-      co_return PostResult{r.completion};
-    }
-  }
-  co_return PostResult{};
-}
-
-sim::Task<Fabric::PostResult> Fabric::PostChain(uint32_t client,
-                                                std::vector<ChainOp> ops) {
   if (ops.empty()) co_return PostResult{};
+  const bool lone = ops.size() == 1 && posting != Posting::kBatch;
   // A READ-only chain (range-scan prefetch) has independent members; any
-  // WRITE or atomic makes the chain ordered — each member's effect waits
-  // for its predecessor, as the initiating NIC streams WQEs in posting
-  // order.
-  bool ordered = false;
-  for (const ChainOp& op : ops) {
-    if (op.kind != ChainOp::Kind::kRead) ordered = true;
-  }
-  if (ordered && !config_.verb_chaining) {
+  // WRITE or atomic orders it, as the initiating NIC streams WQEs in
+  // posting order.
+  const bool ordered =
+      std::any_of(ops.begin(), ops.end(), [](const ChainOp& op) {
+        return op.kind != ChainOp::Kind::kRead;
+      });
+  if (!lone && ordered && !config_.verb_chaining) {
     // Unchained posting mode: one signaled verb per member, in order.
     PostResult unchained{VerbCompletion::kOk, 0};
     for (const ChainOp& op : ops) {
@@ -620,543 +386,365 @@ sim::Task<Fabric::PostResult> Fabric::PostChain(uint32_t client,
     }
     co_return unchained;
   }
-  // One doorbell, one crash-point tick for the whole chain.
+  const ChainOp& first = ops.front();
+  if (lone && posting == Posting::kCombined && config_.read_combining &&
+      first.kind == ChainOp::Kind::kRead) {
+    const auto key = std::make_tuple(client, first.target.raw(), first.len);
+    auto it = pending_reads_.find(key);
+    if (it != pending_reads_.end()) {
+      // Attach to the outstanding verb: no doorbell, no duplicate. The
+      // shared_ptr keeps the landing buffer alive past the poster's erase.
+      std::shared_ptr<PendingRead> pending = it->second;
+      combined_reads_.Inc();
+      co_await pending->done;
+      std::memcpy(first.dst, pending->data.data(), first.len);
+      co_return PostResult{pending->completion, 0};
+    }
+    auto pending = std::make_shared<PendingRead>(simulator_);
+    pending->data.resize(first.len);
+    pending_reads_.emplace(key, pending);
+    ChainOp own = first;
+    own.dst = pending->data.data();
+    pending->completion =
+        (co_await Post(client, {&own, 1}, Posting::kVerbs)).completion;
+    // A dropped verb leaves `data` zero-initialised — as unspecified as
+    // any dropped READ's buffer; poster and waiters alike re-check
+    // liveness after resuming, and share a lost completion.
+    pending_reads_.erase(key);
+    pending->done.Set();
+    std::memcpy(first.dst, pending->data.data(), first.len);
+    co_return PostResult{pending->completion};
+  }
+
+  // ---- Post-time gate: one crash-point tick per post ----------------------
   if (!CountVerbAndCheckAlive(client)) {
+    // Dead client: the post never leaves the NIC. Charging the post cost
+    // keeps virtual time moving for any coroutine still driving verbs.
     dropped_verbs_.Inc();
     co_await sim::Delay(simulator_, config_.nic_post_ns);
     co_return PostResult{};
   }
+  if (first.liveness_of >= 0 && !ServerAlive(first.target.server_id())) {
+    // Every host of the liveness record is gone: the probe errs out at the
+    // posting NIC.
+    co_await sim::Delay(simulator_, config_.nic_post_ns);
+    co_return PostResult{};
+  }
   doorbells_.Inc();
-  signaled_verbs_.Inc();  // the tail carries the chain's only completion
+  signaled_verbs_.Inc();  // a chain's tail carries its only completion
   unsignaled_verbs_.Inc(ops.size() - 1);
-  const uint64_t chain_id = next_chain_id_++;
-
-  // Network faults hit chain members individually (one fault draw per
-  // member; an exact fault point matching the chain's verb index lands on
-  // its first member). The first member lost before the NIC also kills the
-  // not-yet-posted tail of an ordered chain — the initiating NIC stops
-  // streaming WQEs past a faulted one — and any loss (member or the
-  // signaled tail's ack) surfaces as a kLost chain completion.
-  std::vector<NetFault> member_faults;
-  size_t net_drop_from = ops.size();
-  bool completion_lost = false;
-  if (NetFaultsLive()) {
-    member_faults.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      member_faults[i] = DrawNetFault(client, ops[i].target.server_id(),
-                                      IsAtomic(ops[i].kind));
-      if (member_faults[i].kind == NetFaultKind::kDropVerb) {
-        if (ordered) net_drop_from = std::min(net_drop_from, i);
-        completion_lost = true;
-      } else if (member_faults[i].kind == NetFaultKind::kDropCompletion) {
-        completion_lost = true;
-        net_dropped_completions_.Inc();
-      }
-      if (member_faults[i].extra_delay > 0) net_delayed_verbs_.Inc();
-    }
-  }
-
-  struct Pending {
-    SimTime effect;
-    size_t index;
-    uint64_t audit_ticket;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(ops.size());
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  // One doorbell for the whole chain; only the final verb is signaled.
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  SimTime overall_done = t_post;
-  SimTime prev_effect = 0;
-
+  Member single;
+  std::vector<Member> many(ops.size() > 1 ? ops.size() : 0);
+  const std::span<Member> members =
+      many.empty() ? std::span<Member>(&single, 1) : std::span<Member>(many);
   for (size_t i = 0; i < ops.size(); ++i) {
-    const ChainOp& op = ops[i];
-    const NetFault mf =
-        member_faults.empty() ? NetFault{} : member_faults[i];
-    const uint32_t sid = op.target.server_id();
-    MemoryServerEndpoint& server = memory_servers_[sid];
-    uint64_t ticket = 0;
-    if (op.kind == ChainOp::Kind::kWrite && auditor_) {
-      ticket = auditor_->OnWritePosted(client, op.target, op.len,
-                                       simulator_.now(), chain_id);
+    members[i].op = &ops[i];
+    members[i].index = i;
+  }
+  // One network-fault draw per member (an exact fault point matching the
+  // post's verb index lands on its first member).
+  if (NetFaultsLive()) {
+    for (Member& m : members) {
+      m.fault = DrawNetFault(client, m.op->target.server_id(),
+                             IsAtomic(m.op->kind));
     }
-
-    SimTime t_effect = 0;
-    SimTime done = 0;
-    if (IsLocal(client, sid)) {
-      sim::Link& bus = LocalBus(config_.MemoryServerMachine(sid));
-      SimTime start = simulator_.now() + config_.local_latency_ns;
-      if (ordered) start = std::max(start, prev_effect);
-      if (IsAtomic(op.kind)) {
-        // Atomics serialize through the NIC even locally (loopback) so
-        // that remote and local atomics remain mutually atomic; see §4.2.
-        t_effect = server.engine.ReserveOccupancy(
-            bus.ReserveTransfer(start, kAtomicRequestBytes),
-            config_.atomic_engine_ns);
-        done = t_effect + config_.local_latency_ns;
-      } else {
-        t_effect = bus.ReserveTransfer(start, op.len);
-        done = t_effect;
-      }
-    } else {
-      switch (op.kind) {
-        case ChainOp::Kind::kRead: {
-          const SimTime t_req_out =
-              compute.tx.ReserveTransfer(t_post, kReadRequestBytes);
-          SimTime t_arrive = t_req_out + WireLatency() + mf.extra_delay;
-          if (ordered) t_arrive = std::max(t_arrive, prev_effect);
-          t_effect = server.engine.ReserveOccupancy(
-              t_arrive, EngineCost(sid, config_.unsignaled_engine_ns));
-          server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-          const SimTime t_tx = server.tx.ReserveTransfer(t_effect, op.len);
-          const SimTime first_byte =
-              t_tx - server.tx.TransferDuration(op.len) + WireLatency();
-          done = compute.rx.ReserveArrival(first_byte, op.len);
-          break;
-        }
-        case ChainOp::Kind::kWrite: {
-          const uint32_t wire_bytes = op.len + kWriteHeaderBytes;
-          const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
-          const SimTime first_byte_at_server =
-              t_out - compute.tx.TransferDuration(wire_bytes) + WireLatency() +
-              mf.extra_delay;
-          SimTime t_rx =
-              server.rx.ReserveArrival(first_byte_at_server, wire_bytes);
-          if (ordered) t_rx = std::max(t_rx, prev_effect);
-          t_effect = server.engine.ReserveOccupancy(
-              t_rx, EngineCost(sid, config_.unsignaled_engine_ns));
-          // Only the signaled tail acks back to the initiator; the acks of
-          // the unsignaled members coalesce into it.
-          if (i + 1 == ops.size()) {
-            server.tx.ReserveTransfer(t_effect, kAckBytes);
-          }
-          done = t_effect + WireLatency();
-          break;
-        }
-        case ChainOp::Kind::kCas:
-        case ChainOp::Kind::kFaa: {
-          const SimTime t_out =
-              compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-          SimTime t_arrive = t_out + WireLatency() + mf.extra_delay;
-          if (ordered) t_arrive = std::max(t_arrive, prev_effect);
-          server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-          t_effect = server.engine.ReserveOccupancy(t_arrive,
-                                                    config_.atomic_engine_ns);
-          server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-          done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                           kAtomicResponseBytes);
-          break;
-        }
-      }
+  }
+  if (lone && single.fault.kind == NetFaultKind::kDropVerb) {
+    // Lost before the target NIC: no memory effect, no completion. The
+    // poster's NIC gives up after the retransmission budget. A lost CAS is
+    // indistinguishable from a lost ack after a swap — the caller resolves
+    // it by reading the word back.
+    CountNetDrop(single.fault);
+    if (auditor_ && first.kind == ChainOp::Kind::kCas) {
+      auditor_->OnCasLost(client, first.target);
     }
-    if (mf.kind == NetFaultKind::kDuplicate) {
-      // Retransmission re-executes this member at the NIC: a second
-      // engine occupancy; the re-executed memory effect happens at the
-      // (later) second slot in the effects loop below.
-      net_duplicates_.Inc();
-      t_effect = server.engine.ReserveOccupancy(
-          t_effect, IsAtomic(op.kind)
-                        ? config_.atomic_engine_ns
-                        : EngineCost(sid, config_.unsignaled_engine_ns));
+    co_await sim::Delay(simulator_,
+                        config_.nic_post_ns + config_.net_verb_timeout_ns);
+    co_return PostResult{VerbCompletion::kLost};
+  }
+  // A chain member lost before the NIC also drops the not-yet-posted tail
+  // of an ordered chain (the NIC stops streaming WQEs past a faulted one),
+  // and any loss — a member, or the signaled tail's ack — completes the
+  // chain kLost.
+  size_t net_drop_from = ops.size();
+  bool chain_lost = false;
+  for (const Member& m : members) {
+    if (m.fault.extra_delay > 0) net_delayed_verbs_.Inc();
+    if (lone) continue;
+    if (m.fault.kind == NetFaultKind::kDropVerb) {
+      if (ordered) net_drop_from = std::min(net_drop_from, m.index);
+      chain_lost = true;
+    } else if (m.fault.kind == NetFaultKind::kDropCompletion) {
+      chain_lost = true;
+      net_dropped_completions_.Inc();
     }
-    uint64_t& executed = op.kind == ChainOp::Kind::kRead    ? server.reads
-                         : op.kind == ChainOp::Kind::kWrite ? server.writes
-                                                            : server.atomics;
-    executed += mf.kind == NetFaultKind::kDuplicate ? 2 : 1;
-    prev_effect = t_effect;
-    overall_done = std::max(overall_done, done);
-    pending.push_back({t_effect, i, ticket});
   }
 
-  // Perform the memory effects in virtual-time order (equals posting order
-  // for ordered chains).
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Pending& a, const Pending& b) {
-                     return a.effect < b.effect;
-                   });
-  for (size_t pi = 0; pi < pending.size(); ++pi) {
-    const Pending& p = pending[pi];
-    co_await sim::DelayUntil(simulator_, p.effect);
+  // ---- Reserve: engine, link and bus time per member -----------------------
+  const uint64_t chain_id = lone ? 0 : next_chain_id_++;
+  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
+  SimTime chain_done = t_post;
+  SimTime prev_effect = 0;
+  for (Member& m : members) {
+    Reserve(client, m, lone, m.index + 1 == ops.size(), t_post,
+            ordered ? prev_effect : 0, chain_id);
+    prev_effect = m.effect;
+    chain_done = std::max(chain_done, m.done);
+  }
+  // Lone READs of memory are tracked in flight until their completion.
+  const bool tracked = lone && first.kind == ChainOp::Kind::kRead &&
+                       first.liveness_of < 0;
+
+  // ---- Effect: each member at its execution time --------------------------
+  // In virtual-time order, which is posting order for an ordered chain.
+  if (members.size() > 1) {
+    std::stable_sort(members.begin(), members.end(),
+                     [](const Member& a, const Member& b) {
+                       return a.effect < b.effect;
+                     });
+  }
+  for (size_t k = 0; k < members.size(); ++k) {
+    Member& m = members[k];
+    co_await sim::DelayUntil(simulator_, m.effect);
     if (!ClientAlive(client)) {
-      // Died mid-chain: the not-yet-executed tail drops atomically.
-      if (auditor_) {
-        for (size_t pj = pi; pj < pending.size(); ++pj) {
-          if (ops[pending[pj].index].kind == ChainOp::Kind::kWrite) {
-            auditor_->DropWrite(pending[pj].audit_ticket);
-          }
-        }
-      }
+      // Died with the post in flight: the not-yet-executed members drop
+      // atomically.
+      for (size_t j = k; j < members.size(); ++j) DropWrite(members[j]);
       dropped_verbs_.Inc();
+      if (tracked) ReadCompleted(client, first.target, first.len);
       co_return PostResult{};
     }
-    const ChainOp& op = ops[p.index];
-    // Network fault domain: a member lost before the NIC drops here, and
-    // so does the unexecuted tail behind it (ordered chains stream WQEs in
-    // posting order; net_drop_from marks where the NIC stopped).
-    if (!member_faults.empty() &&
-        (member_faults[p.index].kind == NetFaultKind::kDropVerb ||
-         p.index >= net_drop_from)) {
-      if (auditor_ && op.kind == ChainOp::Kind::kWrite) {
-        auditor_->DropWrite(p.audit_ticket);
-      }
-      (member_faults[p.index].partitioned ? net_partitioned_drops_
-                                          : net_dropped_verbs_)
-          .Inc();
+    if (m.fault.kind == NetFaultKind::kDropVerb || m.index >= net_drop_from) {
+      DropWrite(m);
+      CountNetDrop(m.fault);
       continue;
     }
     // Server fault domain: a member whose target server is dead (or dies
-    // on exactly this effect), or whose fence server has died, drops
-    // individually — members bound for live servers still land, so an
-    // unlock aimed at a live primary is not lost to a dead backup.
-    if (FencedOut(op.fence_server) ||
-        !ServerVerbExecutes(op.target.server_id())) {
-      if (auditor_ && op.kind == ChainOp::Kind::kWrite) {
-        auditor_->DropWrite(p.audit_ticket);
-      }
+    // on exactly this effect), or whose fence server has died, drops on
+    // its own — members bound for live servers still land, so an unlock
+    // aimed at a live primary is not lost to a dead backup.
+    if (FencedOut(m.op->fence_server) ||
+        !ServerVerbExecutes(m.op->target.server_id())) {
+      DropWrite(m);
       dropped_verbs_.Inc();
-      continue;
+      if (!lone) continue;
+      if (tracked) ReadCompleted(client, first.target, first.len);
+      co_return PostResult{};
     }
-    switch (op.kind) {
-      case ChainOp::Kind::kRead: {
-        if (auditor_) {
-          auditor_->OnReadEffect(client, op.target, op.len, simulator_.now(),
-                                 chain_id);
-        }
-        std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
-        break;
-      }
-      case ChainOp::Kind::kWrite: {
-        if (auditor_) {
-          auditor_->OnWriteEffect(p.audit_ticket, op.src, simulator_.now());
-        }
-        std::memcpy(TargetAddress(op.target, op.len), op.src, op.len);
-        break;
-      }
-      case ChainOp::Kind::kCas: {
-        uint8_t* remote = TargetAddress(op.target, 8);
-        uint64_t current;
-        std::memcpy(&current, remote, 8);
-        if (current == op.expected) {
-          std::memcpy(remote, &op.desired, 8);
-        }
-        if (auditor_) {
-          auditor_->OnCasEffect(client, op.target, op.expected, op.desired,
-                                current, simulator_.now(), chain_id);
-        }
-        if (op.result != nullptr) *op.result = current;
-        if (!member_faults.empty() &&
-            member_faults[p.index].kind == NetFaultKind::kDuplicate) {
-          // Forced atomic duplicate (exact fault point): the retransmitted
-          // CAS compares again. After a successful first execution the
-          // word no longer matches `expected`, so the re-execution is a
-          // no-op — CAS duplication is self-neutralising, unlike FAA.
-          uint64_t again;
-          std::memcpy(&again, remote, 8);
-          if (again == op.expected) std::memcpy(remote, &op.desired, 8);
-        }
-        break;
-      }
-      case ChainOp::Kind::kFaa: {
-        const bool twice =
-            !member_faults.empty() &&
-            member_faults[p.index].kind == NetFaultKind::kDuplicate;
-        const uint64_t current = ApplyFaa(client, op.target, op.add, twice);
-        if (op.result != nullptr) *op.result = current;
-        break;
-      }
-    }
+    Apply(client, m, chain_id);
   }
-  if (completion_lost) {
+
+  // ---- Completion ---------------------------------------------------------
+  if (lone) {
+    if (single.fault.kind == NetFaultKind::kDropCompletion) {
+      // The effect landed; the response did not. The poster learns nothing
+      // (no bytes, no pre-image) and resolves it by protocol
+      // (docs/fault_model.md §8).
+      net_dropped_completions_.Inc();
+      if (auditor_ && first.kind == ChainOp::Kind::kCas) {
+        auditor_->OnCasLost(client, first.target);
+      }
+      if (tracked) ReadCompleted(client, first.target, first.len);
+      co_await sim::DelayUntil(simulator_,
+                               single.effect + config_.net_verb_timeout_ns);
+      co_return PostResult{VerbCompletion::kLost};
+    }
+    const uint32_t server = first.target.server_id();
+    // A co-located READ/WRITE completes with its bus copy.
+    if (!IsLocal(client, server) || IsAtomic(first.kind)) {
+      if (first.kind == ChainOp::Kind::kRead) {
+        single.done = ReserveResponse(client, server, single.effect, first.len);
+      } else if (first.kind == ChainOp::Kind::kWrite) {
+        single.done = ReserveAck(server, single.effect);
+      }
+      co_await sim::DelayUntil(simulator_, single.done);
+    }
+    if (tracked) ReadCompleted(client, first.target, first.len);
+  } else if (chain_lost) {
     if (auditor_) {
       for (const ChainOp& op : ops) {
-        if (op.kind == ChainOp::Kind::kCas) {
-          auditor_->OnCasLost(client, op.target);
-        }
+        if (op.kind == ChainOp::Kind::kCas) auditor_->OnCasLost(client, op.target);
       }
     }
-    // The signaled tail's acknowledgement never arrives: whatever subset
-    // of effects landed stays, but the poster learns nothing and gives up
-    // after the retransmission budget.
+    // Whatever subset of effects landed stays, but the poster learns
+    // nothing and gives up after the retransmission budget.
     co_await sim::DelayUntil(simulator_,
-                             overall_done + config_.net_verb_timeout_ns);
+                             chain_done + config_.net_verb_timeout_ns);
     co_return PostResult{VerbCompletion::kLost};
+  } else {
+    co_await sim::DelayUntil(simulator_, chain_done);
   }
-  co_await sim::DelayUntil(simulator_, overall_done);
+  for (const Member& m : members) {
+    if (m.executed && m.op->result != nullptr) *m.op->result = m.value;
+  }
   co_return PostResult{};
 }
 
-sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
-                                        const void* src, uint32_t len,
-                                        int32_t fence_server) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;
+void Fabric::Reserve(uint32_t client, Member& m, bool lone, bool tail,
+                     SimTime t_post, SimTime after, uint64_t chain_id) {
+  const ChainOp& op = *m.op;
+  const uint32_t sid = op.target.server_id();
+  MemoryServerEndpoint& server = memory_servers_[sid];
+  if (op.kind == ChainOp::Kind::kWrite && auditor_) {
+    m.ticket = auditor_->OnWritePosted(client, op.target, op.len,
+                                       simulator_.now(), chain_id);
   }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, dst.server_id(), false);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the target NIC: the bytes never land, the ack never
-    // comes. Re-posting is safe (byte-idempotent payload).
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
+  if (lone && op.kind == ChainOp::Kind::kRead && op.liveness_of < 0) {
+    ReadPosted(client, op.target, op.len);
   }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[dst.server_id()];
-  uint8_t* remote = TargetAddress(dst, len);
-  const uint64_t audit_ticket =
-      auditor_ ? auditor_->OnWritePosted(client, dst, len, simulator_.now())
-               : 0;
-
-  if (IsLocal(client, dst.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(dst.server_id()));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, len);
-    co_await sim::DelayUntil(simulator_, done);
-    if (!ClientAlive(client)) {
-      if (auditor_) auditor_->DropWrite(audit_ticket);
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
+  // Atomics pay the NIC's lock unit; a lone (signaled) READ/WRITE the full
+  // one-sided engine cost, a doorbell member the unsignaled one.
+  const bool atomic = IsAtomic(op.kind);
+  const SimTime engine_cost =
+      atomic ? config_.atomic_engine_ns
+             : EngineCost(sid, lone ? config_.onesided_engine_ns
+                                    : config_.unsignaled_engine_ns);
+  if (IsLocal(client, sid)) {
+    sim::Link& bus = LocalBus(config_.MemoryServerMachine(sid));
+    const SimTime start =
+        std::max(simulator_.now() + config_.local_latency_ns, after);
+    if (atomic) {
+      // Atomics serialize through the NIC even locally (loopback) so that
+      // remote and local atomics remain mutually atomic; see §4.2.
+      m.effect = server.engine.ReserveOccupancy(
+          bus.ReserveTransfer(start, kAtomicRequestBytes), engine_cost);
+      m.done = m.effect + config_.local_latency_ns;
+    } else {
+      m.effect = bus.ReserveTransfer(start, op.len);
+      m.done = m.effect;
+      // A lone co-located READ/WRITE is a plain bus copy: no NIC engine.
+      if (lone) return;
     }
-    if (FencedOut(fence_server) || !ServerVerbExecutes(dst.server_id())) {
-      if (auditor_) auditor_->DropWrite(audit_ticket);
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    if (auditor_) auditor_->OnWriteEffect(audit_ticket, src, simulator_.now());
-    std::memcpy(remote, src, len);
-    if (net.kind == NetFaultKind::kDropCompletion) {
-      net_dropped_completions_.Inc();
-      co_await sim::Delay(simulator_, config_.net_verb_timeout_ns);
-      co_return VerbCompletion::kLost;
-    }
-    co_return VerbCompletion::kOk;
-  }
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  const uint32_t wire_bytes = len + kWriteHeaderBytes;
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
-  const SimTime first_byte_at_server =
-      t_out - compute.tx.TransferDuration(wire_bytes) +
-      WireLatency() + net.extra_delay;
-  const SimTime t_rx = server.rx.ReserveArrival(first_byte_at_server,
-                                                wire_bytes);
-  SimTime t_effect =
-      server.engine.ReserveOccupancy(
-          t_rx, EngineCost(dst.server_id(), config_.onesided_engine_ns));
-
-  server.writes++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Retransmission re-executes the WRITE at the NIC: a second engine
-    // occupancy landing the same bytes — byte-idempotent, so no second
-    // auditor effect (the sanctioned duplicate).
-    net_duplicates_.Inc();
-    server.writes++;
-    t_effect = server.engine.ReserveOccupancy(
-        t_effect, EngineCost(dst.server_id(), config_.onesided_engine_ns));
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: nothing lands
-    if (auditor_) auditor_->DropWrite(audit_ticket);
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  // Target region gone, or the fence server died first.
-  if (FencedOut(fence_server) || !ServerVerbExecutes(dst.server_id())) {
-    if (auditor_) auditor_->DropWrite(audit_ticket);
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  if (auditor_) auditor_->OnWriteEffect(audit_ticket, src, simulator_.now());
-  std::memcpy(remote, src, len);
-
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The bytes landed; the ack did not. The caller resolves by reading
-    // the published word back (docs/fault_model.md §8).
-    net_dropped_completions_.Inc();
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-
-  server.tx.ReserveTransfer(t_effect, kAckBytes);
-  const SimTime done = t_effect + WireLatency();
-  co_await sim::DelayUntil(simulator_, done);
-  co_return VerbCompletion::kOk;
-}
-
-SimTime Fabric::ReserveAtomic(uint32_t client, uint32_t server_id,
-                              const NetFault& net, SimTime* done) {
-  MemoryServerEndpoint& server = memory_servers_[server_id];
-  SimTime t_effect;
-  if (IsLocal(client, server_id)) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
-    // Atomics still serialize through the NIC even locally (loopback) so
-    // that remote and local atomics remain mutually atomic; see §4.2.
-    t_effect = server.engine.ReserveOccupancy(
-        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                            kAtomicRequestBytes),
-        config_.atomic_engine_ns);
-    *done = t_effect + config_.local_latency_ns;
   } else {
     ComputeEndpoint& compute = ComputeFor(client);
-    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-    const SimTime t_out =
-        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-    t_effect =
-        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
-    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-    *done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                      kAtomicResponseBytes);
-  }
-  server.atomics++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    net_duplicates_.Inc();
-    server.atomics++;
-    t_effect =
-        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
-  }
-  return t_effect;
-}
-
-sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
-                                               RemotePtr target,
-                                               uint64_t expected,
-                                               uint64_t desired) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    // Meaningless to a dead caller; RemoteOps checks alive().
-    co_return AtomicResult{};
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, target.server_id(), true);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the NIC: no swap happened. Indistinguishable (to the
-    // caller) from a lost ack after a successful swap — resolved by
-    // reading the word back.
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    if (auditor_) auditor_->OnCasLost(client, target);
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  uint8_t* remote = TargetAddress(target, 8);
-
-  // A forced duplicate (exact fault point only) executes the CAS twice. A
-  // successful first swap makes the second a no-op, so only the engine
-  // pays; see FetchAndAdd for the non-neutral case.
-  SimTime done;
-  const SimTime t_effect =
-      ReserveAtomic(client, target.server_id(), net, &done);
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: no swap
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};
-  }
-  if (!ServerVerbExecutes(target.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};  // callers disambiguate via ServerAlive
-  }
-  uint64_t current;
-  std::memcpy(&current, remote, 8);
-  if (current == expected) {
-    std::memcpy(remote, &desired, 8);
-  }
-  if (auditor_) {
-    auditor_->OnCasEffect(client, target, expected, desired, current,
-                          simulator_.now());
-  }
-  if (net.kind == NetFaultKind::kDuplicate) {
-    uint64_t again;
-    std::memcpy(&again, remote, 8);
-    if (again == expected) std::memcpy(remote, &desired, 8);
-  }
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The swap (or its failure) happened; the response was lost. The
-    // pre-image never reaches the caller — stamp read-back resolves it.
-    net_dropped_completions_.Inc();
-    if (auditor_) auditor_->OnCasLost(client, target);
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  co_await sim::DelayUntil(simulator_, done);
-  co_return AtomicResult{current, VerbCompletion::kOk};
-}
-
-uint64_t Fabric::ApplyFaa(uint32_t client, RemotePtr target, uint64_t add,
-                          bool twice) {
-  uint8_t* remote = TargetAddress(target, 8);
-  uint64_t prev[2] = {0, 0};
-  for (int k = 0; k < (twice ? 2 : 1); ++k) {
-    std::memcpy(&prev[k], remote, 8);
-    const uint64_t updated = prev[k] + add;
-    std::memcpy(remote, &updated, 8);
-    if (auditor_) {
-      auditor_->OnFaaEffect(client, target, add, prev[k], simulator_.now());
+    switch (op.kind) {
+      case ChainOp::Kind::kRead: {
+        const SimTime t_req_out =
+            compute.tx.ReserveTransfer(t_post, kReadRequestBytes);
+        const SimTime t_arrive = std::max(
+            t_req_out + WireLatency() + m.fault.extra_delay, after);
+        m.effect = server.engine.ReserveOccupancy(t_arrive, engine_cost);
+        server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
+        if (!lone) m.done = ReserveResponse(client, sid, m.effect, op.len);
+        break;
+      }
+      case ChainOp::Kind::kWrite: {
+        const uint32_t wire_bytes = op.len + kWriteHeaderBytes;
+        const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
+        const SimTime first_byte_at_server =
+            t_out - compute.tx.TransferDuration(wire_bytes) + WireLatency() +
+            m.fault.extra_delay;
+        const SimTime t_rx = std::max(
+            server.rx.ReserveArrival(first_byte_at_server, wire_bytes), after);
+        m.effect = server.engine.ReserveOccupancy(t_rx, engine_cost);
+        // Only a chain's signaled tail acks back to the initiator; the acks
+        // of the unsignaled members coalesce into it.
+        if (lone) break;
+        m.done = tail ? ReserveAck(sid, m.effect) : m.effect + WireLatency();
+        break;
+      }
+      case ChainOp::Kind::kCas:
+      case ChainOp::Kind::kFaa: {
+        const SimTime t_out =
+            compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
+        const SimTime t_arrive =
+            std::max(t_out + WireLatency() + m.fault.extra_delay, after);
+        server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
+        m.effect = server.engine.ReserveOccupancy(t_arrive, engine_cost);
+        server.tx.ReserveTransfer(m.effect, kAtomicResponseBytes);
+        m.done = compute.rx.ReserveArrival(m.effect + WireLatency(),
+                                           kAtomicResponseBytes);
+        break;
+      }
     }
   }
-  return prev[0];
+  const bool twice = m.fault.kind == NetFaultKind::kDuplicate;
+  if (twice) {
+    // Retransmission re-executes the member at the NIC: a second engine
+    // occupancy; Apply decides what the re-execution does to memory.
+    net_duplicates_.Inc();
+    m.effect = server.engine.ReserveOccupancy(m.effect, engine_cost);
+  }
+  uint64_t& executed = op.kind == ChainOp::Kind::kRead    ? server.reads
+                       : op.kind == ChainOp::Kind::kWrite ? server.writes
+                                                          : server.atomics;
+  executed += twice ? 2 : 1;
 }
 
-sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
-                                            uint64_t add) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return AtomicResult{};
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, target.server_id(), true);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
+SimTime Fabric::ReserveResponse(uint32_t client, uint32_t server_id,
+                                SimTime effect, uint32_t len) {
+  sim::Link& tx = memory_servers_[server_id].tx;
+  const SimTime t_tx = tx.ReserveTransfer(effect, len);
+  const SimTime first_byte_at_client =
+      t_tx - tx.TransferDuration(len) + WireLatency();
+  return ComputeFor(client).rx.ReserveArrival(first_byte_at_client, len);
+}
 
-  // A forced duplicate (exact fault point only) executes the FAA twice, and
-  // FAA is NOT idempotent: the re-execution adds again, and the second
-  // effect is reported to the auditor as its own event so unsanctioned dups
-  // are caught (a duplicated release FAA trips kUnlockWithoutLock).
-  SimTime done;
-  const SimTime t_effect =
-      ReserveAtomic(client, target.server_id(), net, &done);
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: no add
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};
+SimTime Fabric::ReserveAck(uint32_t server_id, SimTime effect) {
+  memory_servers_[server_id].tx.ReserveTransfer(effect, kAckBytes);
+  return effect + WireLatency();
+}
+
+void Fabric::Apply(uint32_t client, Member& m, uint64_t chain_id) {
+  const ChainOp& op = *m.op;
+  const SimTime now = simulator_.now();
+  const bool twice = m.fault.kind == NetFaultKind::kDuplicate;
+  m.executed = true;
+  switch (op.kind) {
+    case ChainOp::Kind::kRead: {
+      if (op.liveness_of >= 0) {
+        const uint64_t alive =
+            ClientAlive(static_cast<uint32_t>(op.liveness_of)) ? 1 : 0;
+        std::memcpy(op.dst, &alive, 8);
+        break;
+      }
+      if (auditor_) {
+        auditor_->OnReadEffect(client, op.target, op.len, now, chain_id);
+      }
+      std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
+      break;
+    }
+    case ChainOp::Kind::kWrite: {
+      // A duplicated WRITE lands the same bytes again — byte-idempotent,
+      // so no second auditor effect (the sanctioned duplicate).
+      if (auditor_) auditor_->OnWriteEffect(m.ticket, op.src, now);
+      std::memcpy(TargetAddress(op.target, op.len), op.src, op.len);
+      break;
+    }
+    case ChainOp::Kind::kCas: {
+      uint8_t* remote = TargetAddress(op.target, 8);
+      std::memcpy(&m.value, remote, 8);
+      if (m.value == op.expected) std::memcpy(remote, &op.desired, 8);
+      if (auditor_) {
+        auditor_->OnCasEffect(client, op.target, op.expected, op.desired,
+                              m.value, now, chain_id);
+      }
+      if (twice) {
+        // Forced duplicate (exact fault point only): the CAS compares
+        // again. After a successful first swap the word no longer matches
+        // `expected`, so CAS duplication is self-neutralising.
+        uint64_t again;
+        std::memcpy(&again, remote, 8);
+        if (again == op.expected) std::memcpy(remote, &op.desired, 8);
+      }
+      break;
+    }
+    case ChainOp::Kind::kFaa: {
+      // FAA is not idempotent: a forced duplicate adds again, and each
+      // execution is reported on its own so an unsanctioned duplicate is
+      // caught (a duplicated release FAA trips kUnlockWithoutLock).
+      uint8_t* remote = TargetAddress(op.target, 8);
+      for (int k = 0; k < (twice ? 2 : 1); ++k) {
+        uint64_t prev;
+        std::memcpy(&prev, remote, 8);
+        if (k == 0) m.value = prev;
+        const uint64_t updated = prev + op.add;
+        std::memcpy(remote, &updated, 8);
+        if (auditor_) auditor_->OnFaaEffect(client, op.target, op.add, prev, now);
+      }
+      break;
+    }
   }
-  if (!ServerVerbExecutes(target.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};  // callers disambiguate via ServerAlive
-  }
-  const uint64_t current = ApplyFaa(client, target, add,
-                                    net.kind == NetFaultKind::kDuplicate);
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The add happened; the pre-image never came back.
-    net_dropped_completions_.Inc();
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  co_await sim::DelayUntil(simulator_, done);
-  co_return AtomicResult{current, VerbCompletion::kOk};
 }
 
 sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,

@@ -2,6 +2,7 @@
 #define NAMTREE_RDMA_FABRIC_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -23,15 +24,6 @@
 
 namespace namtree::rdma {
 
-/// Outcome of a liveness-registry read (Fabric::ReadClientEpoch): OK with
-/// the liveness snapshot, or kUnavailable when every server that could host
-/// the target's epoch record is dead (the probe must not spin forever).
-/// Default-constructible — coroutine Task payloads must be.
-struct EpochReadResult {
-  Status status;
-  bool alive = true;
-};
-
 /// How a posted verb completed from the initiating client's point of view.
 /// kOk = the completion arrived (the memory effect, if any, is visible).
 /// kLost = no completion within the retransmission budget: either the verb
@@ -40,24 +32,6 @@ struct EpochReadResult {
 /// the ambiguity by protocol (docs/fault_model.md §8). Only a flaky-network
 /// fault domain produces kLost; lossless runs always see kOk.
 enum class VerbCompletion : uint8_t { kOk, kLost };
-
-/// Completion + previous value of an RDMA atomic (CAS / FETCH_AND_ADD).
-/// `value` is meaningful only when ok(): a lost atomic completion delivers
-/// no pre-image, which is exactly the ambiguity the client must resolve by
-/// reading the word back. Default-constructible for coroutine payloads.
-struct AtomicResult {
-  uint64_t value = 0;
-  VerbCompletion completion = VerbCompletion::kOk;
-  bool ok() const { return completion == VerbCompletion::kOk; }
-};
-
-/// Outcome of Fabric::CombinedRead: whether the request attached to an
-/// in-flight READ, and how the underlying verb completed.
-struct CombinedReadResult {
-  bool combined = false;
-  VerbCompletion completion = VerbCompletion::kOk;
-  bool ok() const { return completion == VerbCompletion::kOk; }
-};
 
 /// The simulated RDMA network connecting compute clients to memory servers.
 ///
@@ -122,23 +96,19 @@ class Fabric {
   void KillClient(uint32_t client, SimTime at_time = 0);
 
   /// Client liveness at the current virtual time. This is the
-  /// fabric-maintained registry that waiters consult (via ReadClientEpoch)
-  /// before stealing an orphaned lock.
+  /// fabric-maintained registry that waiters consult (via a
+  /// ChainOp::Probe) before stealing an orphaned lock.
   bool ClientAlive(uint32_t client) const {
-    auto it = death_time_.find(client);
-    return it == death_time_.end() || simulator_.now() < it->second;
+    return client >= clients_.size() ||
+           simulator_.now() < clients_[client].death_time;
   }
 
-  /// One-sided READ of `target`'s liveness record from the registry page
-  /// hosted on memory server `target % num_memory_servers` (or, under
-  /// replication, the first live server of that record's replica group).
-  /// Charges the full 8-byte READ cost shape (post, wire, engine,
-  /// response) to `reader` and returns the liveness snapshot taken at the
-  /// verb's memory effect. A dead reader learns nothing and gets OK/true;
-  /// a dead *registry host* (every replica gone) surfaces kUnavailable so
-  /// waiters bound their probing instead of spinning forever.
-  sim::Task<EpochReadResult> ReadClientEpoch(uint32_t reader,
-                                             uint32_t target);
+  /// Where `client`'s liveness record lives: on memory server
+  /// `client % num_memory_servers`, or, under replication, on the first
+  /// live server of that server's replica group (the home server when
+  /// every replica is dead). The registry is fabric state, not region
+  /// bytes, so the offset is symbolic.
+  RemotePtr LivenessRecord(uint32_t client) const;
 
   // ---- Memory-server fault domain -----------------------------------------
 
@@ -237,31 +207,7 @@ class Fabric {
 
   // ---- One-sided verbs ----------------------------------------------------
 
-  /// RDMA READ: copies `len` bytes from remote memory into `dst`. Returns
-  /// kLost when a network fault swallowed the verb or its completion (the
-  /// buffer is then unspecified); always kOk on a lossless fabric.
-  sim::Task<VerbCompletion> Read(uint32_t client, RemotePtr src, void* dst,
-                                 uint32_t len);
-
-  /// READ with in-flight combining (FabricConfig::read_combining): if this
-  /// client already has an identical (src, len) READ outstanding, attach
-  /// to it — no verb is posted; the caller resumes when the outstanding
-  /// read's completion arrives and receives the bytes it delivered.
-  /// Returns true when the request was combined, false when it posted the
-  /// verb itself. With the knob off this is exactly Read (returns false).
-  ///
-  /// A combined waiter observes a snapshot taken at the primary verb's
-  /// effect time, which may precede its own call by the in-flight window —
-  /// indistinguishable from having issued the read slightly earlier, so
-  /// the OLC staleness argument (validate version, chase right) covers it.
-  /// Failure symmetry: if the verb was dropped (dead client or server) the
-  /// waiter's buffer is as unspecified as the poster's, and both re-check
-  /// liveness after resuming. A combined waiter inherits the primary
-  /// verb's completion outcome.
-  sim::Task<CombinedReadResult> CombinedRead(uint32_t client, RemotePtr src,
-                                             void* dst, uint32_t len);
-
-  /// One element of a verb chain (PostChain / Post).
+  /// One member of a post: a READ, WRITE, CAS or FETCH_AND_ADD.
   struct ChainOp {
     enum class Kind : uint8_t { kRead, kWrite, kCas, kFaa };
 
@@ -284,6 +230,10 @@ class Fabric {
     /// before the primary's death (lands before any promotion could
     /// begin) or after it (dropped).
     int32_t fence_server = -1;
+    /// A READ of this client's liveness record (-1 = a READ of memory):
+    /// the 8 bytes landing in `dst` are 1 when the client is alive at the
+    /// member's effect, else 0.
+    int64_t liveness_of = -1;
 
     static ChainOp Read(RemotePtr src, void* dst, uint32_t len) {
       ChainOp op;
@@ -322,6 +272,13 @@ class Fabric {
       op.result = result;
       return op;
     }
+    /// The liveness-registry probe: an 8-byte READ of `client`'s record
+    /// (`record` = LivenessRecord(client)) into `*alive`.
+    static ChainOp Probe(RemotePtr record, uint32_t client, uint64_t* alive) {
+      ChainOp op = Read(record, alive, 8);
+      op.liveness_of = client;
+      return op;
+    }
   };
 
   /// How a post completed: the completion, and how many signaled round
@@ -334,68 +291,58 @@ class Fabric {
     bool ok() const { return completion == VerbCompletion::kOk; }
   };
 
-  /// How Post puts a chain on the wire.
+  /// How Post puts its members on the wire.
   enum class Posting : uint8_t {
-    /// A lone member goes out as its plain signaled verb; several members
-    /// ride one PostChain.
+    /// A lone member goes out as its own signaled verb; several members
+    /// ride one doorbell.
     kVerbs,
-    /// kVerbs, and a lone READ may combine with an identical in-flight
-    /// READ of the same client (CombinedRead).
+    /// kVerbs, and with FabricConfig::read_combining a lone READ attaches
+    /// to an identical (target, len) READ the same client has in flight:
+    /// no verb is posted, the waiter resumes with the bytes and the
+    /// completion the outstanding READ delivered (round_trips = 0). The
+    /// waiter's snapshot may precede its own call by the in-flight window,
+    /// which the OLC staleness argument (validate version, chase right)
+    /// covers.
     kCombined,
-    /// Always one PostChain, even for a lone member (READ-only prefetch
+    /// Always one doorbell, even for a lone member (READ-only prefetch
     /// batches: selectively signaled, cheap unsignaled engine cost).
     kBatch,
   };
 
-  /// The one posting entry of the client protocol (RemoteOps::Post):
-  /// posts `ops` as `posting` says. A lone CAS / FAA delivers its
-  /// pre-image through `result`; a lone WRITE honours `fence_server`.
+  /// The fabric's only one-sided entry (called by RemoteOps::Post): posts
+  /// `ops` as `posting` says. Every post runs one pipeline — a post-time
+  /// gate (client liveness and crash point, one tick per post; one
+  /// network-fault draw per member), a reservation of NIC engine, link and
+  /// bus time per member, an effect step per member at its execution time
+  /// (client and server liveness, fence, auditor, memory effect), and one
+  /// completion. A CAS / FAA delivers its pre-image through `result` when
+  /// the post completes kOk.
+  ///
+  /// A lone member is a signaled verb: READ/WRITE pay
+  /// `onesided_engine_ns`, a READ reserves its response (a WRITE its ack)
+  /// after its effect, a co-located READ/WRITE is a bus copy that never
+  /// touches the NIC engine, and a member lost before the NIC returns kLost
+  /// after `nic_post_ns + net_verb_timeout_ns` without reserving anything.
+  ///
+  /// Several members (or kBatch) ride one doorbell with only the tail
+  /// signaled: READ/WRITE members pay `unsignaled_engine_ns` (atomics keep
+  /// their lock-unit cost), every response and the tail's ack are
+  /// reserved at post time, and the chain counts as one verb against the
+  /// crash point — a client dying mid-chain loses the not-yet-executed
+  /// tail atomically. A READ-only chain executes its members independently
+  /// (the selectively signaled prefetch of §4.3); any WRITE or atomic
+  /// makes it ordered, each member's effect waiting for its predecessor's,
+  /// which is what makes the {page WRITE, unlock WRITE} and split chains
+  /// safe to combine. A member whose server (or fence server) is dead
+  /// drops on its own; the first member lost before the NIC also drops the
+  /// ordered tail behind it, and any loss completes the chain kLost. With
+  /// FabricConfig::verb_chaining off an ordered chain instead posts each
+  /// member as a lone verb after its predecessor completed, stopping at
+  /// the first lost one.
+  ///
+  /// A dead client's post drops after `nic_post_ns` with no effect.
   sim::Task<PostResult> Post(uint32_t client, std::span<const ChainOp> ops,
                              Posting posting);
-
-  /// Doorbell-batched chain of READ/WRITE/CAS/FAA verbs: all ops are
-  /// posted back-to-back with one doorbell and only the tail signaled, so
-  /// each member is charged the cheap unsignaled engine cost (atomics keep
-  /// their lock-unit cost). The whole chain counts as *one* verb against
-  /// the poster's crash point; a client that dies mid-chain loses the
-  /// not-yet-executed tail atomically.
-  ///
-  /// Ordering: a READ-only chain executes its members independently (the
-  /// selectively-signaled prefetch of §4.3). As soon as the chain contains
-  /// a WRITE or atomic, members take effect strictly in posting order — the
-  /// initiating NIC streams the WQEs sequentially — which is what makes
-  /// the {page WRITE, unlock WRITE} and split chains safe to combine.
-  /// Completes when the signaled tail's response has arrived. Under
-  /// network faults a chain member can be dropped individually; the first
-  /// dropped member also kills the not-yet-executed tail (the NIC stops
-  /// streaming WQEs past a faulted one), and the chain completes kLost.
-  ///
-  /// Posting mode: with FabricConfig::verb_chaining off, an ordered chain
-  /// instead posts each member as its own signaled verb, each after its
-  /// predecessor completed; the first lost member stops the rest, and the
-  /// chain completes kLost. READ-only chains are unaffected by the knob.
-  sim::Task<PostResult> PostChain(uint32_t client, std::vector<ChainOp> ops);
-
-  /// RDMA WRITE: copies `len` bytes from `src` into remote memory. kLost
-  /// when a network fault swallowed the verb or its completion; the bytes
-  /// may or may not have landed (idempotent re-post is safe). A
-  /// `fence_server` >= 0 drops the effect once that server is dead (see
-  /// ChainOp::fence_server).
-  sim::Task<VerbCompletion> Write(uint32_t client, RemotePtr dst,
-                                  const void* src, uint32_t len,
-                                  int32_t fence_server = -1);
-
-  /// RDMA compare-and-swap on an 8-byte remote word. On kOk, `value` is
-  /// the previous value (equal to `expected` iff the swap happened). On
-  /// kLost the swap may or may not have executed — resolve by reading the
-  /// word back (the holder stamp / version tells which).
-  sim::Task<AtomicResult> CompareAndSwap(uint32_t client, RemotePtr target,
-                                         uint64_t expected, uint64_t desired);
-
-  /// RDMA fetch-and-add on an 8-byte remote word. On kOk, `value` is the
-  /// previous value. On kLost the add may or may not have executed.
-  sim::Task<AtomicResult> FetchAndAdd(uint32_t client, RemotePtr target,
-                                      uint64_t add);
 
   // ---- Two-sided verbs (RPC) ----------------------------------------------
 
@@ -445,15 +392,15 @@ class Fabric {
   /// etc. or collect a Snapshot/Delta; there are no per-counter getters.
   /// Families:
   ///   fabric.signaled_verbs    verbs posted with a signaled completion
-  ///                            since the last ResetStats (standalone verbs
+  ///                            since the last ResetStats (lone verbs
   ///                            plus each chain's signaled tail)
   ///   fabric.unsignaled_verbs  chain members riding a doorbell without
   ///                            their own completion
-  ///   fabric.doorbells         doorbell rings: one per standalone verb,
-  ///                            one per chain
-  ///   fabric.combined_reads    READs combined away by CombinedRead
+  ///   fabric.doorbells         doorbell rings: one per lone verb, one per
+  ///                            chain
+  ///   fabric.combined_reads    READs combined away by Posting::kCombined
   ///                            (verbs never posted)
-  ///   fabric.duplicate_inflight_reads  same-client standalone READs
+  ///   fabric.duplicate_inflight_reads  same-client lone READs
   ///                            posted while an identical (target, len)
   ///                            READ of that client was in flight: the
   ///                            waste read combining removes (never reset)
@@ -511,8 +458,7 @@ class Fabric {
 
   /// Verbs issued by `client` so far (crash points key off this count).
   uint64_t client_verbs(uint32_t client) const {
-    auto it = verbs_issued_.find(client);
-    return it == verbs_issued_.end() ? 0 : it->second;
+    return client < clients_.size() ? clients_[client].verbs_issued : 0;
   }
   /// Per-RPC service-time surcharge from connection bookkeeping
   /// (`per_client_poll_ns` x connected clients).
@@ -592,6 +538,18 @@ class Fabric {
   /// must drop the verb without a memory effect.
   bool CountVerbAndCheckAlive(uint32_t client);
 
+  /// The crash-fault state of `client`, grown on demand.
+  struct ClientState {
+    SimTime death_time = std::numeric_limits<SimTime>::max();
+    // namtree-lint: metric-ok(a configured threshold, not an event count)
+    uint64_t crash_after = std::numeric_limits<uint64_t>::max();
+    uint64_t verbs_issued = 0;  ///< crash points and fault points key off it
+  };
+  ClientState& StateOf(uint32_t client) {
+    if (client >= clients_.size()) clients_.resize(client + 1);
+    return clients_[client];
+  }
+
   static bool IsAtomic(ChainOp::Kind kind) {
     return kind == ChainOp::Kind::kCas || kind == ChainOp::Kind::kFaa;
   }
@@ -602,12 +560,6 @@ class Fabric {
     return fence_server >= 0 &&
            !ServerAlive(static_cast<uint32_t>(fence_server));
   }
-
-  /// The memory effect of a FETCH_AND_ADD on `target` — twice for a forced
-  /// NIC duplicate, each execution reported to the auditor on its own so
-  /// an unsanctioned duplicate is caught. Returns the first pre-image.
-  uint64_t ApplyFaa(uint32_t client, RemotePtr target, uint64_t add,
-                    bool twice);
 
   /// Effect-time gate of the server fault domain: counts one verb effect
   /// against `server` and evaluates its crash point. Returns false when
@@ -640,12 +592,48 @@ class Fabric {
   /// can force an atomic duplicate.
   NetFault DrawNetFault(uint32_t client, uint32_t server, bool is_atomic);
 
-  /// Reserves the NIC engine, link and bus time of one atomic verb from
-  /// `client` at `server` (delayed by `net`; a forced duplicate pays the
-  /// engine twice) and counts it. Returns when it executes; `*done` is when
-  /// its completion lands.
-  SimTime ReserveAtomic(uint32_t client, uint32_t server, const NetFault& net,
-                        SimTime* done);
+  /// One member of a post on its way through the pipeline.
+  struct Member {
+    const ChainOp* op = nullptr;
+    size_t index = 0;     ///< posting position
+    NetFault fault;
+    SimTime effect = 0;   ///< when the target NIC executes it
+    SimTime done = 0;     ///< when its completion lands
+    uint64_t ticket = 0;  ///< the auditor's WRITE ticket
+    uint64_t value = 0;   ///< CAS / FAA pre-image
+    bool executed = false;
+  };
+
+  /// Reserves `m`'s NIC engine, link and bus time (its effect waits for
+  /// `after`, the predecessor's effect in an ordered chain) and counts it
+  /// at the target. A lone remote READ/WRITE leaves its response or ack
+  /// to the completion step.
+  void Reserve(uint32_t client, Member& m, bool lone, bool tail,
+               SimTime t_post, SimTime after, uint64_t chain_id);
+
+  /// Reserves a remote READ's response of `len` bytes from `effect`;
+  /// returns when it has landed at `client`.
+  SimTime ReserveResponse(uint32_t client, uint32_t server, SimTime effect,
+                          uint32_t len);
+
+  /// Reserves a remote WRITE's ack from `effect`; returns when it lands.
+  SimTime ReserveAck(uint32_t server, SimTime effect);
+
+  /// `m`'s memory effect at the current virtual time, reported to the
+  /// auditor; a forced duplicate re-executes a CAS / FAA.
+  void Apply(uint32_t client, Member& m, uint64_t chain_id);
+
+  /// Tells the auditor that `m`, a WRITE, will never land.
+  void DropWrite(const Member& m) {
+    if (auditor_ && m.op->kind == ChainOp::Kind::kWrite) {
+      auditor_->DropWrite(m.ticket);
+    }
+  }
+
+  /// Counts a member lost before the target NIC.
+  void CountNetDrop(const NetFault& fault) {
+    (fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
+  }
 
   uint64_t region_capacity(uint32_t server) const {
     return memory_servers_[server].region->capacity();
@@ -666,13 +654,11 @@ class Fabric {
   uint32_t num_clients_ = 0;
   Rng jitter_rng_{0x9E3779B9};
   std::unique_ptr<VerbAuditor> auditor_;
-  // Crash-fault state: death times, per-client crash points (earliest
-  // after_verbs wins), verb counters, and the fabric-owned registry of
-  // in-flight RPCs (callers that time out abandon their entry; a late
-  // Respond then finds nothing instead of a dangling pointer).
-  std::unordered_map<uint32_t, SimTime> death_time_;
-  std::unordered_map<uint32_t, uint64_t> crash_after_;
-  std::unordered_map<uint32_t, uint64_t> verbs_issued_;
+  // Crash-fault state indexed by client id (death time, earliest crash
+  // point, verb counter), and the fabric-owned registry of in-flight RPCs
+  // (callers that time out abandon their entry; a late Respond then finds
+  // nothing instead of a dangling pointer).
+  std::vector<ClientState> clients_;
   // Memory-server fault domain: death times (sentinel = immortal),
   // effect-time verb counters, and per-server crash points (earliest
   // after_verbs wins).
@@ -707,7 +693,7 @@ class Fabric {
   std::unordered_map<uint64_t, RpcDedupEntry> rpc_dedup_;
   uint64_t next_rpc_id_ = 1;
   /// Doorbell-chain ids handed to the auditor so a race report can name the
-  /// chain both verbs rode in (0 = standalone verb).
+  /// chain both verbs rode in (0 = lone verb).
   uint64_t next_chain_id_ = 1;
   /// In-flight combining state (FabricConfig::read_combining): one entry
   /// per outstanding combinable READ, keyed (client, target raw, len).
@@ -724,13 +710,13 @@ class Fabric {
   std::map<std::tuple<uint32_t, uint64_t, uint32_t>,
            std::shared_ptr<PendingRead>>
       pending_reads_;
-  /// Standalone READ in-flight tracking behind
-  /// fabric.duplicate_inflight_reads: the outstanding (target raw, len)
-  /// READs of each client, indexed by client id. A client has at most a
-  /// few (one per pipelined lane), so a linear scan beats a keyed map on
-  /// this per-READ path. Drops complete the posting too; doorbell-chain
-  /// members are not tracked (a chain's builder deduplicates them, and
-  /// they share one doorbell anyway).
+  /// Lone READ in-flight tracking behind fabric.duplicate_inflight_reads:
+  /// the outstanding (target raw, len) READs of each client, indexed by
+  /// client id. A client has at most a few (one per pipelined lane), so a
+  /// linear scan beats a keyed map on this per-READ path. Drops complete
+  /// the posting too; doorbell-chain members and liveness probes are not
+  /// tracked (a chain's builder deduplicates them, and they share one
+  /// doorbell anyway).
   void ReadPosted(uint32_t client, RemotePtr src, uint32_t len);
   void ReadCompleted(uint32_t client, RemotePtr src, uint32_t len);
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> inflight_reads_;

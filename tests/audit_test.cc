@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "btree/types.h"
 #include "nam/cluster.h"
 #include "rdma/audit.h"
@@ -43,16 +44,15 @@ struct Rig {
   /// word is tracked by the auditor.
   Task<> CleanCycle(uint32_t client, uint64_t payload) {
     const uint64_t version =
-        (co_await fabric().CompareAndSwap(client, page, expected_version_,
-                                          expected_version_ | 1))
-            .value;
+        co_await PostCas(fabric(), client, page, expected_version_,
+                         expected_version_ | 1);
     EXPECT_EQ(version, expected_version_) << "unexpected lock contention";
     std::vector<uint8_t> image(kPage, 0);
     const uint64_t locked = expected_version_ | 1;
     std::memcpy(image.data(), &locked, 8);
     std::memcpy(image.data() + 8, &payload, 8);
-    co_await fabric().Write(client, page, image.data(), kPage);
-    co_await fabric().FetchAndAdd(client, page, 1);
+    co_await PostWrite(fabric(), client, page, image.data(), kPage);
+    co_await PostFaa(fabric(), client, page, 1);
     expected_version_ += 2;
   }
 
@@ -83,7 +83,7 @@ Task<> RawWrite(Fabric& fabric, uint32_t client, RemotePtr dst,
   std::vector<uint8_t> image(kPage, 0);
   std::memcpy(image.data(), &word, 8);
   std::memcpy(image.data() + 8, &payload, 8);
-  co_await fabric.Write(client, dst, image.data(), kPage);
+  co_await PostWrite(fabric, client, dst, image.data(), kPage);
 }
 
 TEST(AuditTest, WriteWithoutLockIsFlagged) {
@@ -114,7 +114,7 @@ TEST(AuditTest, WriteWithoutLockIsFlagged) {
 
 Task<> RawFaa(Fabric& fabric, uint32_t client, RemotePtr target,
               uint64_t add) {
-  (void)co_await fabric.FetchAndAdd(client, target, add);
+  (void)co_await PostFaa(fabric, client, target, add);
 }
 
 TEST(AuditTest, DoubleUnlockIsFlagged) {
@@ -133,7 +133,7 @@ TEST(AuditTest, DoubleUnlockIsFlagged) {
 
 Task<> RawCas(Fabric& fabric, uint32_t client, RemotePtr target,
               uint64_t expected, uint64_t desired) {
-  (void)co_await fabric.CompareAndSwap(client, target, expected, desired);
+  (void)co_await PostCas(fabric, client, target, expected, desired);
 }
 
 TEST(AuditTest, UnlockByNonHolderIsFlagged) {
@@ -215,7 +215,7 @@ TEST(AuditTest, VersionRegressionIsFlagged) {
 
 Task<> RawRead(Fabric& fabric, uint32_t client, RemotePtr src) {
   std::vector<uint8_t> image(kPage, 0);
-  co_await fabric.Read(client, src, image.data(), kPage);
+  co_await PostRead(fabric, client, src, image.data(), kPage);
 }
 
 TEST(AuditTest, TornReadDuringUnlockedWriteIsFlagged) {
@@ -251,7 +251,7 @@ Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
                     uint64_t version, uint64_t payload) {
   const uint64_t locked = btree::MakeLockedWord(version, client);
   const uint64_t observed =
-      (co_await fabric.CompareAndSwap(client, page, version, locked)).value;
+      co_await PostCas(fabric, client, page, version, locked);
   EXPECT_EQ(observed, version) << "unexpected lock contention";
   std::vector<uint8_t> image(kPage, 0);
   std::memcpy(image.data(), &locked, 8);
@@ -260,7 +260,7 @@ Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
   std::vector<Fabric::ChainOp> chain;
   chain.push_back(Fabric::ChainOp::Write(page, image.data(), kPage));
   chain.push_back(Fabric::ChainOp::Write(page, &unlocked, 8));
-  co_await fabric.PostChain(client, std::move(chain));
+  co_await PostChain(fabric, client, std::move(chain));
 }
 
 TEST(AuditTest, ChainedWriteUnlockShapePasses) {
@@ -283,7 +283,7 @@ TEST(AuditTest, ChainedWriteUnlockShapePasses) {
 
 Task<> RawWordWrite(Fabric& fabric, uint32_t client, RemotePtr dst,
                     uint64_t word) {
-  co_await fabric.Write(client, dst, &word, 8);
+  co_await PostWrite(fabric, client, dst, &word, 8);
 }
 
 TEST(AuditTest, UnlockShapedWriteWithoutLockIsFlagged) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "nam/cluster.h"
 #include "nam/memory_server.h"
 #include "rdma/fabric.h"
@@ -78,9 +79,9 @@ TEST(MemoryRegionTest, ExhaustionReturnsNull) {
 
 Task<> DoReadWrite(Fabric& fabric, RemotePtr ptr, bool* ok) {
   uint64_t value = 0xDEADBEEFCAFEF00Dull;
-  co_await fabric.Write(0, ptr, &value, sizeof(value));
+  co_await PostWrite(fabric, 0, ptr, &value, sizeof(value));
   uint64_t readback = 0;
-  co_await fabric.Read(0, ptr, &readback, sizeof(readback));
+  co_await PostRead(fabric, 0, ptr, &readback, sizeof(readback));
   *ok = (readback == value);
 }
 
@@ -94,9 +95,9 @@ TEST(FabricTest, WriteThenReadRoundTrips) {
 }
 
 Task<> DoCas(Fabric& fabric, RemotePtr ptr, std::vector<uint64_t>* results) {
-  results->push_back((co_await fabric.CompareAndSwap(0, ptr, 0, 111)).value);
-  results->push_back((co_await fabric.CompareAndSwap(0, ptr, 0, 222)).value);
-  results->push_back((co_await fabric.CompareAndSwap(0, ptr, 111, 333)).value);
+  results->push_back(co_await PostCas(fabric, 0, ptr, 0, 111));
+  results->push_back(co_await PostCas(fabric, 0, ptr, 0, 222));
+  results->push_back(co_await PostCas(fabric, 0, ptr, 111, 333));
 }
 
 TEST(FabricTest, CompareAndSwapSemantics) {
@@ -114,7 +115,7 @@ TEST(FabricTest, CompareAndSwapSemantics) {
 
 Task<> DoFaa(Fabric& fabric, RemotePtr ptr, uint32_t client, int n) {
   for (int i = 0; i < n; ++i) {
-    co_await fabric.FetchAndAdd(client, ptr, 1);
+    co_await PostFaa(fabric, client, ptr, 1);
   }
 }
 
@@ -136,7 +137,7 @@ Task<> RemoteAlloc(Fabric& fabric, uint32_t client, uint32_t server,
   RemotePtr cursor =
       RemotePtr::Make(server, MemoryRegion::kAllocCursorOffset);
   const uint64_t offset =
-      (co_await fabric.FetchAndAdd(client, cursor, bytes)).value;
+      co_await PostFaa(fabric, client, cursor, bytes);
   offsets->push_back(offset);
 }
 
@@ -160,7 +161,7 @@ Task<> MeasuredRead(Fabric& fabric, RemotePtr ptr, uint32_t len,
                     SimTime* latency) {
   std::vector<uint8_t> buf(len);
   const SimTime start = fabric.simulator().now();
-  co_await fabric.Read(0, ptr, buf.data(), len);
+  co_await PostRead(fabric, 0, ptr, buf.data(), len);
   *latency = fabric.simulator().now() - start;
 }
 
@@ -192,7 +193,7 @@ TEST(FabricTest, EngineSerializesConcurrentReadsToOneServer) {
   struct Runner {
     static Task<> Read(Fabric& fabric, uint32_t client, RemotePtr ptr) {
       std::vector<uint8_t> buf(1024);
-      co_await fabric.Read(client, ptr, buf.data(), 1024);
+      co_await PostRead(fabric, client, ptr, buf.data(), 1024);
     }
   };
   for (uint32_t c = 0; c < 8; ++c) {
@@ -276,7 +277,7 @@ TEST(RpcTest, RequestsToDistinctServersRunInParallel) {
 Task<> BatchRead(Fabric& fabric, std::vector<Fabric::ChainOp> reqs,
                  SimTime* latency) {
   const SimTime start = fabric.simulator().now();
-  co_await fabric.PostChain(0, std::move(reqs));
+  co_await PostChain(fabric, 0, std::move(reqs));
   *latency = fabric.simulator().now() - start;
 }
 
@@ -312,7 +313,7 @@ TEST(FabricTest, BatchedReadsAreCheaperThanSequentialReads) {
 
 Task<> PostOrdered(Fabric& fabric, std::vector<Fabric::ChainOp> ops,
                    Fabric::PostResult* out) {
-  *out = co_await fabric.PostChain(0, std::move(ops));
+  *out = co_await PostChain(fabric, 0, std::move(ops));
 }
 
 // An ordered chain {WRITE, FAA} with verb chaining on rides one doorbell:

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "btree/types.h"
 #include "nam/cluster.h"
 #include "rdma/audit.h"
@@ -48,16 +49,15 @@ struct Rig {
   /// extent.
   Task<> CleanCycle(uint32_t client, uint64_t payload) {
     const uint64_t version =
-        (co_await fabric().CompareAndSwap(client, page, expected_version_,
-                                          expected_version_ | 1))
-            .value;
+        co_await PostCas(fabric(), client, page, expected_version_,
+                         expected_version_ | 1);
     EXPECT_EQ(version, expected_version_) << "unexpected lock contention";
     std::vector<uint8_t> image(kPage, 0);
     const uint64_t locked = expected_version_ | 1;
     std::memcpy(image.data(), &locked, 8);
     std::memcpy(image.data() + 8, &payload, 8);
-    co_await fabric().Write(client, page, image.data(), kPage);
-    co_await fabric().FetchAndAdd(client, page, 1);
+    co_await PostWrite(fabric(), client, page, image.data(), kPage);
+    co_await PostFaa(fabric(), client, page, 1);
     expected_version_ += 2;
   }
 
@@ -67,20 +67,20 @@ struct Rig {
     std::vector<uint8_t> image(kPage, 0);
     std::memcpy(image.data(), &expected_version_, 8);
     std::memcpy(image.data() + 8, &payload, 8);
-    co_await fabric().Write(client, page, image.data(), kPage);
+    co_await PostWrite(fabric(), client, page, image.data(), kPage);
   }
 
   /// Full-page READ covering the version word: a validated read.
   Task<> ValidatedRead(uint32_t client) {
     std::vector<uint8_t> image(kPage, 0);
-    co_await fabric().Read(client, page, image.data(), kPage);
+    co_await PostRead(fabric(), client, page, image.data(), kPage);
   }
 
   /// 8-byte READ into the page body, skipping the version word: the
   /// lock-elided access pattern the detector exists to catch.
   Task<> ElidedRead(uint32_t client, uint64_t offset) {
     uint64_t value = 0;
-    co_await fabric().Read(client, page.Plus(offset), &value, 8);
+    co_await PostRead(fabric(), client, page.Plus(offset), &value, 8);
   }
 
   Cluster cluster;
@@ -243,10 +243,10 @@ TEST(RaceDetectorTest, RepeatedViolationsDeduplicate) {
 
 Task<> DoubleUnlockCycle(Fabric& fabric, uint32_t client, RemotePtr word) {
   const uint64_t observed =
-      (co_await fabric.CompareAndSwap(client, word, 0, 1)).value;
+      co_await PostCas(fabric, client, word, 0, 1);
   EXPECT_EQ(observed, 0u);
-  (void)co_await fabric.FetchAndAdd(client, word, 1);  // release: word = 2
-  (void)co_await fabric.FetchAndAdd(client, word, 1);  // double unlock
+  (void)co_await PostFaa(fabric, client, word, 1);  // release: word = 2
+  (void)co_await PostFaa(fabric, client, word, 1);  // double unlock
 }
 
 TEST(RaceDetectorTest, DistinctViolationStorageIsCapped) {
@@ -278,7 +278,7 @@ Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
                     uint64_t version, uint64_t payload) {
   const uint64_t locked = btree::MakeLockedWord(version, client);
   const uint64_t observed =
-      (co_await fabric.CompareAndSwap(client, page, version, locked)).value;
+      co_await PostCas(fabric, client, page, version, locked);
   EXPECT_EQ(observed, version) << "unexpected lock contention";
   std::vector<uint8_t> image(kPage, 0);
   std::memcpy(image.data(), &locked, 8);
@@ -287,7 +287,7 @@ Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
   std::vector<Fabric::ChainOp> chain;
   chain.push_back(Fabric::ChainOp::Write(page, image.data(), kPage));
   chain.push_back(Fabric::ChainOp::Write(page, &unlocked, 8));
-  co_await fabric.PostChain(client, std::move(chain));
+  co_await PostChain(fabric, client, std::move(chain));
 }
 
 TEST(RaceDetectorTest, VerbTraceRecordsChainIds) {

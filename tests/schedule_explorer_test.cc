@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "index/fine_grained.h"
 #include "nam/cluster.h"
 #include "rdma/audit.h"
@@ -120,17 +121,17 @@ Task<> RoguePageWrite(rdma::Fabric& fabric, uint32_t client,
                       rdma::RemotePtr page, uint64_t word) {
   std::vector<uint8_t> image(256, 0);
   std::memcpy(image.data(), &word, 8);
-  co_await fabric.Write(client, page, image.data(), image.size());
+  co_await PostWrite(fabric, client, page, image.data(), image.size());
 }
 
 Task<> LockedCycle(rdma::Fabric& fabric, uint32_t client,
                    rdma::RemotePtr page) {
-  (void)co_await fabric.CompareAndSwap(client, page, 0, 1);
+  (void)co_await PostCas(fabric, client, page, 0, 1);
   std::vector<uint8_t> image(256, 0);
   const uint64_t locked = 1;
   std::memcpy(image.data(), &locked, 8);
-  co_await fabric.Write(client, page, image.data(), image.size());
-  (void)co_await fabric.FetchAndAdd(client, page, 1);
+  co_await PostWrite(fabric, client, page, image.data(), image.size());
+  (void)co_await PostFaa(fabric, client, page, 1);
 }
 
 TEST(ScheduleExplorerTest, InjectedRaceFailsEverySeedAndReplays) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "index/coarse_grained.h"
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
@@ -425,7 +426,7 @@ TEST(ReadCombiningTest, ConcurrentLanesShareOneVerb) {
                      uint64_t* out, bool* combined) {
       std::vector<uint8_t> buf(64, 0);
       *combined =
-          (co_await fabric.CombinedRead(0, ptr, buf.data(), 64)).combined;
+          co_await PostCombinedRead(fabric, 0, ptr, buf.data(), 64);
       std::memcpy(out, buf.data(), 8);
     }
   };
@@ -467,7 +468,7 @@ TEST(ReadCombiningTest, DisabledKnobIsPassThrough) {
                      uint64_t* out) {
       std::vector<uint8_t> buf(64, 0);
       const bool combined =
-          (co_await fabric.CombinedRead(0, ptr, buf.data(), 64)).combined;
+          co_await PostCombinedRead(fabric, 0, ptr, buf.data(), 64);
       EXPECT_FALSE(combined);
       std::memcpy(out, buf.data(), 8);
     }

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "fabric_verbs.h"
 #include "nam/cluster.h"
 #include "rdma/fabric.h"
 #include "sim/sync.h"
@@ -187,14 +188,14 @@ Task<> WriteThenUnlock(Fabric& fabric, RemotePtr page, uint64_t payload) {
   const uint64_t locked = 1;  // version 0 locked
   std::memcpy(image.data(), &locked, 8);
   std::memcpy(image.data() + 8, &payload, 8);
-  co_await fabric.Write(0, page, image.data(), 64);
-  co_await fabric.FetchAndAdd(0, page, 1);
+  co_await PostWrite(fabric, 0, page, image.data(), 64);
+  co_await PostFaa(fabric, 0, page, 1);
 }
 
 Task<> SpinReadPayload(Fabric& fabric, RemotePtr page, uint64_t* payload) {
   std::vector<uint8_t> image(64, 0);
   for (;;) {
-    co_await fabric.Read(1, page, image.data(), 64);
+    co_await PostRead(fabric, 1, page, image.data(), 64);
     uint64_t word;
     std::memcpy(&word, image.data(), 8);
     if ((word & 1) == 0 && word > 0) {  // unlocked and version bumped
@@ -227,7 +228,7 @@ TEST(FabricOrderingTest, WriteVisibleBeforeUnlockFaa) {
 Task<> RacingCas(Fabric& fabric, uint32_t client, RemotePtr word,
                  uint64_t desired, uint64_t* wins) {
   const uint64_t old =
-      (co_await fabric.CompareAndSwap(client, word, 0, desired)).value;
+      co_await PostCas(fabric, client, word, 0, desired);
   if (old == 0) (*wins)++;
 }
 
