@@ -5,8 +5,10 @@
 // is dead before the window: degraded steady state). At R=1 the dead
 // server's pages are simply gone and the affected ops fail kUnavailable;
 // at R=2 clients promote the rank-striped replicas and the workload keeps
-// completing. `--json <path>` writes the report the CI gate archives
-// (BENCH_pr7.json).
+// completing. `ops_per_s` counts every op the window finished, failed ones
+// included (at R=1 failing fast inflates it); `ok_ops_per_s` counts only
+// the ops that succeeded. `--json <path>` writes the report the CI gate
+// archives (BENCH_pr7.json).
 //
 //   ./build/bench/fault_server_loss [--keys=50000] [--clients=32]
 //                                   [--json=BENCH_pr7.json]
@@ -79,6 +81,11 @@ Cell RunCell(uint64_t keys, uint32_t clients, uint32_t replication,
   return cell;
 }
 
+/// Throughput of the ops that succeeded: (ops - failed) / window.
+double OkOpsPerSec(const ycsb::RunResult& r) {
+  return static_cast<double>(r.ops() - r.failures().total()) / r.seconds;
+}
+
 /// Failures a memory-server fault can cause; NotFound is workload noise.
 uint64_t FaultFailedOps(const ycsb::RunResult& r) {
   return r.failures().total() - r.failures().not_found;
@@ -108,12 +115,13 @@ int main(int argc, char** argv) {
 
   for (uint32_t replication : {1u, 2u}) {
     std::printf("\n# subplot: replication_%u\n", replication);
-    PrintRow({"phase", "ops_per_s", "failed_ops", "fault_failed_ops",
+    PrintRow({"phase", "ops_per_s", "ok_ops_per_s", "failed_ops",
+              "fault_failed_ops",
               "unavailable", "aborted", "lock_steals", "dropped_verbs"});
     for (Phase phase : {Phase::kHealthy, Phase::kKill, Phase::kAfter}) {
       const Cell cell = RunCell(keys, clients, replication, phase);
       const auto& r = cell.result;
-      PrintRow({PhaseName(phase), Num(r.ops_per_sec),
+      PrintRow({PhaseName(phase), Num(r.ops_per_sec), Num(OkOpsPerSec(r)),
                 Num(static_cast<double>(r.failures().total())),
                 Num(static_cast<double>(FaultFailedOps(r))),
                 Num(static_cast<double>(r.failures().unavailable)),
@@ -123,6 +131,7 @@ int main(int argc, char** argv) {
       const std::string key = "replication_" + std::to_string(replication) +
                               "." + PhaseName(phase);
       report.Set(key + ".ops_per_s", r.ops_per_sec);
+      report.Set(key + ".ok_ops_per_s", OkOpsPerSec(r));
       report.Set(key + ".failed_ops", r.failures().total());
       report.Set(key + ".fault_failed_ops", FaultFailedOps(r));
       report.Set(key + ".unavailable", r.failures().unavailable);

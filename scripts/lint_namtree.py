@@ -94,14 +94,22 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
        // namtree-lint: retry-ok(<why the re-post cannot double-apply>)
 
 10. raw-fabric-verb (error)
-   A co_await of a one-sided Fabric verb (Read, CombinedRead, Write,
-   CompareAndSwap, FetchAndAdd, PostChain, Post) under src/ outside
-   src/rdma/ and RemoteOps::Post. RemoteOps::Post is the one verb-posting
-   path: it owns the lost-completion retry loop, the liveness checks,
+   A co_await of Fabric::Post, the fabric's only one-sided entry, under
+   src/ outside src/rdma/ and RemoteOps::Post. RemoteOps::Post is the one
+   verb-posting path: it owns the lost-completion retry loop, the liveness checks,
    tracing, round-trip accounting and the dead-server status mapping, so
    a raw verb anywhere else re-grows the copied boilerplate Post replaced
    and escapes rules 4 and 9's review of that loop. Build the verb as a
    Fabric::ChainOp and post it through RemoteOps instead. No suppression.
+
+11. await-conditional (error)
+   A co_await whose operand is a conditional expression,
+   `co_await (c ? TaskA() : TaskB())`, or a `?:` whose arms each
+   co_await, `c ? co_await TaskA() : co_await TaskB()`. GCC 12 at -O3
+   miscompiled the first form (a segfault in a Release build whose
+   RelWithDebInfo suite passed), and the second puts two suspension
+   points in one expression. Branch with if/else and await one Task per
+   statement. No suppression.
 
 (Rule 5, unchained-writes, retired: with every verb posted through
 RemoteOps::Post, consecutive raw write verbs cannot appear outside
@@ -179,20 +187,23 @@ INFINITE_LOOP_RE = re.compile(
 
 # A co_await whose expression mentions a fabric verb or RemoteOps primitive.
 VERB_AWAIT_RE = re.compile(
-    r"\bco_await\b[^;]*?\b(?:Read(?:Page(?:Unlocked)?|Batch|ClientEpoch)?|"
-    r"Write(?:UnlockPage)?|CompareAndSwap|FetchAndAdd|Call|Post(?:Chain)?|"
+    r"\bco_await\b[^;]*?\b(?:Read(?:Page(?:Unlocked)?|Batch)?|"
+    r"Write(?:UnlockPage)?|Call|Post|"
     r"(?:Try)?LockPage|UnlockPage|AllocPage(?:RoundRobin)?)\s*\(",
     re.DOTALL,
 )
 
-# A co_await of a one-sided Fabric verb: the call is made on a fabric
-# object (`fabric().`, `fabric.`, `fabric_->`, ...).
+# A co_await of Fabric::Post: the call is made on a fabric object
+# (`fabric().`, `fabric.`, `fabric_->`, ...).
 RAW_FABRIC_VERB_RE = re.compile(
     r"\bco_await\b[^;]*?\bfabric(?:_|\(\))?\s*(?:\.|->)\s*"
-    r"(?P<verb>Read|CombinedRead|Write|CompareAndSwap|FetchAndAdd|PostChain|"
-    r"Post)\s*\(",
+    r"(?P<verb>Post)\s*\(",
     re.DOTALL,
 )
+
+# A co_await applied to a parenthesised operand (checked for a top-level
+# conditional by rule await-conditional).
+AWAIT_PAREN_RE = re.compile(r"\bco_await\s*\(")
 
 # Directories (relative to src/) that implement the fabric's verbs.
 RAW_VERB_ALLOWED = {"rdma"}
@@ -300,6 +311,64 @@ def match_paren(text, open_index):
             if depth == 0:
                 return i + 1
     return len(text)
+
+
+def ternary_arms(text, q):
+    """Returns the two arms of the ?: whose '?' is text[q]; None if none."""
+    depth = 0
+    nested = 0
+    colon = None
+    i = q + 1
+    while i < len(text):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif c == ";" and depth == 0:
+            break
+        elif c == "?" and depth == 0:
+            nested += 1
+        elif c == ":" and depth == 0:
+            if text.startswith("::", i):
+                i += 2
+                continue
+            if nested == 0:
+                colon = i
+                break
+            nested -= 1
+        i += 1
+    if colon is None:
+        return None
+    depth = 0
+    end = colon + 1
+    while end < len(text):
+        c = text[end]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif c in ";," and depth == 0:
+            break
+        end += 1
+    return text[q + 1:colon], text[colon + 1:end]
+
+
+def has_top_level_conditional(expr):
+    """True when the parenthesised `expr` holds a ?: at its own depth."""
+    depth = 0
+    for c in expr:
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "?" and depth == 1:
+            return True
+    return False
 
 
 def line_of(text, index):
@@ -490,6 +559,28 @@ def lint_tree(src_root, verbose):
                     "outside RemoteOps::Post: build a Fabric::ChainOp and "
                     "post it through RemoteOps, which owns the retry, "
                     "liveness, tracing and status discipline"))
+
+        # Rule: await-conditional — a conditional Task operand, or a ?:
+        # awaiting in both arms.
+        for m in AWAIT_PAREN_RE.finditer(clean):
+            open_paren = m.end() - 1
+            operand = clean[open_paren:match_paren(clean, open_paren)]
+            if has_top_level_conditional(operand):
+                findings.append(Finding(
+                    "await-conditional", rel, line_of(clean, m.start()),
+                    "co_await of a conditional expression "
+                    "(co_await (c ? TaskA() : TaskB())): GCC 12 -O3 "
+                    "miscompiles it; branch with if/else and await one "
+                    "Task per statement"))
+        for q in (i for i, c in enumerate(clean) if c == "?"):
+            arms = ternary_arms(clean, q)
+            if arms is None:
+                continue
+            if all(re.search(r"\bco_await\b", arm) for arm in arms):
+                findings.append(Finding(
+                    "await-conditional", rel, line_of(clean, q),
+                    "?: whose arms each co_await: branch with if/else and "
+                    "await one Task per statement"))
 
         # Rule: hand-rolled-chase — an if/while condition consulting both
         # the fence key and the right sibling re-derives the B-link chase

@@ -5,7 +5,9 @@ namespace namtree::index {
 
 sim::Task<Status> PeekWord(RemoteOps& ops, rdma::RemotePtr at,
                            uint64_t* out) {
-  (void)co_await ops.fabric().Read(ops.ctx().client_id(), at, out, 8);
+  const ChainOp read = ChainOp::Read(at, out, 8);
+  (void)co_await ops.fabric().Post(ops.ctx().client_id(), {&read, 1},
+                                   Posting::kVerbs);
   co_return Status::OK();
 }
 
