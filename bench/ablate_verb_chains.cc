@@ -1,8 +1,8 @@
-// Ablation for doorbell-batched verb chains (Fabric::PostChain): how many
-// signaled verbs and doorbells a fine-grained insert costs with chaining on
-// vs off, and what the chained write paths buy in Figure-12-style insert
-// throughput. `--json <path>` additionally writes the machine-readable
-// report the CI smoke-bench archives (BENCH_pr3.json).
+// Ablation for doorbell-batched verb chains (multi-member Fabric::Post):
+// how many signaled verbs and doorbells a fine-grained insert costs with
+// chaining on vs off, and what the chained write paths buy in
+// Figure-12-style insert throughput. `--json <path>` additionally writes
+// the machine-readable report the CI smoke-bench archives (BENCH_pr3.json).
 
 #include <cstdio>
 
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
 
   namtree::bench::PrintPreamble(
       "Ablation: verb chains",
-      "Doorbell-batched write+unlock and split chains (PostChain)",
+      "Doorbell-batched write+unlock and split chains (Fabric::Post)",
       Num(static_cast<double>(keys)) + " keys; verb phase: sequential FG "
           "inserts, page=" + Num(page_size) + ", warm inner-node cache; "
           "throughput phase: workload D, " + Num(clients) + " clients, "

@@ -563,7 +563,9 @@ sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
   } else if (chain_lost) {
     if (auditor_) {
       for (const ChainOp& op : ops) {
-        if (op.kind == ChainOp::Kind::kCas) auditor_->OnCasLost(client, op.target);
+        if (op.kind == ChainOp::Kind::kCas) {
+          auditor_->OnCasLost(client, op.target);
+        }
       }
     }
     // Whatever subset of effects landed stays, but the poster learns
@@ -612,7 +614,8 @@ void Fabric::Reserve(uint32_t client, Member& m, bool lone, bool tail,
     } else {
       m.effect = bus.ReserveTransfer(start, op.len);
       m.done = m.effect;
-      // A lone co-located READ/WRITE is a plain bus copy: no NIC engine.
+      // A lone co-located READ/WRITE is a plain bus copy: no NIC engine,
+      // no retransmission, no verb count at the target.
       if (lone) return;
     }
   } else {
@@ -740,7 +743,9 @@ void Fabric::Apply(uint32_t client, Member& m, uint64_t chain_id) {
         if (k == 0) m.value = prev;
         const uint64_t updated = prev + op.add;
         std::memcpy(remote, &updated, 8);
-        if (auditor_) auditor_->OnFaaEffect(client, op.target, op.add, prev, now);
+        if (auditor_) {
+          auditor_->OnFaaEffect(client, op.target, op.add, prev, now);
+        }
       }
       break;
     }
@@ -785,7 +790,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     if (net.kind == NetFaultKind::kDropVerb) {
       // The request SEND is lost: the handler never sees it, the caller
       // burns this attempt waiting out the deadline.
-      (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
+      CountNetDrop(net);
       co_await sim::Delay(simulator_,
                           config_.nic_post_ns + policy.timeout_ns);
       continue;

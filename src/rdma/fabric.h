@@ -541,9 +541,9 @@ class Fabric {
   /// The crash-fault state of `client`, grown on demand.
   struct ClientState {
     SimTime death_time = std::numeric_limits<SimTime>::max();
-    // namtree-lint: metric-ok(a configured threshold, not an event count)
     uint64_t crash_after = std::numeric_limits<uint64_t>::max();
-    uint64_t verbs_issued = 0;  ///< crash points and fault points key off it
+    // namtree-lint: metric-ok(the post-order verb index that crash points and fault points match; not an event metric)
+    uint64_t verbs_issued = 0;
   };
   ClientState& StateOf(uint32_t client) {
     if (client >= clients_.size()) clients_.resize(client + 1);

@@ -43,9 +43,9 @@ struct FabricConfig {
   /// what caps fine-grained point-query throughput per server.
   SimTime onesided_engine_ns = 1000;
   /// Occupancy per *unsignaled* batched READ/WRITE inside a doorbell
-  /// chain (Fabric::PostChain; selectively-signaled range-scan prefetch,
-  /// §4.3, and the write+unlock / split chains): doorbell batching
-  /// amortises most of the per-verb cost, so every chain member — the
+  /// chain (a multi-member Fabric::Post; selectively-signaled range-scan
+  /// prefetch, §4.3, and the write+unlock / split chains): doorbell
+  /// batching amortises most of the per-verb cost, so every chain member — the
   /// signaled tail included — is charged this instead of
   /// `onesided_engine_ns`. Chained atomics still pay `atomic_engine_ns`
   /// (the NIC-internal lock unit serialises them regardless of signaling).
@@ -121,7 +121,7 @@ struct FabricConfig {
   /// dropped in flight and returns without a memory effect, exactly as if
   /// the compute process died between two verb postings. The verb counter
   /// includes one-sided verbs, RPC send attempts, and liveness-registry
-  /// reads; a PostChain (a READ-only batch too) counts as one verb —
+  /// probes; a doorbell chain (a READ-only batch too) counts as one verb —
   /// one doorbell. A client that dies while a chain is in flight loses the
   /// not-yet-executed tail of the chain atomically: verbs whose effect
   /// time has passed stay applied, everything after the death vanishes.
@@ -224,10 +224,10 @@ struct FabricConfig {
   }
 
   // ---- Client-side protocol knobs ----------------------------------------
-  /// Doorbell-batched verb chains (Fabric::PostChain) on the hot write
-  /// paths: WriteUnlockPage posts {page WRITE, unlock WRITE} as one chain,
+  /// Doorbell-batched verb chains (multi-member Fabric::Post) on the hot
+  /// write paths: WriteUnlockPage posts {page WRITE, unlock WRITE} as one chain,
   /// and B-link splits chain {new-sibling WRITE, page WRITE, unlock
-  /// WRITE}. A fabric posting mode: disabled, PostChain posts each member
+  /// WRITE}. A fabric posting mode: disabled, Fabric::Post posts each member
   /// of an ordered chain as its own signaled verb, in order — the client
   /// protocol is unchanged. READ-only chains (range-scan prefetch) are
   /// unaffected by this knob.

@@ -245,8 +245,8 @@ TEST(AuditTest, TornReadDuringUnlockedWriteIsFlagged) {
 }
 
 /// The doorbell-batched release of RemoteOps::WriteUnlockPage, driven as a
-/// raw chain: CAS-lock, then one PostChain of {full-page WRITE carrying the
-/// locked word, 8-byte WRITE installing the clean +2 version}.
+/// raw chain: CAS-lock, then one doorbell post of {full-page WRITE
+/// carrying the locked word, 8-byte WRITE installing the clean +2 version}.
 Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
                     uint64_t version, uint64_t payload) {
   const uint64_t locked = btree::MakeLockedWord(version, client);

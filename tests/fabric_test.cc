@@ -571,8 +571,8 @@ std::string RunPostGolden(bool verb_chaining) {
 // posting modes, so a change in when a post reserves the NIC engine, the
 // links or the local bus — or in when it draws wire-latency jitter — fails
 // here before it moves a BENCH file.
-// Recorded from the fabric before its verbs became one member pipeline;
-// the pipeline must reproduce them exactly.
+// Recorded outputs, not derived ones: a changed line is a changed
+// reservation order, memory effect or counter, never noise.
 const char* const kPostGoldenChained = R"golden(e.read @291 ok rt=1
 e.write @544 ok rt=1
 g.chain_dead @600 ok rt=1

@@ -581,7 +581,7 @@ TEST_P(SplitCrashTest, FineGrainedInsertCrashLeavesRecoverableTree) {
 // ---------------------------------------------------------------------------
 // Chain-boundary crashes: a client that dies while a doorbell-batched verb
 // chain is in flight loses the not-yet-executed tail atomically
-// (Fabric::PostChain drops it in one piece). Sweeping the kill time in
+// (Fabric::Post drops it in one piece). Sweeping the kill time in
 // sub-effect steps across the whole posting window must only ever expose
 // the sanctioned intermediate states — never a torn one.
 // ---------------------------------------------------------------------------
