@@ -81,16 +81,19 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
        // namtree-lint: metric-ok(<why this is not a registry counter>)
 
 9. unresolved-ambiguous-retry (error)
-   A loop that co_awaits a non-idempotent atomic verb (CompareAndSwap /
-   FetchAndAdd) re-posts it on the next iteration. Under network faults a
-   kLost completion is *ambiguous* — the swap/add may have landed and lost
-   only its ACK — so a blind re-post can double-apply (a duplicated
-   release FAA is exactly what the auditor's kUnresolvedAmbiguousRetry
-   violation reports at runtime; see docs/fault_model.md §8). The loop
-   body must resolve the ambiguity with a read-back (an awaited
-   Read-class verb: ReadWord, ReadPageUnlocked, ...) before re-posting.
-   Suppress an audited re-post with a comment on (or directly above) the
-   loop or the atomic:
+   A post through RemoteOps::Post with LostRule::Repost() whose chain
+   holds a non-idempotent atomic member (ChainOp::Cas / ChainOp::Faa).
+   Repost() re-posts the chain as-is after a lost completion, but under
+   network faults a kLost completion is *ambiguous* — the swap/add may
+   have landed and lost only its ACK — so a blind re-post can double-apply
+   (a duplicated release FAA is exactly what the auditor's
+   kUnresolvedAmbiguousRetry violation reports at runtime; see
+   docs/fault_model.md §8). Post it with LostRule::ReadBack(word, judge),
+   which reads the word back and re-posts only when the effect provably
+   never landed. The chain is the post's first argument: an atomic built
+   inline there, or a name that the enclosing function assigns from
+   ChainOp::Cas / ChainOp::Faa or pushes one into. Suppress an audited
+   re-post with a comment on (or directly above) the post or the atomic:
        // namtree-lint: retry-ok(<why the re-post cannot double-apply>)
 
 10. raw-fabric-verb (error)
@@ -218,14 +221,14 @@ RETRY_GUARD_RE = re.compile(
 # retry loops too, not just infinite ones).
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
 
-# A co_awaited non-idempotent atomic verb: re-posted blindly, it can
-# double-apply when the first post lost only its completion.
-ATOMIC_AWAIT_RE = re.compile(
-    r"\bco_await\b[^;]*?\b(?:CompareAndSwap|FetchAndAdd)\s*\(", re.DOTALL)
+# A co_await of RemoteOps::Post (unqualified, or on a RemoteOps object —
+# never the fabric's own Post, which rule raw-fabric-verb covers).
+OPS_POST_RE = re.compile(
+    r"\bco_await\s+(?:(?!fabric)[A-Za-z_]\w*(?:\.|->))?Post\s*\(")
 
-# Ambiguity-resolution evidence: an awaited Read-class verb or wrapper
-# (ReadWord, ReadPageUnlocked, ReadBatch, ...) inside the same loop body.
-READ_BACK_RE = re.compile(r"\bco_await\b[^;]*?\bRead\w*\s*\(", re.DOTALL)
+# A non-idempotent atomic chain member: re-posted blindly, it can
+# double-apply when the first post lost only its completion.
+ATOMIC_MEMBER_RE = re.compile(r"\bChainOp::(?:Cas|Faa)\s*\(")
 
 # A function returning Status or sim::Task<Status> (definition or member
 # declaration); the names feed the discarded-status rule.
@@ -369,6 +372,58 @@ def has_top_level_conditional(expr):
         elif c == "?" and depth == 1:
             return True
     return False
+
+
+def first_argument(args):
+    """Returns the first top-level comma-separated argument of `args`."""
+    depth = 0
+    for i, c in enumerate(args):
+        if c in "({[":
+            depth += 1
+        elif c in ")}]":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return args[:i]
+    return args
+
+
+def enclosing_scope_start(text, index):
+    """Index of the outermost '{' enclosing text[index] that does not open
+    a namespace: the body of the function (or class) around it."""
+    opens = []
+    depth_stack = []
+    for i in range(index):
+        if text[i] == "{":
+            depth_stack.append(i)
+        elif text[i] == "}" and depth_stack:
+            depth_stack.pop()
+    for brace in depth_stack:
+        head = text[max(text.rfind(";", 0, brace), text.rfind("}", 0, brace),
+                        0):brace]
+        if re.search(r"\bnamespace\b", head):
+            continue
+        opens.append(brace)
+    return opens[0] if opens else 0
+
+
+def atomic_member_of(text, post_at, chain, chain_at):
+    """Where an atomic member of the posted `chain` (the post's first
+    argument, starting at text[chain_at]) is built: inline in the argument,
+    or through a name the enclosing function assigns from ChainOp::Cas /
+    ChainOp::Faa or pushes one into. None when the chain has no atomic."""
+    inline = ATOMIC_MEMBER_RE.search(chain)
+    if inline:
+        return chain_at + inline.start()
+    scope = enclosing_scope_start(text, post_at)
+    body = text[scope:post_at]
+    for name in set(re.findall(r"[A-Za-z_]\w*", chain)):
+        built = re.search(
+            r"\b" + re.escape(name) +
+            r"\b\s*(?:=|\{|\.\s*(?:push_back|emplace_back)\s*\()"
+            r"[^;]*?\bChainOp::(?:Cas|Faa)\s*\(", body)
+        if built:
+            return scope + built.start()
+    return None
 
 
 def line_of(text, index):
@@ -516,36 +571,35 @@ def lint_tree(src_root, verbose):
                 "bound, or annotate with "
                 "'// namtree-lint: bounded-loop(...)'"))
 
-        # Rule: unresolved-ambiguous-retry — a loop that re-posts a
-        # non-idempotent atomic verb without a read-back cannot tell a
-        # dropped verb (safe to re-post) from a dropped completion (the
-        # effect landed; re-posting double-applies).
-        for m in LOOP_RE.finditer(clean):
-            header_open = clean.find("(", m.start())
-            header_close = match_paren(clean, header_open)
-            open_brace = clean.find("{", header_close)
-            if open_brace == -1 or clean[header_close:open_brace].strip():
-                continue  # braceless body, or not a loop header after all
-            body = clean[open_brace:match_brace_block(clean, open_brace)]
-            atomic = ATOMIC_AWAIT_RE.search(body)
-            if not atomic:
+        # Rule: unresolved-ambiguous-retry — an atomic member posted with
+        # LostRule::Repost() cannot tell a dropped verb (safe to re-post)
+        # from a dropped completion (the effect landed; re-posting
+        # double-applies).
+        for m in OPS_POST_RE.finditer(clean):
+            open_paren = m.end() - 1
+            close = match_paren(clean, open_paren)
+            args = clean[open_paren + 1:close - 1]
+            if not re.search(r"\bLostRule::Repost\s*\(", args):
                 continue
-            if READ_BACK_RE.search(body):
-                continue  # the loop resolves ambiguity before re-posting
-            loop_line = line_of(clean, m.start())
-            atomic_line = line_of(clean, open_brace + atomic.start())
-            if (is_suppressed(raw_lines, loop_line)
+            atomic = atomic_member_of(clean, m.start(),
+                                      first_argument(args),
+                                      open_paren + 1)
+            if atomic is None:
+                continue
+            post_line = line_of(clean, m.start())
+            atomic_line = line_of(clean, atomic)
+            if (is_suppressed(raw_lines, post_line)
                     or is_suppressed(raw_lines, atomic_line)):
                 continue
             findings.append(Finding(
-                "unresolved-ambiguous-retry", rel, atomic_line,
-                "loop re-posts a non-idempotent atomic verb "
-                "(CompareAndSwap/FetchAndAdd) with no read-back in the "
-                "body: a lost completion is ambiguous, and a blind re-post "
-                "double-applies a landed effect (the auditor's "
-                "kUnresolvedAmbiguousRetry at runtime). Resolve via a "
-                "Read-class verb first (cf. RemoteOps lock/unlock paths), "
-                "or annotate with '// namtree-lint: retry-ok(...)'"))
+                "unresolved-ambiguous-retry", rel, post_line,
+                "a chain with a non-idempotent atomic member "
+                "(ChainOp::Cas/ChainOp::Faa) is posted with "
+                "LostRule::Repost(): a lost completion is ambiguous, and a "
+                "blind re-post double-applies a landed effect (the "
+                "auditor's kUnresolvedAmbiguousRetry at runtime). Post it "
+                "with LostRule::ReadBack(word, judge), or annotate with "
+                "'// namtree-lint: retry-ok(...)'"))
 
         # Rule: raw-fabric-verb — every one-sided verb outside the fabric
         # goes through the body of RemoteOps::Post.

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -316,15 +317,21 @@ class BLinkTree {
   /// follow it in chain order and may hold keys below `hi` — at most
   /// InnerKeyCapacity, walking into right-sibling nodes, each visited node
   /// charged like the first. A torn sibling read ends the list early; the
-  /// caller continues with another call.
+  /// caller continues with another call. `path`, when non-null, receives
+  /// the pages the answer was found through (see AppendImage), from the
+  /// root down to the level-1 node that names the child; each image is
+  /// copied inside the optimistic read that validates it, so it is
+  /// consistent and costs no extra CPU charge.
   sim::Task<uint64_t> FindLeafChild(Key key, Key hi = 0,
-                                    std::vector<uint64_t>* rest = nullptr)
+                                    std::vector<uint64_t>* rest = nullptr,
+                                    std::vector<uint64_t>* path = nullptr)
       const {
     assert(remote_leaves_);
     const bool range = rest != nullptr && hi > key;
     for (;;) {  // restart loop
+      if (path != nullptr) path->clear();
       uint64_t v = 0;
-      uint64_t node = co_await Descend(bottom_level_, key, &v);
+      uint64_t node = co_await Descend(bottom_level_, key, &v, path);
       for (;;) {
         const PageView view = View(node);
         co_await env_.Cpu(costs_.inner);
@@ -334,6 +341,7 @@ class BLinkTree {
         bool more = false;
         uint64_t next = 0;
         if (!OptimisticRead(view, v, [&] {
+              if (path != nullptr) AppendImage(node, view, path);
               chase = view.NeedsChase(key);
               next = view.right_sibling();
               if (chase) return;
@@ -507,10 +515,14 @@ class BLinkTree {
   /// path, charging inner-node CPU per node above `level`, chasing right
   /// past stale fences and restarting from the root on a failed version
   /// check. Returns the node with its validated version in `*version`, or
-  /// 0 when the root is below `level`.
-  sim::Task<uint64_t> Descend(uint8_t level, Key key,
-                              uint64_t* version) const {
+  /// 0 when the root is below `level`. `path`, when non-null, receives the
+  /// image of every node above `level` the final pass searched (see
+  /// AppendImage).
+  sim::Task<uint64_t> Descend(uint8_t level, Key key, uint64_t* version,
+                              std::vector<uint64_t>* path = nullptr) const {
+    const size_t mark = path == nullptr ? 0 : path->size();
     for (;;) {  // restart loop
+      if (path != nullptr) path->resize(mark);
       uint64_t node = root_raw();
       if (View(node).level() < level) co_return 0;
       uint64_t v = co_await AwaitUnlocked(node);
@@ -524,6 +536,7 @@ class BLinkTree {
         bool chase = false;
         uint64_t next = 0;
         if (!OptimisticRead(view, v, [&] {
+              if (path != nullptr) AppendImage(node, view, path);
               chase = view.NeedsChase(key);
               next = chase ? view.right_sibling() : view.InnerChildFor(key);
             })) {
@@ -643,6 +656,16 @@ class BLinkTree {
                                              std::memory_order_acq_rel)
                ? GrowResult::kDone
                : GrowResult::kLostRace;
+  }
+
+  /// One entry of a `path`: the node's raw pointer, then its page image
+  /// as page_size / 8 words. Called inside the optimistic read of `view`.
+  void AppendImage(uint64_t raw, PageView view,
+                   std::vector<uint64_t>* path) const {
+    path->push_back(raw);
+    const size_t at = path->size();
+    path->resize(at + page_size_ / 8);
+    std::memcpy(path->data() + at, view.data(), page_size_);
   }
 
   /// FindLeafChild's range form: appends the children after index `i` of

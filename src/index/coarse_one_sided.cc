@@ -8,8 +8,7 @@ using btree::KV;
 
 CoarseOneSidedIndex::CoarseOneSidedIndex(nam::Cluster& cluster,
                                          IndexConfig config)
-    : LeafChainIndex(cluster, std::move(config), "coarse-one-sided",
-                     TraversalEngine::CacheMode::kInnerImages),
+    : LeafChainIndex(cluster, std::move(config), "coarse-one-sided"),
       partitioner_(config_.partition, cluster.num_memory_servers()) {
   // One tree per partition: splits allocate on the partition's server and
   // the root is published in that server's catalog slot.

@@ -5,8 +5,7 @@
 namespace namtree::index {
 
 FineGrainedIndex::FineGrainedIndex(nam::Cluster& cluster, IndexConfig config)
-    : LeafChainIndex(cluster, std::move(config), "fine-grained",
-                     TraversalEngine::CacheMode::kInnerImages) {
+    : LeafChainIndex(cluster, std::move(config), "fine-grained") {
   AddTree(/*alloc_server=*/-1,
           rdma::RemotePtr::Make(0, rdma::MemoryRegion::CatalogSlotOffset(
                                        cluster.AllocateCatalogSlot())));

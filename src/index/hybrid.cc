@@ -4,12 +4,19 @@
 
 namespace namtree::index {
 
+namespace {
+
+/// How often one lookup waits for a machine-mate's find-leaf RPC before it
+/// sends its own: enough for a miss at the root and then one per level.
+constexpr int kMaxMissWaits = 4;
+
+}  // namespace
+
 using btree::Key;
 using btree::KV;
 
 HybridIndex::HybridIndex(nam::Cluster& cluster, IndexConfig config)
-    : LeafChainIndex(cluster, std::move(config), "hybrid",
-                     TraversalEngine::CacheMode::kLeafRoutes),
+    : LeafChainIndex(cluster, std::move(config), "hybrid"),
       partitioner_(PartitionKind::kRange, cluster.num_memory_servers()),
       rpc_service_(cluster.AllocateRpcService()) {
   // The global leaf chain: splits allocate round-robin, and no root is
@@ -100,9 +107,13 @@ sim::Task<> HybridIndex::Handle(nam::MemoryServer& server,
 
   switch (rpc.request.op) {
     case kFindLeaf: {
-      // arg1 = 0 (lookups) is the point form: an empty payload.
-      resp.arg0 = co_await tree.FindLeafChild(rpc.request.arg0,
-                                              rpc.request.arg1, &resp.payload);
+      // arg1 = 0 (lookups) is the point form; its payload carries the
+      // upper-level path images when arg2 asks for them, else nothing.
+      const bool range = rpc.request.arg1 != 0;
+      const bool images = !range && rpc.request.arg2 != 0;
+      resp.arg0 = co_await tree.FindLeafChild(
+          rpc.request.arg0, rpc.request.arg1, range ? &resp.payload : nullptr,
+          images ? &resp.payload : nullptr);
       resp.status = static_cast<uint16_t>(StatusCode::kOk);
       break;
     }
@@ -132,8 +143,8 @@ class HybridIndex::RouteDirectory : public LeafLevel::ScanDirectory {
     // Leaves the last answer already listed cost no RPC.
     if (TakeFrom(next, run)) co_return Status::OK();
     rdma::RpcResponse resp;
-    const Status found =
-        co_await index_.CallFindLeaf(ops.ctx(), cursor, hi, &resp);
+    const Status found = co_await index_.CallFindLeaf(
+        ops.ctx(), cursor, hi, /*images=*/false, &resp);
     if (!found.ok()) co_return found;
     routes_.assign(1, resp.arg0);
     routes_.insert(routes_.end(), resp.payload.begin(), resp.payload.end());
@@ -165,12 +176,14 @@ class HybridIndex::RouteDirectory : public LeafLevel::ScanDirectory {
 };
 
 sim::Task<Status> HybridIndex::CallFindLeaf(nam::ClientContext& ctx, Key key,
-                                            Key hi, rdma::RpcResponse* resp) {
+                                            Key hi, bool images,
+                                            rdma::RpcResponse* resp) {
   rdma::RpcRequest req;
   req.service = rpc_service_;
   req.op = kFindLeaf;
   req.arg0 = key;
   req.arg1 = hi;
+  req.arg2 = images ? 1 : 0;
   *resp = co_await ctx.Call(partitioner_.ServerFor(key), std::move(req));
   const auto code = static_cast<StatusCode>(resp->status);
   if (code != StatusCode::kOk) {
@@ -179,16 +192,76 @@ sim::Task<Status> HybridIndex::CallFindLeaf(nam::ClientContext& ctx, Key key,
   co_return Status::OK();
 }
 
+std::vector<rdma::RemotePtr>& HybridIndex::LearnedRoots(uint32_t client_id) {
+  std::vector<rdma::RemotePtr>& roots =
+      learned_roots_[cluster_.fabric().ClientMachine(client_id)];
+  roots.resize(cluster_.num_memory_servers());
+  return roots;
+}
+
 sim::Task<Status> HybridIndex::FindLeaf(RemoteOps& ops, Key key,
                                         Route* route) {
   const uint32_t client = ops.ctx().client_id();
-  if (engine_.CachedRoute(client, key, &route->leaf)) co_return Status::OK();
+  const uint32_t server = partitioner_.ServerFor(key);
+  NodeCache* cache = CacheFor(client);
+  std::tuple<uint32_t, uint32_t, uint64_t> miss;
+  if (cache != nullptr) {
+    // A miss whose page a machine-mate's RPC is already fetching waits for
+    // that response and walks again, a few times at most: each wait ends
+    // with the awaited page cached unless that RPC failed.
+    for (int waits = 0;; ++waits) {
+      const rdma::RemotePtr root = LearnedRoots(client)[server];
+      rdma::RemotePtr frontier;
+      if (!root.is_null()) {
+        route->leaf = engine_.ResolveCached(client, root, key,
+                                            &route->descent, &frontier);
+        if (!route->leaf.is_null()) co_return Status::OK();
+      }
+      miss = {cluster_.fabric().ClientMachine(client), server, frontier.raw()};
+      auto pending = pending_misses_.find(miss);
+      if (pending == pending_misses_.end() || waits == kMaxMissWaits) break;
+      const std::shared_ptr<sim::SimEvent> fetched = pending->second;
+      sim::SimEvent& landed = *fetched;
+      co_await landed;
+    }
+  }
+  std::shared_ptr<sim::SimEvent> fetched;
+  if (cache != nullptr) {
+    fetched = std::make_shared<sim::SimEvent>(cluster_.simulator());
+    pending_misses_.emplace(miss, fetched);
+  }
   rdma::RpcResponse resp;
-  const Status found = co_await CallFindLeaf(ops.ctx(), key, /*hi=*/0, &resp);
-  if (!found.ok()) co_return found;
-  route->leaf = rdma::RemotePtr(resp.arg0);
-  engine_.SeedRoute(client, key, route->leaf);
-  co_return Status::OK();
+  const Status found = co_await CallFindLeaf(ops.ctx(), key, /*hi=*/0,
+                                             cache != nullptr, &resp);
+  if (found.ok()) route->leaf = rdma::RemotePtr(resp.arg0);
+  if (found.ok() && cache != nullptr && !resp.payload.empty()) {
+    // The path images, root first: each is the page's raw pointer followed
+    // by its image. The last one named the leaf.
+    const size_t stride = 1 + config_.page_size / 8;
+    for (size_t at = 0; at + stride <= resp.payload.size(); at += stride) {
+      cache->Put(resp.payload[at],
+                 reinterpret_cast<const uint8_t*>(&resp.payload[at + 1]));
+      route->descent.parent = rdma::RemotePtr(resp.payload[at]);
+    }
+    LearnedRoots(client)[server] = rdma::RemotePtr(resp.payload[0]);
+  }
+  if (fetched != nullptr) {
+    auto pending = pending_misses_.find(miss);
+    if (pending != pending_misses_.end() && pending->second == fetched) {
+      pending_misses_.erase(pending);
+    }
+    fetched->Set();
+  }
+  co_return found;
+}
+
+rdma::RemotePtr HybridIndex::PredictLeaf(uint32_t client_id,
+                                         uint32_t /*tree*/, Key key) const {
+  auto it = learned_roots_.find(cluster_.fabric().ClientMachine(client_id));
+  if (it == learned_roots_.end()) return rdma::RemotePtr::Null();
+  const rdma::RemotePtr root = it->second[partitioner_.ServerFor(key)];
+  if (root.is_null()) return rdma::RemotePtr::Null();
+  return engine_.PredictLeaf(client_id, root, key);
 }
 
 sim::Task<Status> HybridIndex::AnnounceSplit(

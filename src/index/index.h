@@ -42,15 +42,15 @@ struct IndexConfig {
   /// entries fit within this percentage of a page (0 disables).
   uint32_t gc_merge_fill_percent = 70;
 
-  /// Appendix A.4 extension: per-compute-machine cache budget (entries) for
-  /// the traversal engine's cache policy (0 = disabled). The client threads
-  /// of one compute machine share one cache. The fine-grained and
-  /// coarse-one-sided designs cache inner-node images to skip remote reads
-  /// during descent; the hybrid design caches resolved leaf routes
-  /// (key -> leaf pointer) to skip find-leaf RPCs. An entry stays until a
-  /// fence check proves it stale: a leaf walk that has to chase right drops
-  /// the inner image that routed it, or re-seeds the route (see
-  /// docs/traversal.md). Stale entries are safe: the B-link sibling chase
+  /// Appendix A.4 extension: per-compute-machine cache budget (inner-node
+  /// page images) for the traversal engine (0 = disabled). The client
+  /// threads of one compute machine share one cache. The fine-grained and
+  /// coarse-one-sided designs cache their inner nodes to skip remote reads
+  /// during descent; the hybrid design caches the images of its servers'
+  /// upper levels, which its find-leaf responses carry, to skip find-leaf
+  /// RPCs. An image stays until a fence check proves it stale: a leaf walk
+  /// that has to chase right drops the image that routed it (see
+  /// docs/traversal.md). Stale images are safe: the B-link sibling chase
   /// recovers.
   uint32_t client_cache_pages = 0;
 

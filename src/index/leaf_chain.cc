@@ -11,17 +11,13 @@ using btree::KV;
 using btree::Value;
 
 LeafChainIndex::LeafChainIndex(nam::Cluster& cluster, IndexConfig config,
-                               std::string name,
-                               TraversalEngine::CacheMode cache_mode)
+                               std::string name)
     : cluster_(cluster),
       config_(std::move(config)),
       engine_(cluster.fabric(),
-              TraversalEngine::Options{
-                  config_.page_size,
-                  config_.client_cache_pages > 0
-                      ? cache_mode
-                      : TraversalEngine::CacheMode::kNone,
-                  config_.client_cache_pages, config_.speculative_descent}),
+              TraversalEngine::Options{config_.page_size,
+                                       config_.client_cache_pages,
+                                       config_.speculative_descent}),
       name_(std::move(name)) {}
 
 uint32_t LeafChainIndex::AddTree(int32_t alloc_server,
@@ -96,7 +92,7 @@ sim::Task<LookupResult> LeafChainIndex::Lookup(nam::ClientContext& ctx,
   const LookupResult result = co_await LeafLevel::SearchChain(
       ops, route.leaf, key,
       route.descent.leaf_image_valid ? ctx.page_b() : nullptr, &landed);
-  engine_.RepairRoute(ops, key, route.descent, route.leaf, landed);
+  engine_.RepairRoute(ops, route.descent, route.leaf, landed);
   co_return result;
 }
 
@@ -116,7 +112,7 @@ sim::Task<void> LeafChainIndex::MultiGet(nam::ClientContext& ctx,
     return keys[a] < keys[b];
   });
   const auto predict = [&](uint32_t tree, Key key) {
-    return engine_.PredictLeaf(ctx.client_id(), tree, key);
+    return PredictLeaf(ctx.client_id(), tree, key);
   };
   size_t i = 0;
   while (i < order.size()) {
@@ -199,20 +195,10 @@ sim::Task<Status> LeafChainIndex::Insert(nam::ClientContext& ctx, Key key,
   const Status status = co_await LeafLevel::InsertAt(
       ops, route.leaf, key, value, &split, engine_.alloc_server(route.tree),
       &landed);
-  // An inner image is repaired before the separator install, which seeds
-  // the level-1 image it writes. A leaf route is repaired only once the
-  // entry is in: keys strictly above a split's separator live in the right
-  // half, while a key equal to it stays routed left, where the left half
-  // may keep duplicates of its fence (PageView::SplitLeafInto).
-  const bool routes =
-      engine_.cache_mode() == TraversalEngine::CacheMode::kLeafRoutes;
-  if (!routes) engine_.RepairRoute(ops, key, route.descent, route.leaf, landed);
+  // Repaired before the separator install, which seeds the level-1 image
+  // it writes.
+  engine_.RepairRoute(ops, route.descent, route.leaf, landed);
   if (!status.ok()) co_return status;
-  if (routes) {
-    engine_.RepairRoute(
-        ops, key, route.descent, route.leaf,
-        split.split && key > split.separator ? split.right : landed);
-  }
   if (split.split) co_return co_await AnnounceSplit(ops, route, split);
   co_return Status::OK();
 }
@@ -227,7 +213,7 @@ sim::Task<Status> LeafChainIndex::Update(nam::ClientContext& ctx, Key key,
   rdma::RemotePtr landed;
   const Status status =
       co_await LeafLevel::UpdateAt(ops, route.leaf, key, value, &landed);
-  engine_.RepairRoute(ops, key, route.descent, route.leaf, landed);
+  engine_.RepairRoute(ops, route.descent, route.leaf, landed);
   co_return status;
 }
 
@@ -241,7 +227,7 @@ sim::Task<uint64_t> LeafChainIndex::LookupAll(nam::ClientContext& ctx,
   rdma::RemotePtr landed;
   const uint64_t found =
       co_await LeafLevel::CollectAt(ops, route.leaf, key, out, &landed);
-  engine_.RepairRoute(ops, key, route.descent, route.leaf, landed);
+  engine_.RepairRoute(ops, route.descent, route.leaf, landed);
   co_return found;
 }
 
@@ -254,7 +240,7 @@ sim::Task<Status> LeafChainIndex::Delete(nam::ClientContext& ctx, Key key) {
   rdma::RemotePtr landed;
   const Status status =
       co_await LeafLevel::DeleteAt(ops, route.leaf, key, &landed);
-  engine_.RepairRoute(ops, key, route.descent, route.leaf, landed);
+  engine_.RepairRoute(ops, route.descent, route.leaf, landed);
   co_return status;
 }
 

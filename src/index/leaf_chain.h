@@ -26,9 +26,9 @@ namespace namtree::index {
 ///   tree for a key - TreeFor/TreesFor: the one global tree (default), or
 ///                    one tree per partition (CG-one-sided);
 ///   leaf resolution - FindLeaf: a one-sided descent of the key's tree
-///                    (default), or the hybrid's find-leaf RPC;
-///   route repair   - the engine's cache mode (inner images or leaf
-///                    routes, TraversalEngine::RepairRoute);
+///                    (default), or the hybrid's walk of its cached
+///                    upper-level images, falling back to the find-leaf
+///                    RPC; PredictLeaf is its await-free twin;
 ///   split announce - AnnounceSplit: a one-sided separator install
 ///                    (default), or the hybrid's install RPC;
 ///   scan directory - StartScan: the level-1 image the descent routed
@@ -96,18 +96,24 @@ class LeafChainIndex : public DistributedIndex {
   /// without a catalog slot.
   sim::Task<Status> BootstrapFromCatalog(nam::ClientContext& ctx);
 
-  /// The cache of the client's compute machine (inner images or leaf
-  /// routes), or nullptr when caching is disabled. Created lazily per
-  /// machine.
+  /// The inner-image cache of the client's compute machine, or nullptr
+  /// when caching is disabled. Created lazily per machine.
   NodeCache* CacheFor(uint32_t client_id) {
     return engine_.CacheFor(client_id);
   }
 
+  /// The leaf the cache of `client_id`'s machine alone predicts for `key`
+  /// in tree `tree` (null: it cannot tell), without a verb or a cache
+  /// mutation — MultiGet's grouping key. Default: a walk of the tree's
+  /// cached inner images from its root.
+  virtual rdma::RemotePtr PredictLeaf(uint32_t client_id, uint32_t tree,
+                                      btree::Key key) const {
+    return engine_.PredictLeaf(client_id, tree, key);
+  }
+
  protected:
-  /// `cache_mode` is the engine's cache policy when
-  /// IndexConfig::client_cache_pages > 0. The design registers its trees.
-  LeafChainIndex(nam::Cluster& cluster, IndexConfig config, std::string name,
-                 TraversalEngine::CacheMode cache_mode);
+  /// The design registers its trees.
+  LeafChainIndex(nam::Cluster& cluster, IndexConfig config, std::string name);
 
   /// Registers a tree (TraversalEngine::AddTree) with an empty leaf chain;
   /// returns its id.

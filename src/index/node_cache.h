@@ -11,7 +11,7 @@
 
 namespace namtree::index {
 
-/// A compute server's cache of hot index-node images (or leaf routes), the
+/// A compute server's cache of hot index-node images, the
 /// Appendix A.4 extension: compute servers keep copies of hot index nodes
 /// to skip remote reads during traversal. One cache serves every client
 /// thread of a compute machine (TraversalEngine::CacheFor).
@@ -20,8 +20,8 @@ namespace namtree::index {
 /// age limit. Stale images are *safe* in a B-link tree — they can only
 /// route a traversal to a node whose key range has since shrunk, and the
 /// sibling chase recovers — so staleness costs extra hops, never
-/// correctness. The walk that had to chase drops (or re-seeds) exactly the
-/// entry that routed it (TraversalEngine::RepairRoute), the FaRM-style rule
+/// correctness. The walk that had to chase drops exactly the image that
+/// routed it (TraversalEngine::RepairRoute), the FaRM-style rule
 /// of refreshing a cached path once its leaf fails the fence check.
 ///
 /// Eviction is LRU over a fixed page budget.

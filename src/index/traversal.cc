@@ -1,5 +1,6 @@
 #include "index/traversal.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -27,16 +28,12 @@ void TraversalEngine::SetRoot(uint32_t tree, rdma::RemotePtr root,
 }
 
 NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
-  if (opts_.cache_mode == CacheMode::kNone || opts_.cache_pages == 0) {
-    return nullptr;
-  }
+  if (opts_.cache_pages == 0) return nullptr;
   const uint32_t machine = fabric_.ClientMachine(client_id);
   auto it = caches_.find(machine);
   if (it == caches_.end()) {
-    // Route entries are one 8-byte leaf pointer, not a page image.
-    const uint32_t entry_size =
-        opts_.cache_mode == CacheMode::kLeafRoutes ? 8 : opts_.page_size;
-    auto cache = std::make_unique<NodeCache>(entry_size, opts_.cache_pages);
+    auto cache =
+        std::make_unique<NodeCache>(opts_.page_size, opts_.cache_pages);
     cache->RegisterMetrics(fabric_.metrics(),
                            {{"machine", std::to_string(machine)}});
     it = caches_.emplace(machine, std::move(cache)).first;
@@ -148,9 +145,10 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
                                                SpecState* spec) {
   const uint32_t page = opts_.page_size;
   spec->predicted_leaf =
-      WalkCached(*cache, tree, key, &spec->frontier, &spec->predicted);
+      WalkCached(*cache, trees_[tree].root, trees_[tree].root_level, key,
+                 &spec->frontier, &spec->predicted);
   if (!spec->predicted_leaf.is_null()) {
-    spec->predicted.insert(spec->predicted_leaf.raw());
+    spec->predicted.push_back(spec->predicted_leaf.raw());
     spec->complete = true;
   } else if (spec->frontier.is_null()) {
     co_return;  // garbage route or cycle trip: abandon speculation
@@ -193,17 +191,17 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
 }
 
 rdma::RemotePtr TraversalEngine::WalkCached(
-    const NodeCache& cache, uint32_t tree, Key key, rdma::RemotePtr* frontier,
-    std::unordered_set<uint64_t>* visited) const {
-  rdma::RemotePtr ptr = trees_[tree].root;
+    const NodeCache& cache, rdma::RemotePtr root, uint8_t root_level, Key key,
+    rdma::RemotePtr* frontier, std::vector<uint64_t>* visited,
+    rdma::RemotePtr* parent) const {
+  rdma::RemotePtr ptr = root;
   // Hop budget: a healthy path is root_level hops and staleness adds a few
   // chases; a cyclic stale-fence walk trips the budget.
-  const size_t max_hops =
-      static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
+  const size_t max_hops = static_cast<size_t>(root_level) * 2 + 8;
   // namtree-lint: bounded-loop(local cache walk: hop budget max_hops)
   for (size_t hop = 0; hop < max_hops; ++hop) {
     if (ptr.is_null()) return rdma::RemotePtr::Null();  // garbage route
-    if (visited != nullptr) visited->insert(ptr.raw());
+    if (visited != nullptr) visited->push_back(ptr.raw());
     const uint8_t* img = cache.Peek(ptr.raw());
     // A leaf image under an inner-path pointer (stale root metadata) is a
     // frontier too: validation sorts it out.
@@ -218,7 +216,10 @@ rdma::RemotePtr TraversalEngine::WalkCached(
       continue;
     }
     const rdma::RemotePtr child(v.InnerChildFor(key));
-    if (v.level() == 1) return child;  // null: hybrid sentinel / garbage
+    if (v.level() == 1) {
+      if (parent != nullptr) *parent = ptr;
+      return child;  // null: garbage
+    }
     ptr = child;
   }
   return rdma::RemotePtr::Null();
@@ -226,19 +227,51 @@ rdma::RemotePtr TraversalEngine::WalkCached(
 
 rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
                                              uint32_t tree, Key key) const {
-  if (opts_.cache_mode == CacheMode::kNone) return rdma::RemotePtr::Null();
-  auto it = caches_.find(fabric_.ClientMachine(client_id));
-  if (opts_.cache_mode == CacheMode::kLeafRoutes) {
-    if (it == caches_.end()) return rdma::RemotePtr::Null();
-    const uint8_t* route = it->second->Peek(key);
-    if (route == nullptr) return rdma::RemotePtr::Null();
-    uint64_t raw;
-    std::memcpy(&raw, route, 8);
-    return rdma::RemotePtr(raw);
-  }
+  if (opts_.cache_pages == 0) return rdma::RemotePtr::Null();
   if (trees_[tree].root_level == 0) return trees_[tree].root;
+  auto it = caches_.find(fabric_.ClientMachine(client_id));
   if (it == caches_.end()) return rdma::RemotePtr::Null();
-  return WalkCached(*it->second, tree, key, nullptr, nullptr);
+  return WalkCached(*it->second, trees_[tree].root, trees_[tree].root_level,
+                    key, nullptr, nullptr);
+}
+
+rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
+                                             rdma::RemotePtr root,
+                                             Key key) const {
+  auto it = caches_.find(fabric_.ClientMachine(client_id));
+  if (it == caches_.end()) return rdma::RemotePtr::Null();
+  const uint8_t* image = it->second->Peek(root.raw());
+  if (image == nullptr) return rdma::RemotePtr::Null();
+  const uint8_t level =
+      PageView(const_cast<uint8_t*>(image), opts_.page_size).level();
+  return WalkCached(*it->second, root, level, key, nullptr, nullptr);
+}
+
+rdma::RemotePtr TraversalEngine::ResolveCached(uint32_t client_id,
+                                               rdma::RemotePtr root, Key key,
+                                               DescentPrefetch* descent,
+                                               rdma::RemotePtr* frontier) {
+  *frontier = root;
+  NodeCache* cache = CacheFor(client_id);
+  if (cache == nullptr) return rdma::RemotePtr::Null();
+  const uint8_t* image = cache->Peek(root.raw());
+  rdma::RemotePtr leaf;
+  std::vector<uint64_t> visited;
+  if (image != nullptr) {
+    *frontier = rdma::RemotePtr::Null();
+    const uint8_t level =
+        PageView(const_cast<uint8_t*>(image), opts_.page_size).level();
+    leaf = WalkCached(*cache, root, level, key, frontier, &visited,
+                      &descent->parent);
+  }
+  if (leaf.is_null()) {
+    if (!frontier->is_null()) (void)cache->Get(frontier->raw());  // the miss
+    return leaf;
+  }
+  // A resolved route touches (and counts) every page it walked, as a
+  // descent through the cache does.
+  for (const uint64_t page : visited) (void)cache->Get(page);
+  return leaf;
 }
 
 sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
@@ -260,8 +293,7 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   // plain level-by-level descent from the first hop speculation cannot
   // serve.
   SpecState spec;
-  if (opts_.speculative_descent &&
-      opts_.cache_mode == CacheMode::kInnerImages && cache != nullptr) {
+  if (opts_.speculative_descent && cache != nullptr) {
     co_await SpeculatePath(ops, tree, key, cache, prefetch, &spec);
     if (!ops.alive()) co_return rdma::RemotePtr::Null();
   }
@@ -292,7 +324,9 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
       if (!read.ok()) co_return rdma::RemotePtr::Null();
       image = buf;
       if (spec.attempted &&
-          (spec.complete || spec.predicted.count(ptr.raw()) > 0)) {
+          (spec.complete ||
+           std::find(spec.predicted.begin(), spec.predicted.end(),
+                     ptr.raw()) != spec.predicted.end())) {
         // Below an incomplete prediction's frontier real reads are the
         // plan, not a mispredict; on a predicted hop (or anywhere under a
         // complete prediction) they mean speculation failed here.
@@ -356,16 +390,11 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   co_return leaf;
 }
 
-void TraversalEngine::RepairRoute(RemoteOps& ops, Key key,
+void TraversalEngine::RepairRoute(RemoteOps& ops,
                                   const DescentPrefetch& descent,
                                   rdma::RemotePtr leaf,
                                   rdma::RemotePtr landed) {
-  if (landed == leaf) return;
-  if (opts_.cache_mode == CacheMode::kLeafRoutes) {
-    SeedRoute(ops.ctx().client_id(), key, landed);
-    return;
-  }
-  if (descent.parent.is_null()) return;
+  if (landed == leaf || descent.parent.is_null()) return;
   NodeCache* cache = CacheFor(ops.ctx().client_id());
   if (cache != nullptr) cache->Invalidate(descent.parent.raw());
 }
@@ -569,26 +598,6 @@ sim::Task<Status> TraversalEngine::BootstrapFromCatalog(RemoteOps& ops,
   trees_[tree].root = root;
   trees_[tree].root_level = view.level();
   co_return Status::OK();
-}
-
-bool TraversalEngine::CachedRoute(uint32_t client_id, Key key,
-                                  rdma::RemotePtr* leaf) {
-  NodeCache* cache = CacheFor(client_id);
-  if (cache == nullptr) return false;
-  const uint8_t* route = cache->Get(key);
-  if (route == nullptr) return false;
-  uint64_t raw;
-  std::memcpy(&raw, route, 8);
-  *leaf = rdma::RemotePtr(raw);
-  return true;
-}
-
-void TraversalEngine::SeedRoute(uint32_t client_id, Key key,
-                                rdma::RemotePtr leaf) {
-  NodeCache* cache = CacheFor(client_id);
-  if (cache == nullptr) return;
-  const uint64_t raw = leaf.raw();
-  cache->Put(key, reinterpret_cast<const uint8_t*>(&raw));
 }
 
 }  // namespace namtree::index

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "btree/page.h"
@@ -30,14 +29,18 @@ namespace namtree::index {
 ///                  (fixed-server allocation, catalog slot on server s);
 ///                  the hybrid registers its global leaf chain as one
 ///                  round-robin tree without a root and resolves leaves
-///                  by RPC, fronted by the leaf-route cache, instead.
-///   cache policy - CacheMode: no cache, an inner-node image cache
-///                  (Appendix A.4; descents and separator installs consult
-///                  and seed it, splits seed both halves), or a leaf-route
-///                  cache for RPC designs (key -> leaf pointer, seeded from
-///                  resolver results). One cache per compute machine,
-///                  shared by its client threads; an entry is dropped or
-///                  re-seeded when a walk it routed has to chase right.
+///                  by RPC instead, fronted by ResolveCached over the
+///                  upper-level images its RPC responses carry.
+///   cache policy - no cache, or (Options::cache_pages > 0) an inner-node
+///                  image cache keyed by remote pointer (Appendix A.4):
+///                  one-sided descents and separator installs consult and
+///                  seed it, splits seed both halves, and an RPC design
+///                  seeds it with the server-side upper-level images its
+///                  resolver's responses carry. One cache per compute
+///                  machine, shared by its client threads. Stale images
+///                  only route too far left: the chase recovers, and the
+///                  image that routed a walk which had to chase right is
+///                  dropped (RepairRoute).
 ///   lock policy  - the RemoteOps facade passed into every call: OLC
 ///                  version validation, CAS lock acquire with capped
 ///                  backoff and lease-based steal from dead holders, and
@@ -53,26 +56,12 @@ namespace namtree::index {
 /// orphaned lock is lease-stolen.
 class TraversalEngine {
  public:
-  enum class CacheMode {
-    kNone,
-    /// Cache full inner-node images keyed by remote pointer (one-sided
-    /// descents). Stale images only route too far left; the chase recovers
-    /// and RepairRoute drops the image that routed it.
-    kInnerImages,
-    /// Cache resolved leaf pointers keyed by the exact lookup key (RPC
-    /// designs). Stale routes only point too far left in the leaf chain
-    /// (leaf coverage moves right under splits and drain-merges, never
-    /// left), so the chain chase recovers and the caller re-seeds the
-    /// route where the walk landed (RepairRoute).
-    kLeafRoutes,
-  };
-
   struct Options {
     uint32_t page_size = 0;
-    CacheMode cache_mode = CacheMode::kNone;
-    /// Page budget of each compute machine's cache.
+    /// Page budget of each compute machine's inner-image cache (0 = no
+    /// cache).
     size_t cache_pages = 0;
-    /// One-RTT speculative descent (kInnerImages only; default off —
+    /// One-RTT speculative descent (needs the cache; default off —
     /// bit-identical to the level-by-level loop). Before awaiting
     /// anything, DescendToLeaf walks the cached inner images locally —
     /// including the sibling-chase hops their fences imply — to predict
@@ -147,7 +136,6 @@ class TraversalEngine {
   rdma::RemotePtr catalog(uint32_t tree) const {
     return trees_[tree].catalog_ptr;
   }
-  CacheMode cache_mode() const { return opts_.cache_mode; }
   /// The tree's root mirrors, indexed by server id (see SetRoot).
   const std::vector<rdma::RemotePtr>& mirrors(uint32_t tree) const {
     return trees_[tree].mirrors;
@@ -167,24 +155,26 @@ class TraversalEngine {
                                            btree::Key key,
                                            DescentPrefetch* prefetch = nullptr);
 
-  /// Route repair after a leaf walk for `key` from `leaf`, the route's
-  /// answer, that `landed` on another page (LeafLevel walks report the
-  /// leftmost leaf that may still hold `key`). With inner images, the
-  /// level-1 image `descent.parent` routed the walk to a leaf whose range
-  /// has since shrunk: it is dropped from the machine's cache, so the next
-  /// descent through it re-reads only that page. With leaf routes, `key`'s
-  /// route is re-seeded to `landed`.
-  void RepairRoute(RemoteOps& ops, btree::Key key,
-                   const DescentPrefetch& descent, rdma::RemotePtr leaf,
-                   rdma::RemotePtr landed);
+  /// Route repair after a leaf walk from `leaf`, the route's answer, that
+  /// `landed` on another page (LeafLevel walks report the leftmost leaf
+  /// that may still hold the key): the level-1 image `descent.parent`
+  /// routed the walk to a leaf whose range has since shrunk, so it is
+  /// dropped from the machine's cache and the next descent through it
+  /// re-reads only that page.
+  void RepairRoute(RemoteOps& ops, const DescentPrefetch& descent,
+                   rdma::RemotePtr leaf, rdma::RemotePtr landed);
 
-  /// Locally predicts the leaf for `key` from the cache of the client's
-  /// machine alone — the cached inner images of tree `tree`, or `key`'s
-  /// cached leaf route — Peek only: no verbs, no LRU touch, no stat skew.
-  /// Null when the cache cannot resolve a complete path. Stale predictions
-  /// are safe for grouping (MultiGet): they can only name a leaf too far
-  /// left, and the chain chase recovers.
+  /// Locally predicts the leaf for `key` from the cached inner images of
+  /// the client's machine alone, walking from tree `tree`'s root — Peek
+  /// only: no verbs, no LRU touch, no stat skew. Null when the cache
+  /// cannot resolve a complete path. Stale predictions are safe for
+  /// grouping (MultiGet): they can only name a leaf too far left, and the
+  /// chain chase recovers.
   rdma::RemotePtr PredictLeaf(uint32_t client_id, uint32_t tree,
+                              btree::Key key) const;
+  /// PredictLeaf from an RPC design's partition `root`, a page whose image
+  /// (and level) the machine learned from its server.
+  rdma::RemotePtr PredictLeaf(uint32_t client_id, rdma::RemotePtr root,
                               btree::Key key) const;
 
   /// Installs separator `sep` / right child `right` at inner `level` of
@@ -203,21 +193,22 @@ class TraversalEngine {
 
   // ---- RPC leaf resolution (hybrid root policy) ----------------------------
 
-  /// The leaf-route cache in front of an RPC design's leaf resolution
-  /// (CacheMode::kLeafRoutes): true, with `*leaf`, when the machine's cache
-  /// holds a route for `key` (a counted Get).
-  bool CachedRoute(uint32_t client_id, btree::Key key, rdma::RemotePtr* leaf);
-
-  /// Seeds `key`'s route to `leaf` in the machine's cache (no-op without
-  /// one): after a resolution, or when a walk landed elsewhere.
-  void SeedRoute(uint32_t client_id, btree::Key key, rdma::RemotePtr leaf);
+  /// Resolves `key` to a leaf from the inner images cached on `client_id`'s
+  /// machine alone, walking from an RPC design's partition `root` without
+  /// a verb: the leaf, with the level-1 page that named it in
+  /// `descent->parent` (the image RepairRoute drops if the leaf walk has
+  /// to chase). Every page walked is a counted Get. Null sends the caller
+  /// to its RPC, with one counted miss at `*frontier`, the first page
+  /// without a cached image (null after a garbage route).
+  rdma::RemotePtr ResolveCached(uint32_t client_id, rdma::RemotePtr root,
+                                btree::Key key, DescentPrefetch* descent,
+                                rdma::RemotePtr* frontier);
 
   // ---- Cache policy --------------------------------------------------------
 
-  /// The cache of `client_id`'s compute machine (inner images or leaf
-  /// routes, per CacheMode), or nullptr when caching is disabled. Created
-  /// lazily per machine; its counters are registered as `client.cache.*`
-  /// labeled {machine}.
+  /// The inner-image cache of `client_id`'s compute machine, or nullptr
+  /// when caching is disabled. Created lazily per machine; its counters
+  /// are registered as `client.cache.*` labeled {machine}.
   NodeCache* CacheFor(uint32_t client_id);
 
  private:
@@ -274,7 +265,7 @@ class TraversalEngine {
   /// batch fetched.
   struct SpecState {
     /// Every page pointer the local prediction walked through.
-    std::unordered_set<uint64_t> predicted;
+    std::vector<uint64_t> predicted;
     /// First predicted page without a cached image (null when the cache
     /// resolved the whole path); its image rides the batch.
     rdma::RemotePtr frontier;
@@ -290,16 +281,19 @@ class TraversalEngine {
     rdma::RemotePtr predicted_leaf;
   };
 
-  /// Walks `cache`'s inner images of tree `tree` for `key` from the root
-  /// without an await (Peek only: no cache mutation, and the images stay
-  /// valid throughout because other clients of the machine touch the cache
-  /// only while this one is suspended). Returns the leaf pointer a complete
-  /// walk reaches; null when a pointer is null, the hop budget runs out, or
-  /// a page has no cached inner image — that page is then the `frontier`.
-  /// `visited` receives every page walked.
-  rdma::RemotePtr WalkCached(const NodeCache& cache, uint32_t tree,
-                             btree::Key key, rdma::RemotePtr* frontier,
-                             std::unordered_set<uint64_t>* visited) const;
+  /// Walks `cache`'s inner images for `key` from `root`, a level
+  /// `root_level` page, without an await (Peek only: no cache mutation,
+  /// and the images stay valid throughout because other clients of the
+  /// machine touch the cache only while this one is suspended). Returns
+  /// the leaf pointer a complete walk reaches, with the level-1 page that
+  /// named it in `*parent`; null when a pointer is null, the hop budget
+  /// runs out, or a page has no cached inner image — that page is then the
+  /// `frontier`. `visited` receives every page walked.
+  rdma::RemotePtr WalkCached(const NodeCache& cache, rdma::RemotePtr root,
+                             uint8_t root_level, btree::Key key,
+                             rdma::RemotePtr* frontier,
+                             std::vector<uint64_t>* visited,
+                             rdma::RemotePtr* parent = nullptr) const;
 
   /// The predict→batch half of a speculative descent: walks cached images
   /// locally (Peek — no cache mutation), then issues one doorbell-batched

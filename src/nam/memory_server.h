@@ -5,8 +5,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "rdma/fabric.h"
 #include "rdma/memory_region.h"
@@ -19,6 +21,11 @@ namespace namtree::nam {
 /// of worker threads that poll the shared receive queue and execute RPC
 /// handlers (two-sided access path, paper §3.2). One-sided verbs bypass
 /// these workers entirely and hit the region through the NIC.
+///
+/// Registers two families in the fabric's registry, labeled {server}
+/// (never reset):
+///   server.rpcs          requests a worker admitted to a handler
+///   server.worker.busy_ns  handler occupancy (ns), summed over workers
 class MemoryServer {
  public:
   /// Handler invoked by a worker for each incoming RPC. The handler runs in
@@ -33,6 +40,12 @@ class MemoryServer {
         server_id_(server_id),
         region_(server_id, region_bytes) {
     fabric_.RegisterRegion(server_id, &region_);
+    const metrics::LabelSet labels = {{"server", std::to_string(server_id)}};
+    fabric_.metrics().RegisterCounter(requests_handled_, "server.rpcs", labels,
+                                      "RPCs admitted to a handler");
+    fabric_.metrics().RegisterCounter(
+        worker_busy_ns_, "server.worker.busy_ns", labels,
+        "handler occupancy (ns) summed over the server's workers");
   }
 
   MemoryServer(const MemoryServer&) = delete;
@@ -90,6 +103,8 @@ class MemoryServer {
   }
 
   uint64_t requests_handled() const { return requests_handled_; }
+  /// Virtual time the workers spent inside handlers, summed over workers.
+  uint64_t worker_busy_ns() const { return worker_busy_ns_; }
 
  private:
   sim::Task<> WorkerLoop() {
@@ -105,7 +120,7 @@ class MemoryServer {
         // handler): answered from the fabric's dedup cache, never re-run.
         continue;
       }
-      requests_handled_++;
+      requests_handled_.Inc();
       auto it = handlers_.find(rpc.request.service);
       if (it == handlers_.end()) {
         rdma::RpcResponse resp;
@@ -113,7 +128,9 @@ class MemoryServer {
         fabric_.Respond(server_id_, rpc, std::move(resp));
         continue;
       }
+      const SimTime start = fabric_.simulator().now();
       co_await it->second(*this, std::move(rpc));
+      worker_busy_ns_.Inc(fabric_.simulator().now() - start);
     }
   }
 
@@ -122,7 +139,8 @@ class MemoryServer {
   rdma::MemoryRegion region_;
   std::map<uint16_t, RpcHandler> handlers_;
   std::vector<sim::Task<>::Handle> worker_handles_;
-  uint64_t requests_handled_ = 0;
+  metrics::Counter requests_handled_;
+  metrics::Counter worker_busy_ns_;
 };
 
 }  // namespace namtree::nam

@@ -364,6 +364,8 @@ uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
 sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
                                            std::span<const ChainOp> ops,
                                            Posting posting) {
+  // A READ posted on behalf of combining waiters (see posting_shared_).
+  PendingRead* const shared = std::exchange(posting_shared_, nullptr);
   if (ops.empty()) co_return PostResult{};
   const bool lone = ops.size() == 1 && posting != Posting::kBatch;
   // A READ-only chain (range-scan prefetch) has independent members; any
@@ -388,29 +390,56 @@ sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
   }
   const ChainOp& first = ops.front();
   if (lone && posting == Posting::kCombined && config_.read_combining &&
-      first.kind == ChainOp::Kind::kRead) {
-    const auto key = std::make_tuple(client, first.target.raw(), first.len);
-    auto it = pending_reads_.find(key);
+      first.kind == ChainOp::Kind::kRead && first.liveness_of < 0) {
+    // 1. An identical READ of the lane's own client: attach until it
+    // completes, and inherit its bytes and completion whatever they are.
+    const ReadKey own_key(client, first.target.raw(), first.len);
+    auto it = pending_reads_.find(own_key);
     if (it != pending_reads_.end()) {
-      // Attach to the outstanding verb: no doorbell, no duplicate. The
-      // shared_ptr keeps the landing buffer alive past the poster's erase.
+      // No doorbell, no duplicate. The shared_ptr keeps the landing buffer
+      // alive past the poster's erase.
       std::shared_ptr<PendingRead> pending = it->second;
       combined_reads_.Inc();
       co_await pending->done;
       std::memcpy(first.dst, pending->data.data(), first.len);
       co_return PostResult{pending->completion, 0};
     }
+    // 2. The machine's newest identical READ, while its effect is still
+    // ahead: the bytes it returns are then no older than this call.
+    const ReadKey machine_key(ClientMachine(client), first.target.raw(),
+                              first.len);
+    it = machine_reads_.find(machine_key);
+    if (it != machine_reads_.end() &&
+        it->second->effect > simulator_.now()) {
+      std::shared_ptr<PendingRead> pending = it->second;
+      co_await pending->done;
+      if (pending->landed && pending->completion == VerbCompletion::kOk) {
+        combined_reads_.Inc();
+        std::memcpy(first.dst, pending->data.data(), first.len);
+        co_return PostResult{VerbCompletion::kOk, 0};
+      }
+      // Its poster died before the effect, or its completion was lost:
+      // that fault is the poster's, so post again from now.
+      co_return co_await Post(client, ops, posting);
+    }
+    // 3. Post it, as the machine's newest.
     auto pending = std::make_shared<PendingRead>(simulator_);
     pending->data.resize(first.len);
-    pending_reads_.emplace(key, pending);
+    pending_reads_.emplace(own_key, pending);
+    machine_reads_[machine_key] = pending;
     ChainOp own = first;
     own.dst = pending->data.data();
+    posting_shared_ = pending.get();
     pending->completion =
         (co_await Post(client, {&own, 1}, Posting::kVerbs)).completion;
     // A dropped verb leaves `data` zero-initialised — as unspecified as
-    // any dropped READ's buffer; poster and waiters alike re-check
-    // liveness after resuming, and share a lost completion.
-    pending_reads_.erase(key);
+    // any dropped READ's buffer; the poster and its own client's waiters
+    // re-check liveness after resuming, and share a lost completion.
+    pending_reads_.erase(own_key);
+    it = machine_reads_.find(machine_key);
+    if (it != machine_reads_.end() && it->second == pending) {
+      machine_reads_.erase(it);
+    }
     pending->done.Set();
     std::memcpy(first.dst, pending->data.data(), first.len);
     co_return PostResult{pending->completion};
@@ -494,6 +523,7 @@ sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
   // Lone READs of memory are tracked in flight until their completion.
   const bool tracked = lone && first.kind == ChainOp::Kind::kRead &&
                        first.liveness_of < 0;
+  if (shared != nullptr) shared->effect = single.effect;
 
   // ---- Effect: each member at its execution time --------------------------
   // In virtual-time order, which is posting order for an ordered chain.
@@ -532,6 +562,7 @@ sim::Task<Fabric::PostResult> Fabric::Post(uint32_t client,
       co_return PostResult{};
     }
     Apply(client, m, chain_id);
+    if (shared != nullptr) shared->landed = true;
   }
 
   // ---- Completion ---------------------------------------------------------

@@ -296,13 +296,20 @@ class Fabric {
     /// A lone member goes out as its own signaled verb; several members
     /// ride one doorbell.
     kVerbs,
-    /// kVerbs, and with FabricConfig::read_combining a lone READ attaches
-    /// to an identical (target, len) READ the same client has in flight:
-    /// no verb is posted, the waiter resumes with the bytes and the
-    /// completion the outstanding READ delivered (round_trips = 0). The
-    /// waiter's snapshot may precede its own call by the in-flight window,
-    /// which the OLC staleness argument (validate version, chase right)
-    /// covers.
+    /// kVerbs, and with FabricConfig::read_combining a lone READ of memory
+    /// attaches to an identical (target, len) READ in flight on its
+    /// compute machine instead of posting its own (round_trips = 0):
+    ///   1. one its own client posted, at any point before completion —
+    ///      the waiter inherits that READ's bytes and completion, a
+    ///      snapshot that may precede its own call by the in-flight
+    ///      window, which the OLC staleness argument (validate version,
+    ///      chase right) covers;
+    ///   2. else the machine's newest one whose effect has not executed
+    ///      at the target yet, so the bytes are never older than the
+    ///      call. If that READ's poster died before its effect or its
+    ///      completion is not kOk, the waiter posts again by these rules:
+    ///      crash and link faults stay per client;
+    ///   3. else it posts its own READ, which becomes the machine's newest.
     kCombined,
     /// Always one doorbell, even for a lone member (READ-only prefetch
     /// batches: selectively signaled, cheap unsignaled engine cost).
@@ -399,7 +406,8 @@ class Fabric {
   ///   fabric.doorbells         doorbell rings: one per lone verb, one per
   ///                            chain
   ///   fabric.combined_reads    READs combined away by Posting::kCombined
-  ///                            (verbs never posted)
+  ///                            (verbs never posted; a waiter that has to
+  ///                            post after all is not counted)
   ///   fabric.duplicate_inflight_reads  same-client lone READs
   ///                            posted while an identical (target, len)
   ///                            READ of that client was in flight: the
@@ -696,20 +704,32 @@ class Fabric {
   /// chain both verbs rode in (0 = lone verb).
   uint64_t next_chain_id_ = 1;
   /// In-flight combining state (FabricConfig::read_combining): one entry
-  /// per outstanding combinable READ, keyed (client, target raw, len).
-  /// Later same-key requesters park on `done` and copy out of `data`;
-  /// shared ownership keeps the landing buffer alive for waiters that
-  /// resume after the poster erased the table entry.
+  /// per outstanding combinable READ. Waiters park on `done` and copy out
+  /// of `data`; shared ownership keeps the landing buffer alive for
+  /// waiters that resume after the poster erased its table entries.
   struct PendingRead {
     explicit PendingRead(sim::Simulator& simulator) : done(simulator) {}
     std::vector<uint8_t> data;
     sim::SimEvent done;
-    /// Completion outcome of the primary verb, inherited by every waiter.
+    /// Completion outcome of the primary verb.
     VerbCompletion completion = VerbCompletion::kOk;
+    /// When the target NIC executes it (0 until reserved: a READ dropped
+    /// at post time never gets one).
+    SimTime effect = 0;
+    /// The memory effect copied the target's bytes into `data`.
+    bool landed = false;
   };
-  std::map<std::tuple<uint32_t, uint64_t, uint32_t>,
-           std::shared_ptr<PendingRead>>
-      pending_reads_;
+  using ReadKey = std::tuple<uint32_t, uint64_t, uint32_t>;
+  /// Keyed (client, target raw, len): every waiter of the poster's client.
+  std::map<ReadKey, std::shared_ptr<PendingRead>> pending_reads_;
+  /// Keyed (compute machine, target raw, len): the machine's newest
+  /// combinable READ, open to its other clients until its effect.
+  std::map<ReadKey, std::shared_ptr<PendingRead>> machine_reads_;
+  /// The combinable READ the next Post call posts on its waiters' behalf:
+  /// set by Post's combining branch right before it awaits that call, and
+  /// taken at the call's first statement (a Task starts when awaited), so
+  /// no other post can see it.
+  PendingRead* posting_shared_ = nullptr;
   /// Lone READ in-flight tracking behind fabric.duplicate_inflight_reads:
   /// the outstanding (target raw, len) READs of each client, indexed by
   /// client id. A client has at most a few (one per pipelined lane), so a

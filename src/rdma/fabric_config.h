@@ -232,15 +232,18 @@ struct FabricConfig {
   /// protocol is unchanged. READ-only chains (range-scan prefetch) are
   /// unaffected by this knob.
   bool verb_chaining = true;
-  /// In-flight read combining: when several coroutines of one client
-  /// (RunConfig::pipeline_depth lanes) await the same (server, offset,
-  /// len) READ concurrently, later requesters attach to the one
-  /// outstanding verb instead of posting duplicates — they resume when its
-  /// completion arrives and copy out of the shared landing buffer. Pure
-  /// client-side NIC-queue discipline: no memory-server cooperation, no
-  /// protocol change (the combined read observes the same bytes the verb
-  /// delivered). Off by default — bit-identical to independent READs;
-  /// fabric.duplicate_inflight_reads counts what stays on the table.
+  /// In-flight read combining: when coroutines of one compute machine
+  /// (its clients and their RunConfig::pipeline_depth lanes) await the
+  /// same (server, offset, len) READ concurrently, later requesters attach
+  /// to an outstanding verb instead of posting duplicates — they resume
+  /// when its completion arrives and copy out of the shared landing
+  /// buffer. A lane attaches to its own client's READ at any point before
+  /// completion, and to another client's only before the target executes
+  /// it, so it never sees bytes older than its call (Fabric::Posting::
+  /// kCombined). Pure client-side NIC-queue discipline: no memory-server
+  /// cooperation, no protocol change. Off by default — bit-identical to
+  /// independent READs; fabric.duplicate_inflight_reads counts the
+  /// same-client duplicates that stay on the table.
   bool read_combining = false;
   /// Initial backoff before re-polling a locked remote node (remote
   /// spinlock). Consecutive re-polls back off exponentially (with jitter)

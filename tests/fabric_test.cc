@@ -369,6 +369,196 @@ TEST(FabricTest, ColocatedAccessSkipsTheWire) {
 }
 
 
+// ---- Machine-wide read combining -------------------------------------------
+
+constexpr uint32_t kCombinedPage = 1024;
+
+// One combinable READ that `client` posts at virtual time `at`; records its
+// outcome and when it was posted and completed.
+struct CombinedPost {
+  CombinedPost(uint32_t c, SimTime t, size_t len)
+      : client(c), at(t), buf(len) {}
+  uint32_t client;
+  SimTime at;
+  std::vector<uint8_t> buf;
+  Fabric::PostResult result;
+  SimTime posted = 0;
+  SimTime done = 0;
+};
+
+Task<> PostCombinedAt(Fabric& fabric, RemotePtr src, CombinedPost* post) {
+  co_await sim::DelayUntil(fabric.simulator(), post->at);
+  post->posted = fabric.simulator().now();
+  const Fabric::ChainOp op = Fabric::ChainOp::Read(
+      src, post->buf.data(), static_cast<uint32_t>(post->buf.size()));
+  post->result = co_await fabric.Post(post->client, {&op, 1},
+                                      Fabric::Posting::kCombined);
+  post->done = fabric.simulator().now();
+}
+
+Task<> PostWriteAt(Fabric& fabric, uint32_t client, SimTime at,
+                   RemotePtr dst, const std::vector<uint8_t>* src,
+                   SimTime* done) {
+  co_await sim::DelayUntil(fabric.simulator(), at);
+  co_await PostWrite(fabric, client, dst, src->data(),
+                     static_cast<uint32_t>(src->size()));
+  *done = fabric.simulator().now();
+}
+
+// Overwrites the page at `ptr` with `byte` at virtual time `at`, outside
+// the fabric.
+Task<> FillAt(sim::Simulator& simulator, MemoryRegion& region, RemotePtr ptr,
+              SimTime at, uint8_t byte) {
+  co_await sim::DelayUntil(simulator, at);
+  std::memset(region.at(ptr.offset()), byte, kCombinedPage);
+}
+
+// Clients 0, 1 and 2 share compute machine 0; client 40 sits on machine 1.
+FabricConfig CombiningConfig() {
+  FabricConfig config;
+  config.num_memory_servers = 1;
+  config.read_combining = true;
+  return config;
+}
+
+TEST(FabricTest, MachineMateNeverAttachesToAReadAlreadyExecuted) {
+  Cluster cluster(CombiningConfig(), 4 << 20);
+  Fabric& fabric = cluster.fabric();
+  MemoryRegion& region = cluster.memory_server(0).region();
+  const RemotePtr page = region.AllocateLocal(kCombinedPage);
+  std::memset(region.at(page.offset()), 0x11, kCombinedPage);
+  // A large READ from another machine occupies the server's transmit link,
+  // so client 2's READ of the page executes early but completes late.
+  const RemotePtr bulk = region.AllocateLocal(1 << 20);
+  CombinedPost big(40, 0, 1 << 20);
+  CombinedPost z(2, 10, kCombinedPage);
+  // Client 0's WRITE is acknowledged while client 2's READ is in flight;
+  // client 1 then reads the page through combining.
+  const std::vector<uint8_t> fresh(kCombinedPage, 0x22);
+  SimTime written = 0;
+  CombinedPost y(1, 0, kCombinedPage);
+  Spawn(cluster.simulator(), PostCombinedAt(fabric, bulk, &big));
+  Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &z));
+  Spawn(cluster.simulator(),
+        PostWriteAt(fabric, 0, 20, page, &fresh, &written));
+  struct AfterWrite {
+    static Task<> Go(Fabric& fabric, RemotePtr page, const SimTime* written,
+                     CombinedPost* y) {
+      // Poll in 100 ns steps until the WRITE is acknowledged.
+      while (*written == 0) co_await sim::Delay(fabric.simulator(), 100);
+      y->at = fabric.simulator().now();
+      co_await PostCombinedAt(fabric, page, y);
+    }
+  };
+  Spawn(cluster.simulator(), AfterWrite::Go(fabric, page, &written, &y));
+  cluster.simulator().Run();
+
+  ASSERT_GT(written, 0);
+  EXPECT_LT(written, z.done) << "the WRITE was not acknowledged mid-READ";
+  EXPECT_LT(y.posted, z.done) << "client 2's READ was no longer in flight";
+  EXPECT_TRUE(z.result.ok());
+  EXPECT_TRUE(y.result.ok());
+  EXPECT_EQ(z.buf, std::vector<uint8_t>(kCombinedPage, 0x11));
+  EXPECT_EQ(y.buf, fresh) << "client 1 saw bytes older than its call";
+  EXPECT_EQ(y.result.round_trips, 1u) << "client 1 attached to a stale READ";
+}
+
+TEST(FabricTest, MateOfAPosterKilledMidReadStillReadsCurrentBytes) {
+  FabricConfig config = CombiningConfig();
+  // Client 0's second post (its WRITE) kills it with its READ in flight.
+  config.crash_points = {{0, 1}};
+  Cluster cluster(config, 1 << 20);
+  Fabric& fabric = cluster.fabric();
+  MemoryRegion& region = cluster.memory_server(0).region();
+  const RemotePtr page = region.AllocateLocal(kCombinedPage);
+  std::memset(region.at(page.offset()), 0x33, kCombinedPage);
+  const RemotePtr other = region.AllocateLocal(64);
+  const std::vector<uint8_t> scribble(64, 0x44);
+  CombinedPost poster(0, 0, kCombinedPage);
+  CombinedPost mate(1, 10, kCombinedPage);
+  SimTime scribbled = 0;
+  Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &poster));
+  Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &mate));
+  Spawn(cluster.simulator(),
+        PostWriteAt(fabric, 0, 20, other, &scribble, &scribbled));
+  cluster.simulator().Run();
+
+  EXPECT_FALSE(fabric.ClientAlive(0));
+  EXPECT_LT(mate.posted, poster.done);
+  EXPECT_TRUE(mate.result.ok());
+  EXPECT_EQ(mate.result.round_trips, 1u) << "the mate kept the dead READ";
+  EXPECT_EQ(mate.buf, std::vector<uint8_t>(kCombinedPage, 0x33));
+  EXPECT_EQ(fabric.metrics().Value("fabric.combined_reads"), 0u);
+}
+
+TEST(FabricTest, LinkFaultOnThePosterDoesNotFailItsMate) {
+  FabricConfig config = CombiningConfig();
+  // Every verb on client 0's link to the server is lost, either before
+  // the NIC or with its acknowledgement.
+  config.link_faults = {{0, 0, /*drop_prob=*/1.0, 0, 0}};
+  Cluster cluster(config, 1 << 20);
+  Fabric& fabric = cluster.fabric();
+  MemoryRegion& region = cluster.memory_server(0).region();
+  const RemotePtr page = region.AllocateLocal(kCombinedPage);
+  constexpr int kRounds = 8;
+  std::vector<CombinedPost> posters;
+  std::vector<CombinedPost> mates;
+  for (int r = 0; r < kRounds; ++r) {
+    const SimTime at = 1000 + r * 200'000;
+    posters.emplace_back(0, at, kCombinedPage);
+    mates.emplace_back(1, at + 10, kCombinedPage);
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    // Each round reads its own byte pattern, written just before it.
+    Spawn(cluster.simulator(),
+          FillAt(cluster.simulator(), region, page, posters[r].at - 1,
+                 static_cast<uint8_t>(0x50 + r)));
+    Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &posters[r]));
+    Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &mates[r]));
+  }
+  cluster.simulator().Run();
+
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_FALSE(posters[r].result.ok()) << "round " << r;
+    EXPECT_TRUE(mates[r].result.ok()) << "round " << r;
+    EXPECT_EQ(mates[r].buf, std::vector<uint8_t>(kCombinedPage, 0x50 + r))
+        << "round " << r;
+  }
+  // Some rounds lost only the acknowledgement: the mate had attached to a
+  // READ that executed, and still posted its own.
+  EXPECT_GT(fabric.metrics().Value("fabric.net.dropped_completions"), 0u);
+  EXPECT_EQ(fabric.metrics().Value("fabric.combined_reads"), 0u);
+}
+
+TEST(FabricTest, LanesOfOneClientPostNoDuplicateRead) {
+  Cluster cluster(CombiningConfig(), 1 << 20);
+  Fabric& fabric = cluster.fabric();
+  MemoryRegion& region = cluster.memory_server(0).region();
+  const RemotePtr page = region.AllocateLocal(kCombinedPage);
+  std::memset(region.at(page.offset()), 0x66, kCombinedPage);
+  // Four lanes of client 0 and two of its machine-mate client 1.
+  std::vector<CombinedPost> posts;
+  for (uint32_t lane = 0; lane < 4; ++lane) {
+    posts.emplace_back(0, lane, kCombinedPage);
+  }
+  for (uint32_t lane = 0; lane < 2; ++lane) {
+    posts.emplace_back(1, 5 + lane, kCombinedPage);
+  }
+  for (CombinedPost& post : posts) {
+    Spawn(cluster.simulator(), PostCombinedAt(fabric, page, &post));
+  }
+  cluster.simulator().Run();
+
+  for (const CombinedPost& post : posts) {
+    EXPECT_TRUE(post.result.ok());
+    EXPECT_EQ(post.buf, std::vector<uint8_t>(kCombinedPage, 0x66));
+  }
+  EXPECT_EQ(posts[0].result.round_trips, 1u);
+  EXPECT_EQ(fabric.server_stats(0).reads, 1u);
+  EXPECT_EQ(fabric.metrics().Value("fabric.combined_reads"), 5u);
+  EXPECT_EQ(fabric.metrics().Value("fabric.duplicate_inflight_reads"), 0u);
+}
+
 // ---- Post timing golden -----------------------------------------------------
 
 // One post of the golden schedule: issued by `client` at virtual time

@@ -1,15 +1,17 @@
 // Tests for the Appendix A.4 node cache: LRU eviction, one cache per
 // compute machine, fence-check repair of stale entries, and correctness of
 // the cached index designs under cache-invalidating writes. The traversal
-// engine gives every one-sided design a cache policy (FG / CG1S: inner-node
-// images; hybrid: leaf routes), so each design gets its own hit-rate and
-// staleness coverage. Tests whose writers must leave a reader's cache stale
+// engine caches inner-node images for every design with a one-sided leaf
+// level (FG / CG1S: their own inner pages; hybrid: the server-side upper
+// levels its find-leaf responses carry), so each design gets its own
+// hit-rate and staleness coverage. Tests whose writers must leave a reader's cache stale
 // put every client on its own compute machine.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "index/coarse_one_sided.h"
@@ -407,10 +409,16 @@ TEST(CachedCoarseOneSidedTest, StaleCacheStaysCorrectUnderInserts) {
 }
 
 // ---- Cached hybrid index ----------------------------------------------------
-// The hybrid design's cache policy stores resolved leaf ROUTES (lookup key
-// -> leaf pointer) instead of node images: a hit skips the find-leaf RPC
-// entirely. Stale routes are safe because leaf coverage only ever moves
+// With a client cache, the hybrid's find-leaf responses carry the images of
+// the server-side upper pages on the key's path; the client caches them and
+// routes later keys of the partition locally, so a hit skips the RPC
+// entirely. Stale images are safe because leaf coverage only ever moves
 // right — the B-link chase recovers.
+
+/// RPCs the memory servers admitted to a handler.
+uint64_t RpcCount(Cluster& cluster) {
+  return cluster.fabric().metrics().Value("server.rpcs");
+}
 
 TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
   rdma::FabricConfig fc;
@@ -424,12 +432,18 @@ TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
   for (uint64_t i = 0; i < 5000; ++i) data.push_back({i * 2, i});
   ASSERT_TRUE(index.BulkLoad(data).ok());
 
-  // A small hot set looked up repeatedly: after the first round every
-  // route is cached, so each further lookup is 1 leaf READ, 0 RPCs.
+  // A small hot set looked up repeatedly: after the first round every key
+  // routes through cached images, so each further lookup is 1 leaf READ,
+  // 0 RPCs.
   ClientContext ctx(0, cluster.fabric(), ic.page_size, 7);
   struct Driver {
-    static Task<> Go(HybridIndex& index, ClientContext& ctx) {
+    static Task<> Go(Cluster& cluster, HybridIndex& index, ClientContext& ctx,
+                     uint64_t* cold_rpcs) {
       for (int round = 0; round < 10; ++round) {
+        if (round == 1) {
+          *cold_rpcs = RpcCount(cluster);
+          ctx.round_trips.Reset();
+        }
         for (Key k = 0; k < 100; ++k) {
           const LookupResult r = co_await index.Lookup(ctx, k * 2);
           EXPECT_TRUE(r.found);
@@ -437,16 +451,105 @@ TEST(CachedHybridTest, RouteCacheSkipsFindLeafRpcs) {
       }
     }
   };
+  uint64_t cold_rpcs = 0;
+  Spawn(cluster.simulator(), Driver::Go(cluster, index, ctx, &cold_rpcs));
+  cluster.simulator().Run();
+
+  // The first round sends one RPC to learn the partition's root and one
+  // per further level-1 page it needs (a counted miss each): far fewer
+  // than one per key.
+  EXPECT_GE(cold_rpcs, 1u);
+  EXPECT_LT(cold_rpcs, 100u);
+  EXPECT_EQ(CacheCount(cluster, "client.cache.misses") + 1, cold_rpcs);
+  // Warm lookups: no RPC, and one leaf READ each — plus one chase READ
+  // for a key equal to its leaf's high fence, which the inclusive inner
+  // fence routes to the left leaf.
+  uint64_t fence_keys = 0;
+  for (rdma::RemotePtr leaf = index.first_leaf(); !leaf.is_null();) {
+    const btree::PageView v(
+        cluster.fabric().region(leaf.server_id())->at(leaf.offset()),
+        ic.page_size);
+    if (v.high_key() < 200 && v.high_key() % 2 == 0) fence_keys++;
+    leaf = rdma::RemotePtr(v.right_sibling());
+  }
+  EXPECT_EQ(RpcCount(cluster), cold_rpcs);
+  EXPECT_EQ(ctx.round_trips, 9u * (100u + fence_keys));
+  EXPECT_LT(ctx.round_trips, 9u * 100u * 2) << "warm lookups pay RPCs";
+  EXPECT_GT(CacheCount(cluster, "client.cache.hits"), 9u * 100u);
+}
+
+TEST(CachedHybridTest, MachineMatesShareOneFindLeafRpcPerMiss) {
+  // Four clients of one compute machine miss on the same partition at
+  // once: one find-leaf RPC fetches the images, and the others wait for it
+  // and route through them instead of sending their own.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 2;
+  Cluster cluster(fc, 16 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 1024;
+  HybridIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 2000; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  cluster.fabric().SetNumClients(4);
+
+  std::vector<std::unique_ptr<ClientContext>> clients;
+  for (uint32_t c = 0; c < 4; ++c) {
+    clients.push_back(
+        std::make_unique<ClientContext>(c, cluster.fabric(), ic.page_size, c));
+  }
+  struct Driver {
+    static Task<> Go(HybridIndex& index, ClientContext& ctx, Key key) {
+      EXPECT_TRUE((co_await index.Lookup(ctx, key)).found);
+    }
+  };
+  // Neighbouring keys: one leaf, so one level-1 page routes them all.
+  for (uint32_t c = 0; c < 4; ++c) {
+    Spawn(cluster.simulator(), Driver::Go(index, *clients[c], 200 + 2 * c));
+  }
+  cluster.simulator().Run();
+  EXPECT_EQ(RpcCount(cluster), 1u);
+  for (uint32_t c = 1; c < 4; ++c) {
+    EXPECT_EQ(clients[c]->round_trips, 1u) << "client " << c;
+  }
+}
+
+TEST(CachedHybridTest, ClientWithoutCacheGetsNoImages) {
+  // A hybrid client without a cache sends and receives the bare find-leaf
+  // RPC: an empty response payload.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 2;
+  Cluster cluster(fc, 16 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  HybridIndex index(cluster, ic);
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < 2000; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  ASSERT_EQ(index.CacheFor(0), nullptr);
+
+  ClientContext ctx(0, cluster.fabric(), ic.page_size, 1);
+  struct Driver {
+    static Task<> Go(HybridIndex& index, ClientContext& ctx) {
+      EXPECT_TRUE((co_await index.Lookup(ctx, 1000)).found);
+    }
+  };
   Spawn(cluster.simulator(), Driver::Go(index, ctx));
   cluster.simulator().Run();
 
-  EXPECT_EQ(CacheCount(cluster, "client.cache.hits"), 9u * 100u)
-      << "every repeat lookup must hit a route";
-  EXPECT_EQ(CacheCount(cluster, "client.cache.misses"), 100u);
-  // Cold lookups pay RPC + leaf read; warm ones skip the RPC. The total
-  // must beat the all-RPC cost of 2 round trips per lookup.
-  EXPECT_LT(ctx.round_trips, 1000u * 2);
-  EXPECT_GE(ctx.round_trips, 1000u);
+  // One find-leaf RPC and one leaf READ, nothing else: the server received
+  // the 32-byte request and the READ's 16-byte request, and sent a bare
+  // 24-byte response and the leaf.
+  EXPECT_EQ(RpcCount(cluster), 1u);
+  uint64_t rx = 0;
+  uint64_t tx = 0;
+  for (uint32_t s = 0; s < fc.num_memory_servers; ++s) {
+    rx += cluster.fabric().server_stats(s).rx_bytes;
+    tx += cluster.fabric().server_stats(s).tx_bytes;
+  }
+  EXPECT_EQ(rx, rdma::RpcRequest().WireBytes() + 16u);
+  EXPECT_EQ(tx, rdma::RpcResponse().WireBytes() + ic.page_size);
 }
 
 TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
@@ -463,7 +566,7 @@ TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   ASSERT_TRUE(index.BulkLoad(data).ok());
   cluster.fabric().SetNumClients(2);
 
-  // Reader caches a route for every live key.
+  // Reader caches the upper-level images for every live key.
   ClientContext reader(0, cluster.fabric(), ic.page_size, 1);
   struct Warm {
     static Task<> Go(HybridIndex& index, ClientContext& ctx) {
@@ -476,8 +579,8 @@ TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   Spawn(cluster.simulator(), Warm::Go(index, reader));
   cluster.simulator().Run();
 
-  // A writer splits most leaves; the reader's cached routes now point at
-  // pre-split leaves whose upper halves moved right.
+  // A writer splits most leaves; the reader's cached level-1 images now
+  // route to pre-split leaves whose upper halves moved right.
   ClientContext writer(1, cluster.fabric(), ic.page_size, 2);
   struct Writer {
     static Task<> Go(HybridIndex& index, ClientContext& ctx) {
@@ -489,7 +592,7 @@ TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   Spawn(cluster.simulator(), Writer::Go(index, writer));
   cluster.simulator().Run();
 
-  // The reader re-reads every key through its stale routes: the B-link
+  // The reader re-reads every key through its stale images: the B-link
   // sibling chase must recover each one.
   struct Verify {
     static Task<> Go(HybridIndex& index, ClientContext& ctx,
@@ -507,7 +610,7 @@ TEST(CachedHybridTest, StaleRoutesRecoverAfterSplits) {
   cluster.simulator().Run();
   const uint64_t route_hits =
       CacheCount(cluster, "client.cache.hits") - hits_before;
-  EXPECT_EQ(missing, 0u) << "a stale route lost keys";
+  EXPECT_EQ(missing, 0u) << "a stale image lost keys";
   EXPECT_GT(route_hits, 0u) << "the verify pass never exercised the cache";
   EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
       << cluster.fabric().CheckAuditClean().ToString();
@@ -640,8 +743,8 @@ TEST(RouteRepairTest, ChasePastStaleLevelOneImageDropsIt) {
 TEST(CachedHybridTest, KeyEqualToSplitSeparatorKeepsItsLeftRoute) {
   // A run of duplicates splits its leaf at a separator equal to the key;
   // the left half keeps duplicates of its fence. The inserting client's
-  // route for the key must stay on the left half, or its LookupAll misses
-  // them.
+  // cached images must keep routing the key to the left half, or its
+  // LookupAll misses them.
   rdma::FabricConfig fc;
   fc.num_memory_servers = 2;
   Cluster cluster(fc, 16 << 20);
@@ -688,18 +791,25 @@ TEST(CachedHybridTest, RouteNeverMovesPastAFenceEqualToTheKey) {
   struct Driver {
     static Task<> Go(HybridIndex& index, ClientContext& reader,
                      ClientContext& writer, Key key) {
-      // The reader caches a route to the key's leaf; the writer's run of
-      // duplicates then splits it into leaves fenced at the key.
+      // The reader caches the images routing the key; the writer's run of
+      // duplicates then splits its leaf into leaves fenced at the key.
       EXPECT_TRUE((co_await index.Lookup(reader, key)).found);
       for (uint64_t i = 0; i < 40; ++i) {
         EXPECT_TRUE((co_await index.Insert(writer, key, 1000 + i)).ok());
       }
+      // A key past the split chases from the stale level-1 image, which is
+      // dropped; the next lookup fetches the split's separators.
+      EXPECT_TRUE((co_await index.Lookup(reader, key + 2)).found);
       std::vector<btree::Value> values;
       EXPECT_EQ(co_await index.LookupAll(reader, key, &values), 41u);
     }
   };
   Spawn(cluster.simulator(), Driver::Go(index, reader, writer, key));
   cluster.simulator().Run();
+  EXPECT_GE(cluster.fabric().metrics().Value("client.cache.invalidations",
+                                             "machine", "0"),
+            1u)
+      << "the reader never dropped its stale level-1 image";
 
   // The leftmost leaf that may still hold the key: the first whose high
   // fence is not strictly below it.
@@ -711,12 +821,9 @@ TEST(CachedHybridTest, RouteNeverMovesPastAFenceEqualToTheKey) {
   }
   ASSERT_EQ(LeafAt(cluster, target, ic.page_size).high_key(), key)
       << "no leaf is fenced at the key: the test lost its premise";
-  const uint8_t* route = index.CacheFor(0)->Peek(key);
-  ASSERT_NE(route, nullptr);
-  uint64_t raw;
-  std::memcpy(&raw, route, 8);
-  EXPECT_EQ(raw, target.raw())
-      << "the route is not the leftmost leaf that may hold the key";
+  EXPECT_EQ(index.PredictLeaf(0, 0, key), target)
+      << "the cached images do not route the key to the leftmost leaf "
+         "that may hold it";
 }
 
 TEST(CatalogBootstrapTest, FreshClientLearnsTheRootRemotely) {

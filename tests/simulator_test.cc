@@ -1,13 +1,13 @@
 // Unit tests for the discrete-event simulator core: event ordering, virtual
-// time, coroutine tasks, delays, events, worker pools and links.
+// time, coroutine tasks, delays, events and links.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/link.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace namtree::sim {
@@ -130,33 +130,12 @@ TEST(SimulatorTest, SimEventAwaitAfterSetCompletesImmediately) {
   EXPECT_EQ(stamps[0], 0);
 }
 
-Task<> UseWorker(Simulator& s, WorkerPool& pool, SimTime hold,
+Task<> UseWorker(Simulator& s, Semaphore& pool, SimTime hold,
                  std::vector<SimTime>* finish) {
   co_await pool.Acquire();
   co_await Delay(s, hold);
   pool.Release();
   finish->push_back(s.now());
-}
-
-TEST(WorkerPoolTest, CapacityLimitsConcurrency) {
-  Simulator s;
-  WorkerPool pool(s, 2);
-  std::vector<SimTime> finish;
-  for (int i = 0; i < 6; ++i) Spawn(s, UseWorker(s, pool, 100, &finish));
-  s.Run();
-  // 6 jobs, 2 workers, 100ns each -> waves at 100/200/300.
-  EXPECT_EQ(finish, (std::vector<SimTime>{100, 100, 200, 200, 300, 300}));
-  EXPECT_EQ(pool.total_grants(), 6u);
-  EXPECT_EQ(pool.in_use(), 0u);
-}
-
-TEST(WorkerPoolTest, FifoGrantOrder) {
-  Simulator s;
-  WorkerPool pool(s, 1);
-  std::vector<SimTime> finish;
-  for (int i = 0; i < 4; ++i) Spawn(s, UseWorker(s, pool, 10, &finish));
-  s.Run();
-  EXPECT_EQ(finish, (std::vector<SimTime>{10, 20, 30, 40}));
 }
 
 TEST(LinkTest, TransfersSerialize) {
@@ -262,7 +241,7 @@ TEST(TaskTest, DeepAwaitChains) {
 TEST(SimulatorTest, DeterministicReplay) {
   auto run = [] {
     Simulator s;
-    WorkerPool pool(s, 3);
+    Semaphore pool(s, 3);
     std::vector<SimTime> finish;
     for (int i = 0; i < 20; ++i) {
       Spawn(s, UseWorker(s, pool, 13 + (i % 7), &finish));
